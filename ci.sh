@@ -70,6 +70,17 @@ echo "== shard byte-identity: composition proptest (3 schedulers, +/- armed chao
 cargo test -q --release -p cloudburst-core --lib equivalence
 cargo test -q --release --test shard_invariance
 
+# Batch admission is linear in the batch: a one-pass Algorithm 2 chunk
+# phase and a tournament-indexed Planner. Both must stay bitwise equal to
+# the quadratic code they replaced, kept as #[cfg(test)] oracles: the
+# splice-loop chunk pass (random batches over every size bucket plus one
+# megascale batch, equal jobs and equal chunk-RNG end state) and the
+# linear-scan planner (interleaved IC/EC commits over ties, zeros, crashed
+# machines and 1-machine pools).
+echo "== admission equivalence: linear chunk pass vs splice oracle, indexed vs linear-scan Planner"
+cargo test -q --release -p cloudburst-workload --lib chunk::tests::linear_chunk_pass
+cargo test -q --release -p cloudburst-sched --lib api::tests::indexed_planner_matches_linear_planner
+
 echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -7,6 +7,7 @@ use cloudburst_workload::Job;
 use serde::{Deserialize, Serialize};
 
 use crate::estimates::EstimateProvider;
+use crate::freetime::FreeTimeIndex;
 
 /// Where a job was placed (the decision variable `d_i` of Sec. II-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -142,12 +143,21 @@ pub trait BurstScheduler {
 /// Wraps a [`LoadModel`] and *commits* each placement as it is decided, so
 /// job `i+1`'s estimates see job `i`'s load — the recursive structure of
 /// Algorithms 1 and 2.
+///
+/// The planned per-machine free-times live in two [`FreeTimeIndex`]
+/// tournament trees, so the earliest-free read behind `ft_ic`/`ft_ec` is
+/// `O(1)` and a commit is `O(log machines)`: a batch plans in
+/// `O(batch · log machines)` instead of rescanning every machine per job.
+/// The index resolves equal free-times toward the lowest machine index —
+/// the first-of-equals `min_by` contract the linear scan had — and adds
+/// with the same `+=` arithmetic, so plans are bitwise unchanged (the
+/// `#[cfg(test)]` linear planner is the oracle).
 #[derive(Clone, Debug)]
 pub struct Planner<'a> {
     est: &'a EstimateProvider,
     now: SimTime,
-    ic_free: Vec<f64>,
-    ec_free: Vec<f64>,
+    ic_free: FreeTimeIndex,
+    ec_free: FreeTimeIndex,
     upload_backlog_secs: f64,
     /// Eq. 1's slack anchor: `max` estimated completion over everything
     /// scheduled and unfinished, including commitments made through this
@@ -161,19 +171,24 @@ pub struct Planner<'a> {
 
 impl<'a> Planner<'a> {
     /// Builds a planner over the current load snapshot. The planner owns
-    /// its working copies — it runs once per *batch*, not per decision, so
-    /// these clones are off the steady-state hot path.
+    /// its indexed copies of the free-times — it runs once per *batch*,
+    /// not per decision, so building them is off the steady-state hot
+    /// path.
     pub fn new(load: &LoadModel<'_>, est: &'a EstimateProvider) -> Planner<'a> {
         let upload_backlog_secs = if load.upload_backlog_bytes > 0 {
             est.upload_secs(load.now, load.upload_backlog_bytes)
         } else {
             0.0
         };
+        let mut ic_free = FreeTimeIndex::new();
+        ic_free.reset_from(load.ic_free_secs);
+        let mut ec_free = FreeTimeIndex::new();
+        ec_free.reset_from(load.ec_free_secs);
         Planner {
             est,
             now: load.now,
-            ic_free: load.ic_free_secs.to_vec(),
-            ec_free: load.ec_free_secs.to_vec(),
+            ic_free,
+            ec_free,
             upload_backlog_secs,
             slack_anchor: load.outstanding_est_completions.iter().copied().max(),
         }
@@ -182,19 +197,25 @@ impl<'a> Planner<'a> {
     /// `ft^ic(i, S)`: estimated completion instant if `job` were scheduled
     /// in the IC right now.
     pub fn ft_ic(&self, job: &Job) -> SimTime {
-        let exec = self.est.exec_secs_ic(job);
-        let free = self.ic_free.iter().copied().fold(f64::INFINITY, f64::min);
-        self.now + SimDuration::from_secs_f64(free + exec)
+        self.ic_finish(self.est.exec_secs_ic(job))
     }
 
     /// `ft^ec(i, S)`: estimated completion instant if `job` were bursted
     /// right now — upload-queue wait, upload, EC queue wait, remote
     /// execution, result download.
     pub fn ft_ec(&self, job: &Job) -> SimTime {
-        let (wait, up, exec, down) = self.est.round_trip_parts(self.now, job, self.upload_backlog_secs);
-        let arrive_ec = wait + up;
-        let ec_free = self.ec_free.iter().copied().fold(f64::INFINITY, f64::min);
-        let start_ec = arrive_ec.max(ec_free);
+        self.ec_finish(self.round_trip_parts(job))
+    }
+
+    /// IC completion of `exec` seconds started on the earliest-free
+    /// machine (+∞ free-time, hence a saturated instant, on an empty pool).
+    fn ic_finish(&self, exec: f64) -> SimTime {
+        self.now + SimDuration::from_secs_f64(self.ic_free.min_value() + exec)
+    }
+
+    /// EC completion of a round trip with the given parts.
+    fn ec_finish(&self, (wait, up, exec, down): (f64, f64, f64, f64)) -> SimTime {
+        let start_ec = (wait + up).max(self.ec_free.min_value());
         self.now + SimDuration::from_secs_f64(start_ec + exec + down)
     }
 
@@ -212,33 +233,24 @@ impl<'a> Planner<'a> {
 
     /// Commits `job` to the given placement, updating the planned load and
     /// the estimated-completion pool. Returns the job's estimated
-    /// completion instant.
+    /// completion instant. The target pool must have at least one machine.
     pub fn commit(&mut self, job: &Job, placement: Placement) -> SimTime {
         let ft = match placement {
             Placement::Internal => {
-                let ft = self.ft_ic(job);
+                debug_assert!(!self.ic_free.is_empty(), "IC has machines");
                 let exec = self.est.exec_secs_ic(job);
-                let (idx, _) = self
-                    .ic_free
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN load"))
-                    .expect("IC has machines");
-                self.ic_free[idx] += exec;
+                let ft = self.ic_finish(exec);
+                self.ic_free.fcfs_commit(exec);
                 ft
             }
             Placement::External => {
-                let ft = self.ft_ec(job);
-                let (wait, up, exec, _down) = self.round_trip_parts(job);
-                let arrive_ec = wait + up;
+                debug_assert!(!self.ec_free.is_empty(), "EC has machines");
+                let parts = self.round_trip_parts(job);
+                let ft = self.ec_finish(parts);
+                let (wait, up, exec, _down) = parts;
                 self.upload_backlog_secs += up;
-                let (idx, _) = self
-                    .ec_free
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN load"))
-                    .expect("EC has machines");
-                self.ec_free[idx] = self.ec_free[idx].max(arrive_ec) + exec;
+                let idx = self.ec_free.min_index();
+                self.ec_free.set(idx, self.ec_free.value(idx).max(wait + up) + exec);
                 ft
             }
         };
@@ -255,17 +267,13 @@ impl<'a> Planner<'a> {
     pub fn upload_backlog_secs(&self) -> f64 {
         self.upload_backlog_secs
     }
-
-    /// Planned seconds until each IC machine frees.
-    pub fn ic_free_secs(&self) -> &[f64] {
-        &self.ic_free
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::estimates::tests_support::provider_and_jobs;
+    use proptest::prelude::*;
 
     #[test]
     fn ft_ic_uses_earliest_free_machine() {
@@ -339,5 +347,160 @@ mod tests {
             ..LoadModelBuf::idle(SimTime::ZERO, 2, 1)
         };
         assert_eq!(loaded.as_model().ic_initial_load_secs(), 20.0);
+    }
+
+    /// The linear-scan planner the indexed one replaced: an `f64::min`
+    /// fold for each earliest-free read and a first-of-equals `min_by`
+    /// argmin for each commit. The oracle for the equivalence tests.
+    struct LinearPlanner<'a> {
+        est: &'a EstimateProvider,
+        now: SimTime,
+        ic_free: Vec<f64>,
+        ec_free: Vec<f64>,
+        upload_backlog_secs: f64,
+        slack_anchor: Option<SimTime>,
+    }
+
+    impl<'a> LinearPlanner<'a> {
+        fn new(load: &LoadModel<'_>, est: &'a EstimateProvider) -> LinearPlanner<'a> {
+            let upload_backlog_secs = if load.upload_backlog_bytes > 0 {
+                est.upload_secs(load.now, load.upload_backlog_bytes)
+            } else {
+                0.0
+            };
+            LinearPlanner {
+                est,
+                now: load.now,
+                ic_free: load.ic_free_secs.to_vec(),
+                ec_free: load.ec_free_secs.to_vec(),
+                upload_backlog_secs,
+                slack_anchor: load.outstanding_est_completions.iter().copied().max(),
+            }
+        }
+
+        fn ft_ic(&self, job: &Job) -> SimTime {
+            let exec = self.est.exec_secs_ic(job);
+            let free = self.ic_free.iter().copied().fold(f64::INFINITY, f64::min);
+            self.now + SimDuration::from_secs_f64(free + exec)
+        }
+
+        fn ft_ec(&self, job: &Job) -> SimTime {
+            let (wait, up, exec, down) =
+                self.est.round_trip_parts(self.now, job, self.upload_backlog_secs);
+            let arrive_ec = wait + up;
+            let ec_free = self.ec_free.iter().copied().fold(f64::INFINITY, f64::min);
+            let start_ec = arrive_ec.max(ec_free);
+            self.now + SimDuration::from_secs_f64(start_ec + exec + down)
+        }
+
+        fn commit(&mut self, job: &Job, placement: Placement) -> SimTime {
+            let ft = match placement {
+                Placement::Internal => {
+                    let ft = self.ft_ic(job);
+                    let exec = self.est.exec_secs_ic(job);
+                    let (idx, _) = self
+                        .ic_free
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN load"))
+                        .expect("IC has machines");
+                    self.ic_free[idx] += exec;
+                    ft
+                }
+                Placement::External => {
+                    let ft = self.ft_ec(job);
+                    let (wait, up, exec, _down) =
+                        self.est.round_trip_parts(self.now, job, self.upload_backlog_secs);
+                    let arrive_ec = wait + up;
+                    self.upload_backlog_secs += up;
+                    let (idx, _) = self
+                        .ec_free
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN load"))
+                        .expect("EC has machines");
+                    self.ec_free[idx] = self.ec_free[idx].max(arrive_ec) + exec;
+                    ft
+                }
+            };
+            self.slack_anchor = Some(self.slack_anchor.map_or(ft, |a| a.max(ft)));
+            ft
+        }
+    }
+
+    /// Mirrors the engine's finite crashed-machine free-time sentinel.
+    const DEAD_FREE_SECS: f64 = 1_000_000_000.0;
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A free-time drawn from a palette dense in exact ties: idle zeros,
+    /// two shared values, a crashed-machine sentinel, and arbitrary loads.
+    fn palette(code: usize, x: f64) -> f64 {
+        match code {
+            0 => 0.0,
+            1 => 120.0,
+            2 => 900.5,
+            3 => DEAD_FREE_SECS,
+            _ => x,
+        }
+    }
+
+    fn pool(draws: &[(usize, f64)]) -> Vec<f64> {
+        draws.iter().map(|&(c, x)| palette(c, x)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Interleaved IC/EC commits: every read and every commit agrees
+        /// bitwise with the linear planner, and so do both free-time
+        /// arrays after every step — over exact ties, zeros, crashed
+        /// machines, and 1-machine pools.
+        #[test]
+        fn indexed_planner_matches_linear_planner(
+            ic in prop::collection::vec((0usize..6, 0.0f64..3_000.0), 1..9),
+            ec in prop::collection::vec((0usize..6, 0.0f64..3_000.0), 1..5),
+            ops in prop::collection::vec((any::<bool>(), 0usize..6), 1..60),
+            (backlog, anchor) in (0u64..2, 0u64..4_000),
+        ) {
+            let (est, jobs) = provider_and_jobs(&[1, 12, 60, 150, 240, 300]);
+            let buf = LoadModelBuf {
+                ic_free_secs: pool(&ic),
+                ec_free_secs: pool(&ec),
+                upload_backlog_bytes: backlog * 40_000_000,
+                outstanding_est_completions: vec![SimTime::from_secs(anchor)],
+                ..LoadModelBuf::idle(SimTime::from_secs(30), 0, 0)
+            };
+            let load = buf.as_model();
+            let mut fast = Planner::new(&load, &est);
+            let mut slow = LinearPlanner::new(&load, &est);
+            for (step, &(external, j)) in ops.iter().enumerate() {
+                let job = &jobs[j];
+                prop_assert_eq!(fast.ft_ic(job), slow.ft_ic(job), "ft_ic at step {}", step);
+                prop_assert_eq!(fast.ft_ec(job), slow.ft_ec(job), "ft_ec at step {}", step);
+                let placement = if external { Placement::External } else { Placement::Internal };
+                prop_assert_eq!(fast.commit(job, placement), slow.commit(job, placement));
+                prop_assert_eq!(bits(fast.ic_free.values()), bits(&slow.ic_free), "IC at {}", step);
+                prop_assert_eq!(bits(fast.ec_free.values()), bits(&slow.ec_free), "EC at {}", step);
+                prop_assert_eq!(fast.upload_backlog_secs.to_bits(), slow.upload_backlog_secs.to_bits());
+                prop_assert_eq!(fast.slack(), slow.slack_anchor);
+            }
+        }
+    }
+
+    #[test]
+    fn empty_pools_read_as_never_free() {
+        // An empty pool's earliest free-time is +∞, exactly as the linear
+        // fold from f64::INFINITY: both planners saturate identically.
+        let (est, jobs) = provider_and_jobs(&[50]);
+        let buf = LoadModelBuf::idle(SimTime::from_secs(7), 0, 0);
+        let fast = Planner::new(&buf.as_model(), &est);
+        let slow = LinearPlanner::new(&buf.as_model(), &est);
+        assert_eq!(fast.ic_free.min_value(), f64::INFINITY);
+        assert_eq!(fast.ec_free.min_value(), f64::INFINITY);
+        assert_eq!(fast.ft_ic(&jobs[0]), slow.ft_ic(&jobs[0]));
+        assert_eq!(fast.ft_ec(&jobs[0]), slow.ft_ec(&jobs[0]));
     }
 }

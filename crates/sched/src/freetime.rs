@@ -99,6 +99,13 @@ impl FreeTimeIndex {
         self.tree[1] as u32 as usize
     }
 
+    /// The earliest free-time, read from the root in `O(1)`; `+∞` when no
+    /// machines are indexed (the padding key), like a `min` fold from
+    /// `f64::INFINITY` over an empty pool.
+    pub fn min_value(&self) -> f64 {
+        f64::from_bits((self.tree[1] >> 64) as u64)
+    }
+
     /// Sets one machine's free-time and repairs the tournament path.
     pub fn set(&mut self, idx: usize, value: f64) {
         self.vals[idx] = value;

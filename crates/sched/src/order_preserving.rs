@@ -12,8 +12,7 @@
 //!    way are never on the critical path, so the schedule is robust to
 //!    bandwidth dips (Sec. IV-B).
 
-use cloudburst_workload::chunk::{chunk_job_at, ChunkPolicy};
-use cloudburst_workload::stats::window_stddev;
+use cloudburst_workload::chunk::{chunk_batch, ChunkPolicy};
 use cloudburst_workload::Job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -57,34 +56,13 @@ impl OrderPreservingScheduler {
         self
     }
 
-    /// Algorithm 2 lines 3–10 over the batch. The queue-position fraction
-    /// is computed against the *original* batch length so that chunk
-    /// insertion does not shift later jobs' positions (non-uniform
-    /// chunking stays stable under expansion).
+    /// Algorithm 2 lines 3–10 over the batch ([`chunk_batch`]), unless
+    /// chunking is ablated.
     fn chunk_phase(&mut self, jobs: Vec<Job>) -> Vec<Job> {
         if !self.chunking_enabled {
             return jobs;
         }
-        let denom = jobs.len().max(1) as f64;
-        let mut list = jobs;
-        let mut originals_seen = 0usize;
-        let mut i = 0;
-        while i < list.len() {
-            let pos_frac = originals_seen as f64 / denom;
-            let sizes: Vec<f64> = list.iter().map(|j| j.size_mb()).collect();
-            let sigma = window_stddev(&sizes, i, self.chunk_policy.window);
-            if self.chunk_policy.should_chunk_at(sigma, list[i].size_mb(), pos_frac) {
-                let chunks =
-                    chunk_job_at(&list[i], &self.chunk_policy, pos_frac, &mut self.chunk_rng);
-                let added = chunks.len();
-                list.splice(i..=i, chunks);
-                i += added;
-            } else {
-                i += 1;
-            }
-            originals_seen += 1;
-        }
-        list
+        chunk_batch(jobs, &self.chunk_policy, &mut self.chunk_rng)
     }
 }
 

@@ -156,24 +156,33 @@ pub fn chunk_job_at<R: Rng + ?Sized>(
 /// Applies Algorithm 2 lines 3–10 to a whole batch: walks the job list with
 /// the sliding σ-window and replaces each triggering job with its chunks.
 /// Returns the expanded list (provisional ids preserved; callers re-index).
-pub fn chunk_batch<R: Rng + ?Sized>(jobs: &[Job], policy: &ChunkPolicy, rng: &mut R) -> Vec<Job> {
-    let mut list: Vec<Job> = jobs.to_vec();
-    let mut i = 0;
-    while i < list.len() {
-        let sizes: Vec<f64> = list.iter().map(|j| j.size_mb()).collect();
-        let sigma = stats::window_stddev(&sizes, i, policy.window);
-        if policy.should_chunk(sigma, list[i].size_mb()) {
-            let chunks = chunk_job(&list[i], policy, rng);
-            let added = chunks.len();
-            list.splice(i..=i, chunks);
-            // Skip past the inserted chunks: they are already ≤ target size,
-            // re-examining them cannot trigger another split.
-            i += added;
+///
+/// Position-aware: the job that is the `k`-th original of an `n`-job batch
+/// chunks at queue-position fraction `k / n` (see
+/// [`ChunkPolicy::position_gamma`]) — measured against the *original*
+/// batch, so inserted chunks never shift a later job's position.
+///
+/// One linear pass. The paper's loop splices chunks into the list and then
+/// skips past them, so every index at or after the cursor is a
+/// not-yet-visited original: the window `σ(i..i+x)` over the growing list
+/// is always `σ` over the next `x` originals. The originals' sizes are
+/// therefore read once, and chunks are appended rather than spliced —
+/// the same σ values, the same chunk RNG draws in the same order, and the
+/// same output as the splice loop (kept as the `#[cfg(test)]` oracle).
+pub fn chunk_batch<R: Rng + ?Sized>(jobs: Vec<Job>, policy: &ChunkPolicy, rng: &mut R) -> Vec<Job> {
+    let sizes: Vec<f64> = jobs.iter().map(Job::size_mb).collect();
+    let denom = jobs.len().max(1) as f64;
+    let mut out = Vec::with_capacity(jobs.len());
+    for (k, job) in jobs.into_iter().enumerate() {
+        let pos_frac = k as f64 / denom;
+        let sigma = stats::window_stddev(&sizes, k, policy.window);
+        if policy.should_chunk_at(sigma, sizes[k], pos_frac) {
+            out.extend(chunk_job_at(&job, policy, pos_frac, rng));
         } else {
-            i += 1;
+            out.push(job);
         }
     }
-    list
+    out
 }
 
 #[cfg(test)]
@@ -182,6 +191,7 @@ mod tests {
     use crate::document::{JobType, BYTES_PER_MB};
     use crate::job::JobId;
     use cloudburst_sim::SimTime;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -258,10 +268,10 @@ mod tests {
         let p = ChunkPolicy::default();
         // Homogeneous batch: low σ, nothing chunks.
         let homo: Vec<Job> = (0..6).map(|i| job(i, 100)).collect();
-        assert_eq!(chunk_batch(&homo, &p, &mut rng).len(), 6);
+        assert_eq!(chunk_batch(homo, &p, &mut rng).len(), 6);
         // Mixed batch: 290 MB next to 5 MB jobs triggers chunking.
         let mixed = vec![job(0, 5), job(1, 290), job(2, 8), job(3, 290), job(4, 5)];
-        let out = chunk_batch(&mixed, &p, &mut rng);
+        let out = chunk_batch(mixed.clone(), &p, &mut rng);
         assert!(out.len() > mixed.len(), "large jobs should have been split");
         assert_eq!(
             out.iter().map(|c| c.features.size_bytes).sum::<u64>(),
@@ -274,7 +284,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let p = ChunkPolicy::default();
         let mixed = vec![job(0, 5), job(1, 290), job(2, 8)];
-        let out = chunk_batch(&mixed, &p, &mut rng);
+        let out = chunk_batch(mixed, &p, &mut rng);
         // Prefix before the split job, then its chunks, then the suffix.
         assert_eq!(out[0].id, JobId(0));
         assert!(out[1..out.len() - 1].iter().all(|c| c.parent == Some(JobId(1))));
@@ -316,5 +326,112 @@ mod tests {
         assert_eq!(p.n_chunks(80.0), 1);
         assert_eq!(p.n_chunks(81.0), 2);
         assert_eq!(p.n_chunks(300.0), 4);
+    }
+
+    /// The paper's loop as first written: rebuild the size list of the
+    /// whole growing queue every step, splice chunks in at the cursor and
+    /// skip past them. Quadratic in the batch; [`chunk_batch`] must match
+    /// it job for job and draw for draw.
+    fn splice_oracle<R: Rng + ?Sized>(jobs: Vec<Job>, policy: &ChunkPolicy, rng: &mut R) -> Vec<Job> {
+        let denom = jobs.len().max(1) as f64;
+        let mut list = jobs;
+        let mut originals_seen = 0usize;
+        let mut i = 0;
+        while i < list.len() {
+            let pos_frac = originals_seen as f64 / denom;
+            let sizes: Vec<f64> = list.iter().map(|j| j.size_mb()).collect();
+            let sigma = stats::window_stddev(&sizes, i, policy.window);
+            if policy.should_chunk_at(sigma, list[i].size_mb(), pos_frac) {
+                let chunks = chunk_job_at(&list[i], policy, pos_frac, rng);
+                let added = chunks.len();
+                list.splice(i..=i, chunks);
+                i += added;
+            } else {
+                i += 1;
+            }
+            originals_seen += 1;
+        }
+        list
+    }
+
+    /// Runs both passes from the same RNG state and asserts identical
+    /// output (every field, f64s by their `Debug` round-trip text, which
+    /// is exact) and identical RNG end states.
+    fn assert_linear_matches_oracle(jobs: Vec<Job>, policy: &ChunkPolicy, seed: u64) -> usize {
+        let mut rng_lin = StdRng::seed_from_u64(seed);
+        let mut rng_ora = StdRng::seed_from_u64(seed);
+        let lin = chunk_batch(jobs.clone(), policy, &mut rng_lin);
+        let ora = splice_oracle(jobs, policy, &mut rng_ora);
+        assert_eq!(lin.len(), ora.len(), "expanded lengths differ");
+        for (k, (a, b)) in lin.iter().zip(&ora).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "job {k} differs");
+        }
+        assert_eq!(rng_lin.gen::<u64>(), rng_ora.gen::<u64>(), "chunk RNG diverged");
+        lin.len()
+    }
+
+    /// A random batch of `n` jobs drawn from `bucket`.
+    fn random_batch(seed: u64, n: usize, bucket: crate::SizeBucket) -> Vec<Job> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let truth = crate::GroundTruth::default();
+        (0..n as u64)
+            .map(|id| {
+                let bytes = bucket.sample_bytes(&mut rng);
+                let features = DocumentFeatures::sample_any_type(&mut rng, bytes);
+                Job {
+                    id: JobId(id),
+                    batch: 0,
+                    arrival: SimTime::ZERO,
+                    true_service_secs: truth.sample_secs(&mut rng, &features),
+                    output_bytes: truth.sample_output_bytes(&mut rng, &features),
+                    features,
+                    parent: None,
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linear pass equals the splice oracle over every size
+        /// bucket, window widths 0, 1, 5 and wider than the batch, uniform
+        /// and position-aware chunking, and varied thresholds/targets.
+        #[test]
+        fn linear_chunk_pass_matches_splice_oracle(
+            seed in any::<u64>(),
+            (n, bucket_ix, window_ix) in (0usize..60, 0usize..3, 0usize..4),
+            (th, target, gamma, uniform) in (0.0f64..150.0, 20.0f64..200.0, 0.0f64..3.0, any::<bool>()),
+        ) {
+            let policy = ChunkPolicy {
+                window: [0, 1, 5, n + 1 + seed as usize % 8][window_ix],
+                sigma_threshold_mb: th,
+                target_chunk_mb: target,
+                position_gamma: if uniform { 0.0 } else { gamma },
+                ..ChunkPolicy::default()
+            };
+            let jobs = random_batch(seed, n, crate::SizeBucket::ALL[bucket_ix]);
+            let out = assert_linear_matches_oracle(jobs, &policy, seed ^ 0x5eed);
+            prop_assert!(out >= n);
+        }
+    }
+
+    #[test]
+    fn linear_chunk_pass_matches_oracle_on_a_megascale_batch() {
+        use cloudburst_sim::RngFactory;
+        // One megascale-sized batch (≈ 12k docs; `megascale` itself would
+        // split this total into two batches).
+        let cfg = crate::ArrivalConfig {
+            n_batches: 1,
+            jobs_per_batch: 12_000.0,
+            ..crate::ArrivalConfig::default()
+        };
+        let jobs = crate::BatchArrivals::new(cfg)
+            .generate_flat(&RngFactory::new(17), &crate::GroundTruth::default());
+        assert!(jobs.len() >= 10_000, "megascale batch has {} docs", jobs.len());
+        let n = jobs.len();
+        let policy = ChunkPolicy { position_gamma: 1.0, ..ChunkPolicy::default() };
+        let out = assert_linear_matches_oracle(jobs, &policy, 23);
+        assert!(out > n, "a 1–300 MB batch must chunk somewhere");
     }
 }

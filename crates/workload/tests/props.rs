@@ -71,7 +71,7 @@ proptest! {
             ..ChunkPolicy::default()
         };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 1);
-        let out = chunk_batch(&jobs, &policy, &mut rng);
+        let out = chunk_batch(jobs.clone(), &policy, &mut rng);
         prop_assert!(out.len() >= jobs.len());
         prop_assert_eq!(
             out.iter().map(|j| j.features.size_bytes).sum::<u64>(),
