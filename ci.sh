@@ -81,6 +81,19 @@ echo "== admission equivalence: linear chunk pass vs splice oracle, indexed vs l
 cargo test -q --release -p cloudburst-workload --lib chunk::tests::linear_chunk_pass
 cargo test -q --release -p cloudburst-sched --lib api::tests::indexed_planner_matches_linear_planner
 
+# An engine wake costs only the work it does: one wake event armed at the
+# earliest component deadline, and a pull-back that refits the QRSM only
+# when it evaluates a candidate. Both must leave output bitwise unchanged:
+# the multi-site rescheduling golden (several sites' wakes interleaving
+# with pull-back/push-out under faults and the cost-aware broker) pins the
+# bytes. The refit-gate unit test pins where the refit runs, and the
+# whole-step counting-allocator test pins that steady-state steps allocate
+# nothing.
+echo "== wake-path equivalence: multi-site rescheduling golden, pull-back refit gate, zero-alloc engine steps"
+cargo test -q --release --test chaos_golden golden_resched_multisite_report_is_byte_stable
+cargo test -q --release -p cloudburst-core --lib engine::tests::pull_back_refits_only_when_a_candidate_is_read
+cargo test -q --release -p cloudburst-core --test alloc_free_wake
+
 echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -7,11 +7,12 @@
 //! 1. a **batch arrival** invokes the controller, which snapshots the
 //!    estimated load, runs the scheduler, re-indexes (possibly chunked)
 //!    jobs into the global FCFS id space, and dispatches placements;
-//! 2. **link wakes** integrate transfer progress; completed uploads submit
-//!    to the EC, completed downloads land results in the result queue;
-//! 3. **cloud wakes** collect execution completions; IC completions go
-//!    straight to the result queue, EC completions enter the download queue;
-//! 4. every completion feeds the autonomic models (QRSM window, bandwidth
+//! 2. the **engine wake**, one event armed at the earliest link, cloud or
+//!    chaos-timer deadline, advances every component: completed uploads
+//!    submit to the EC, completed downloads land results in the result
+//!    queue, IC completions go straight to the result queue, and EC
+//!    completions enter the download queue;
+//! 3. every completion feeds the autonomic models (QRSM window, bandwidth
 //!    EWMAs, thread tuners) — the system learns while it runs.
 //!
 //! Ground truth (service times, link capacity) is only ever touched by the
@@ -189,9 +190,6 @@ struct EcSite {
     sibs_bounds: Option<SibsBounds>,
     uploaded_bytes: u64,
     downloaded_bytes: u64,
-    up_wake: Option<EventId>,
-    down_wake: Option<EventId>,
-    exec_wake: Option<EventId>,
 }
 
 impl EcSite {
@@ -217,9 +215,6 @@ impl EcSite {
             sibs_bounds: None,
             uploaded_bytes: 0,
             downloaded_bytes: 0,
-            up_wake: None,
-            down_wake: None,
-            exec_wake: None,
         }
     }
 
@@ -351,7 +346,7 @@ impl ChaosState {
         Some(e.timer)
     }
 
-    /// Earliest timer deadline, for arming the chaos wake event.
+    /// Earliest timer deadline, one input to the engine wake (see `resync`).
     fn next_deadline(&self) -> Option<SimTime> {
         let next = self.timers.peek().map(|e| e.at);
         #[cfg(test)]
@@ -462,7 +457,9 @@ pub struct EngineWorld {
     timelines: Vec<crate::timeline::JobTimeline>,
     /// Jobs per batch with their placements (burst-ratio per batch).
     batch_decisions: Vec<Vec<bool>>,
-    ic_wake: Option<EventId>,
+    /// The one pending engine wake: the earliest deadline over every
+    /// component (see [`resync`]).
+    wake: Option<EventId>,
     batches_total: u32,
     batches_seen: u32,
     next_tid: u64,
@@ -500,7 +497,6 @@ pub struct EngineWorld {
     po_queue: Vec<PushOutCandidate>,
     /// Fault-injection bookkeeping; `None` ⇔ no fault can ever realize.
     chaos: Option<ChaosState>,
-    chaos_wake: Option<EventId>,
     /// Worker policy for intra-run shard fan-outs (admission estimate
     /// precompute, report sections). Results are byte-identical for any
     /// worker count; `cfg.shard_workers` only trades wall-clock time.
@@ -713,7 +709,7 @@ impl EngineWorld {
             ticket_promise: Vec::new(),
             timelines: Vec::new(),
             batch_decisions: Vec::new(),
-            ic_wake: None,
+            wake: None,
             batches_total: cfg.arrivals.n_batches,
             batches_seen: 0,
             next_tid: 0,
@@ -735,7 +731,6 @@ impl EngineWorld {
             po_waiting: Vec::new(),
             po_queue: Vec::new(),
             chaos,
-            chaos_wake: None,
             pool,
             admit_scratch: Vec::new(),
             serve: None,
@@ -927,7 +922,7 @@ impl EngineWorld {
     /// model, then (when the rescheduling extension is on) evaluate
     /// pull-back and push-out. This is the engine's per-event decision
     /// cost without the event-queue machinery around it; live drivers
-    /// must still resync component wakes after any state change.
+    /// must still re-arm the engine wake after any state change.
     // conform::hot_root
     pub fn decision_sweep(&mut self, now: SimTime) {
         let _ = self.load_snapshot(now);
@@ -1268,59 +1263,37 @@ impl EngineWorld {
 
 type W = EngineWorld;
 
-/// Cancels and re-arms all component wake events from their `next_wake`s.
+/// Cancels the pending engine wake and re-arms it at the earliest
+/// component deadline: IC completions, each site's execution, upload and
+/// download completions, and the next chaos timer.
+///
+/// One event stands for all of them because every one would run the same
+/// [`on_wake`], which advances *all* components and ends back here. Only
+/// the earliest deadline could ever fire before the next re-arm, and it
+/// takes its `seq` from this same call, so its `(at, seq)` rank against
+/// batch, probe, scaling and fault events is what a per-component event
+/// would have had. The closure captures nothing, so arming it allocates
+/// nothing either.
 fn resync(w: &mut W, sim: &mut Sim<W>) {
-    if let Some(id) = w.ic_wake.take() {
+    if let Some(id) = w.wake.take() {
         sim.cancel(id);
     }
-    if let Some(t) = w.ic.next_wake() {
-        w.ic_wake = Some(sim.schedule_at(t, |w, sim| {
-            w.ic_wake = None;
-            on_wake(w, sim);
-        }));
-    }
-    for i in 0..w.sites.len() {
-        if let Some(id) = w.sites[i].exec_wake.take() {
-            sim.cancel(id);
-        }
-        if let Some(t) = w.sites[i].cloud.next_wake() {
-            w.sites[i].exec_wake = Some(sim.schedule_at(t, move |w, sim| {
-                w.sites[i].exec_wake = None;
-                on_wake(w, sim);
-            }));
-        }
-        if let Some(id) = w.sites[i].up_wake.take() {
-            sim.cancel(id);
-        }
-        if let Some(t) = w.sites[i].up_link.next_wake() {
-            w.sites[i].up_wake = Some(sim.schedule_at(t, move |w, sim| {
-                w.sites[i].up_wake = None;
-                on_wake(w, sim);
-            }));
-        }
-        if let Some(id) = w.sites[i].down_wake.take() {
-            sim.cancel(id);
-        }
-        if let Some(t) = w.sites[i].down_link.next_wake() {
-            w.sites[i].down_wake = Some(sim.schedule_at(t, move |w, sim| {
-                w.sites[i].down_wake = None;
-                on_wake(w, sim);
-            }));
-        }
-    }
-    if let Some(id) = w.chaos_wake.take() {
-        sim.cancel(id);
-    }
-    if let Some(t) = w.chaos.as_ref().and_then(|c| c.next_deadline()) {
-        w.chaos_wake = Some(sim.schedule_at(t, |w, sim| {
-            w.chaos_wake = None;
+    let sites = w.sites.iter().flat_map(|s| {
+        [s.cloud.next_wake(), s.up_link.next_wake(), s.down_link.next_wake()]
+    });
+    let chaos = w.chaos.as_ref().and_then(ChaosState::next_deadline);
+    let next = std::iter::once(w.ic.next_wake()).chain(sites).chain([chaos]).flatten().min();
+    if let Some(t) = next {
+        w.wake = Some(sim.schedule_at(t, |w, sim| {
+            w.wake = None;
             on_wake(w, sim);
         }));
     }
 }
 
 /// Advances every component to `now` and handles all completions, looping
-/// until quiescent, then pumps idle slots. All wake events funnel here.
+/// until quiescent, then pumps idle slots. The engine wake runs it, and so
+/// does every batch and fault handler before its own work.
 fn on_wake(w: &mut W, sim: &mut Sim<W>) {
     let now = sim.now();
     // The drain buffers live on the world; they're taken out for the loop
@@ -2144,12 +2117,15 @@ fn on_machine_up(w: &mut W, sim: &mut Sim<W>, pool: Pool, machine: u32) {
 /// upload queue when local re-execution beats the estimated EC remainder.
 // conform::hot_root
 fn try_pull_back(w: &mut W, now: SimTime) {
-    // Epoch barrier: queued QRSM observations become current before any
-    // estimate read below (no-op branch when nothing is pending).
-    w.est.flush_refits();
     // The IC pool is read through its boundary snapshot, re-frozen per
     // reclaimed job (each pull-back mutates the pool).
     while matches!(w.ic.boundary(), b if b.idle > 0 && b.queued == 0) {
+        // Epoch barrier: the candidate evaluation below reads QRSM
+        // predictions, so queued observations become current first — after
+        // the guard, so a wake with IC work still queued (nearly every IC
+        // completion on a deep queue) pays no refit. A no-op branch once
+        // flushed.
+        w.est.flush_refits();
         // Head candidates: the front of each class queue at each site.
         // `pb_cands`/`pb_meta` are persistent world scratch kept in
         // lock-step, so the decision slice feeds `pull_back_candidate`
@@ -2194,12 +2170,20 @@ fn try_pull_back(w: &mut W, now: SimTime) {
 /// from the tail of the IC wait queue.
 // conform::hot_root
 fn try_push_out(w: &mut W, now: SimTime) {
-    let site = w.broker_site(now);
-    if !w.sites[site].up_queues.is_empty() || w.sites[site].up_link.boundary().in_flight > 0 {
-        return;
-    }
+    // Cheapest guards first; all three are pure reads. The broker only
+    // runs when some site's upload pipe is idle — a necessary condition
+    // for its pick to pass the idle check below — because under
+    // `CostAware` it scores every site.
     let q = w.ic.queued();
     if q == 0 {
+        return;
+    }
+    let idle = |s: &EcSite| s.up_queues.is_empty() && s.up_link.boundary().in_flight == 0;
+    if !w.sites.iter().any(idle) {
+        return;
+    }
+    let site = w.broker_site(now);
+    if !idle(&w.sites[site]) {
         return;
     }
     // Epoch barrier: the candidate scan below reads QRSM predictions, so
@@ -2740,6 +2724,57 @@ mod tests {
         assert_eq!(r.completion_times.len(), r.n_jobs);
         // Counters exist (may legitimately be zero on an easy run).
         let _ = world.pull_backs() + world.push_outs();
+    }
+
+    /// Queues one QRSM observation (job 0 at its current estimate), so a
+    /// refit is pending until the next flush.
+    fn queue_observation(w: &mut EngineWorld) {
+        let job = &w.jobs[0];
+        let class = job.features.job_type.code() as u64;
+        let x = job.features.regressors_arr();
+        let y = w.est.exec_secs(job);
+        w.est.qrsm.observe_queued(class, &x, y);
+    }
+
+    #[test]
+    fn pull_back_refits_only_when_a_candidate_is_read() {
+        // Two IC machines: the IC queue fills at the first batch. A long
+        // EC blackout then holds bursted jobs in the upload queues while
+        // the IC drains (rescheduling is off, so nothing pulls them back on
+        // its own).
+        let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 5);
+        cfg.n_ic = 2;
+        cfg.arrivals.jobs_per_batch = 12.0;
+        cfg.faults = Some(FaultProfile::dormant().with_blackout(300.0, 4800.0));
+        let rngs = RngFactory::new(cfg.seed);
+        let batches = BatchArrivals::new(cfg.arrivals.clone()).generate(&rngs, &cfg.truth);
+        let mut h = EngineHarness::new(&cfg, batches);
+
+        // IC work still queued: the boundary guard fails, no candidate is
+        // evaluated, and the refit stays pending.
+        while h.world().ic.queued() == 0 {
+            assert!(h.step(), "the IC queue never filled");
+        }
+        let now = h.now();
+        let w = h.world_mut();
+        queue_observation(w);
+        try_pull_back(w, now);
+        assert!(w.est.flush_refits(), "pull-back refit the QRSM with IC work still queued");
+
+        // An idle IC machine, an empty IC queue and an EC upload head: the
+        // candidate evaluation reads the QRSM, so the refit ran first.
+        let candidate_ready = |w: &EngineWorld| {
+            let b = w.ic.boundary();
+            b.idle > 0 && b.queued == 0 && w.sites.iter().any(|s| !s.up_queues.is_empty())
+        };
+        while !candidate_ready(h.world()) {
+            assert!(h.step(), "no idle-IC state with a queued upload was reached");
+        }
+        let now = h.now();
+        let w = h.world_mut();
+        queue_observation(w);
+        try_pull_back(w, now);
+        assert!(!w.est.flush_refits(), "pull-back read a candidate without refitting first");
     }
 
     #[test]

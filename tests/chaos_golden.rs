@@ -10,6 +10,10 @@ use cloudburst_repro::chaos::{CrashLaw, FaultPlan, FaultProfile, RetryPolicy};
 use cloudburst_repro::core::{
     run_experiment, run_experiment_detailed, run_with_plan, ExperimentConfig, SchedulerKind,
 };
+use cloudburst_repro::core::config::EcSiteConfig;
+use cloudburst_repro::econ::{
+    AdmissionPolicy, BrokerPolicy, EconConfig, Money, PenaltySchedule, PriceModel,
+};
 use cloudburst_repro::sim::RngFactory;
 use cloudburst_repro::workload::{ArrivalConfig, Batch, BatchArrivals, SizeBucket};
 
@@ -165,6 +169,67 @@ fn golden_chaos_report_is_byte_stable() {
         fresh,
         golden.trim_end(),
         "chaos scenario report drifted from {path}; if intentional, re-bless"
+    );
+}
+
+/// The multi-site rescheduling scenario: a starved-IC SIBS run with the
+/// Sec. IV-D pull-back/push-out extension on, two extra priced EC sites
+/// under the cost-aware broker, and the full chaos menu. It covers what
+/// the single-site golden above cannot: several sites' upload, execution
+/// and download wakes interleaving with pull-back and push-out decisions.
+fn resched_multisite_cfg() -> ExperimentConfig {
+    let mut cfg = small_cfg(SchedulerKind::Sibs, 27);
+    cfg.rescheduling = true;
+    let site = |cents_per_hour: i64| EcSiteConfig {
+        n_machines: 2,
+        speed: 1.0,
+        upload_model: cfg.upload_model.clone(),
+        download_model: cfg.download_model.clone(),
+        price: Some(PriceModel::OnDemand {
+            usd_per_machine_hour: Money::from_cents(cents_per_hour),
+            usd_per_gb_transfer: Money::from_cents(9),
+        }),
+    };
+    cfg.extra_ec_sites = vec![site(180), site(300)];
+    cfg.econ = Some(EconConfig {
+        primary_price: Some(PriceModel::OnDemand {
+            usd_per_machine_hour: Money::from_cents(240),
+            usd_per_gb_transfer: Money::from_cents(9),
+        }),
+        penalty: PenaltySchedule::PerHourLate { usd_per_hour: Money::from_cents(60) },
+        admission: AdmissionPolicy::AdmitAll,
+        broker: BrokerPolicy::CostAware,
+    });
+    cfg.faults = Some(chaotic_profile());
+    cfg
+}
+
+/// Cross-commit golden for [`resched_multisite_cfg`], blessed like the
+/// single-site fixture above:
+/// `CHAOS_GOLDEN_BLESS=1 cargo test --test chaos_golden golden`.
+#[test]
+fn golden_resched_multisite_report_is_byte_stable() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/resched_multisite.report.json");
+    let (report, world) = run_experiment_detailed(&resched_multisite_cfg());
+    // Pin the premise: the fixture exercises pull-back, push-out and
+    // every site, under faults.
+    assert!(world.pull_backs() > 0, "scenario never pulled a job back");
+    assert!(world.push_outs() > 0, "scenario never pushed a job out");
+    assert!(
+        (0..3).all(|s| world.ec_cloud(s).completed() > 0),
+        "scenario should run bursts on every site"
+    );
+    assert!(report.faults.recovery_actions() > 0, "{:?}", report.faults);
+    let fresh = serde_json::to_string(&report).expect("report serializes");
+    if std::env::var_os("CHAOS_GOLDEN_BLESS").is_some() {
+        std::fs::write(path, format!("{fresh}\n")).expect("write golden fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden fixture exists (bless to create)");
+    assert_eq!(
+        fresh,
+        golden.trim_end(),
+        "multi-site rescheduling report drifted from {path}; if intentional, re-bless"
     );
 }
 
