@@ -94,6 +94,19 @@ cargo test -q --release --test chaos_golden golden_resched_multisite_report_is_b
 cargo test -q --release -p cloudburst-core --lib engine::tests::pull_back_refits_only_when_a_candidate_is_read
 cargo test -q --release -p cloudburst-core --test alloc_free_wake
 
+# One job row, one harness: the engine keeps only the per-job columns it
+# reads (placements, completions and delivered bytes live in the
+# timelines; econ deadlines are derived at settlement), writes each
+# admission row through one put helper, and runs both modes through one
+# Harness<R>. All of it must leave output bitwise unchanged: the chaos
+# goldens (including the commit-or-reject serving fixture, which pins
+# derived deadlines and attempt counters on recycled slots), the
+# closed-vs-open serving equivalence and the fixed-seed report goldens.
+echo "== spine equivalence: chaos + commit-or-reject serving goldens, serve equivalence, golden determinism"
+cargo test -q --release --test chaos_golden
+cargo test -q --release -p cloudburst-core --test serve_equivalence
+cargo test -q --release --test golden_determinism
+
 echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

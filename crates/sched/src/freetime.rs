@@ -178,11 +178,19 @@ impl OutstandingSet {
         &self.vals
     }
 
-    /// Registers job `id`'s completion estimate at admission. Ids must be
-    /// registered in increasing dense order (the engine's FCFS id space).
+    /// Registers job `id`'s completion estimate at admission. A fresh id
+    /// must be the next dense one (the engine's FCFS id space); serving
+    /// also re-admits the recycled id of a completed job.
     pub fn insert(&mut self, id: u64, est_completion: SimTime) {
-        assert_eq!(id as usize, self.pos.len(), "ids must arrive densely in order");
-        self.pos.push(self.vals.len());
+        if id as usize == self.pos.len() {
+            self.pos.push(GONE);
+        }
+        assert_eq!(
+            self.pos.get(id as usize),
+            Some(&GONE),
+            "ids must arrive densely in order, or be recycled after completion"
+        );
+        self.pos[id as usize] = self.vals.len();
         self.vals.push(est_completion);
         self.job_at.push(id);
     }
@@ -298,6 +306,19 @@ mod tests {
         assert!(s.is_empty());
         s.insert(3, t(99));
         assert_eq!(s.values(), &[t(99)]);
+        // A completed id is re-admitted when serving recycles its slot.
+        s.insert(1, t(42));
+        assert_eq!(s.len(), 2);
+        s.remove(3);
+        assert_eq!(s.values(), &[t(42)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "densely")]
+    fn insert_rejects_an_outstanding_id() {
+        let mut s = OutstandingSet::new();
+        s.insert(0, SimTime::from_secs(1));
+        s.insert(0, SimTime::from_secs(2));
     }
 
     #[test]

@@ -8,14 +8,18 @@ use proptest::prelude::*;
 
 use cloudburst_repro::chaos::{CrashLaw, FaultPlan, FaultProfile, RetryPolicy};
 use cloudburst_repro::core::{
-    run_experiment, run_experiment_detailed, run_with_plan, ExperimentConfig, SchedulerKind,
+    run_experiment, run_experiment_detailed, run_with_plan, serve_experiment_detailed,
+    ExperimentConfig, SchedulerKind, ServeConfig,
 };
 use cloudburst_repro::core::config::EcSiteConfig;
 use cloudburst_repro::econ::{
     AdmissionPolicy, BrokerPolicy, EconConfig, Money, PenaltySchedule, PriceModel,
 };
-use cloudburst_repro::sim::RngFactory;
-use cloudburst_repro::workload::{ArrivalConfig, Batch, BatchArrivals, SizeBucket};
+use cloudburst_repro::sim::{RngFactory, SimDuration};
+use cloudburst_repro::sla::WindowConfig;
+use cloudburst_repro::workload::{
+    ArrivalConfig, Batch, BatchArrivals, OpenArrivalConfig, SizeBucket,
+};
 
 fn small_cfg(kind: SchedulerKind, seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -230,6 +234,70 @@ fn golden_resched_multisite_report_is_byte_stable() {
         fresh,
         golden.trim_end(),
         "multi-site rescheduling report drifted from {path}; if intentional, re-bless"
+    );
+}
+
+/// Commit-or-reject serving: an open stream onto a starved IC and a
+/// priced primary EC site, a turnaround budget tight enough to turn jobs
+/// away at the gate, a per-hour lateness penalty, and lossy transfers.
+/// Completed jobs hand their slot to later admissions, so the settled
+/// deadlines and the transfer attempt counts of recycled slots reach the
+/// report's penalty, violation and retry counters.
+fn econ_commit_serve_cfg() -> ExperimentConfig {
+    let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 53);
+    cfg.n_ic = 1;
+    cfg.serve = Some(ServeConfig {
+        arrivals: OpenArrivalConfig {
+            epoch: SimDuration::from_secs(120),
+            jobs_per_epoch: 4.0,
+            bucket: SizeBucket::SmallBiased,
+            ..OpenArrivalConfig::default()
+        },
+        horizon: SimDuration::from_secs(3600),
+        window: WindowConfig { window: SimDuration::from_secs(600), ..WindowConfig::default() },
+    });
+    cfg.econ = Some(EconConfig {
+        primary_price: Some(PriceModel::OnDemand {
+            usd_per_machine_hour: Money::from_cents(240),
+            usd_per_gb_transfer: Money::from_cents(9),
+        }),
+        penalty: PenaltySchedule::PerHourLate { usd_per_hour: Money::from_cents(60) },
+        admission: AdmissionPolicy::CommitOrReject { max_turnaround_secs: 600.0 },
+        broker: BrokerPolicy::EarliestRoundTrip,
+    });
+    cfg.faults = Some(FaultProfile {
+        transfer_loss_prob: 0.1,
+        ..FaultProfile::dormant()
+    });
+    cfg
+}
+
+/// Cross-commit golden for [`econ_commit_serve_cfg`], blessed like the
+/// fixtures above:
+/// `CHAOS_GOLDEN_BLESS=1 cargo test --test chaos_golden golden`.
+#[test]
+fn golden_econ_commit_serve_report_is_byte_stable() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/econ_commit_serve.report.json");
+    let (report, world) = serve_experiment_detailed(&econ_commit_serve_cfg());
+    // Pin the premise: the gate rejected some jobs, some committed jobs
+    // still finished late, and admissions reused completed jobs' slots.
+    let econ = report.econ.as_ref().expect("priced serve run carries a ledger");
+    assert!(econ.jobs_rejected > 0, "the budget never rejected a job: {econ:?}");
+    assert!(econ.penalty > Money::ZERO, "no committed job finished late: {econ:?}");
+    assert!(econ.commitment_violations > 0, "{econ:?}");
+    let slots = world.timelines().len() as u64;
+    assert!(slots < report.jobs_admitted, "{slots} slots for {} jobs", report.jobs_admitted);
+    assert_eq!(report.jobs_completed, report.jobs_admitted, "the stream must drain");
+    let fresh = serde_json::to_string(&report).expect("report serializes");
+    if std::env::var_os("CHAOS_GOLDEN_BLESS").is_some() {
+        std::fs::write(path, format!("{fresh}\n")).expect("write golden fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden fixture exists (bless to create)");
+    assert_eq!(
+        fresh,
+        golden.trim_end(),
+        "commit-or-reject serving report drifted from {path}; if intentional, re-bless"
     );
 }
 
