@@ -107,6 +107,17 @@ cargo test -q --release --test chaos_golden
 cargo test -q --release -p cloudburst-core --test serve_equivalence
 cargo test -q --release --test golden_determinism
 
+# Every multi-run fan-out goes through the one thread coordinator,
+# ShardPool: repro maps its ids through the pool and emits each result in
+# id order. A multi-id run must therefore print exactly the single-id runs
+# concatenated; a single-id run uses one worker, so it is serial.
+echo "== repro ordered merge: pooled multi-id stdout equals the single-id runs concatenated"
+for id in fig4a fig6 sibs; do
+  cargo run -q --release -p cloudburst-bench --bin repro -- "$id"
+done > "$PERF_TMP/repro.serial.txt"
+cargo run -q --release -p cloudburst-bench --bin repro -- fig4a fig6 sibs > "$PERF_TMP/repro.pooled.txt"
+cmp "$PERF_TMP/repro.serial.txt" "$PERF_TMP/repro.pooled.txt"
+
 echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

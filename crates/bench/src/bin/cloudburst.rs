@@ -26,6 +26,7 @@
 use std::fs;
 use std::process::exit;
 
+use cloudburst_bench::{mean_of, run_replications};
 use cloudburst_core::{run_experiment_detailed, ExperimentConfig};
 
 fn usage() -> ! {
@@ -37,6 +38,22 @@ fn usage() -> ! {
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+}
+
+/// The `--seeds a,b,c` list, or `None` when the flag is absent; exits on
+/// an entry that is not a `u64`.
+fn parse_seeds(args: &[String]) -> Option<Vec<u64>> {
+    let list = arg_value(args, "--seeds")?;
+    Some(
+        list.split(',')
+            .map(|s| {
+                s.trim().parse().unwrap_or_else(|_| {
+                    eprintln!("invalid seed: {s}");
+                    exit(1);
+                })
+            })
+            .collect(),
+    )
 }
 
 fn load_config(args: &[String]) -> ExperimentConfig {
@@ -175,18 +192,7 @@ fn main() {
             // `cloudburst_bench::price_regimes`). Output is byte-identical
             // across reruns of the same config and seed list.
             let cfg = load_config(&args);
-            let seeds: Vec<u64> = match arg_value(&args, "--seeds") {
-                Some(list) => list
-                    .split(',')
-                    .map(|s| {
-                        s.trim().parse().unwrap_or_else(|_| {
-                            eprintln!("invalid seed: {s}");
-                            exit(1);
-                        })
-                    })
-                    .collect(),
-                None => vec![cfg.seed],
-            };
+            let seeds = parse_seeds(&args).unwrap_or_else(|| vec![cfg.seed]);
             let table = cloudburst_bench::econ_sweep_table(&cfg, &seeds);
             match arg_value(&args, "--out") {
                 Some(path) => {
@@ -202,22 +208,13 @@ fn main() {
         Some("sweep") => {
             let mut cfg = load_config(&args);
             apply_fault_profile(&mut cfg, &args);
-            let seeds: Vec<u64> = arg_value(&args, "--seeds")
-                .unwrap_or_else(|| usage())
-                .split(',')
-                .map(|s| {
-                    s.trim().parse().unwrap_or_else(|_| {
-                        eprintln!("invalid seed: {s}");
-                        exit(1);
-                    })
-                })
-                .collect();
+            let seeds = parse_seeds(&args).unwrap_or_else(|| usage());
             let dir = arg_value(&args, "--out").unwrap_or_else(|| usage());
             fs::create_dir_all(&dir).unwrap_or_else(|e| {
                 eprintln!("cannot create {dir}: {e}");
                 exit(1);
             });
-            let reports = cloudburst_core::run_replications(&cfg, &seeds);
+            let reports = run_replications(&cfg, &seeds);
             for r in &reports {
                 let path = format!("{dir}/report-seed{}.json", r.seed);
                 fs::write(&path, serde_json::to_string_pretty(r).expect("serialize"))
@@ -228,12 +225,11 @@ fn main() {
                 println!("{}", r.summary_line());
             }
             // Aggregate line: mean makespan/speedup across seeds.
-            let n = reports.len() as f64;
             println!(
                 "mean over {} seeds: makespan={:.0}s speedup={:.2}",
                 reports.len(),
-                reports.iter().map(|r| r.makespan_secs).sum::<f64>() / n,
-                reports.iter().map(|r| r.speedup).sum::<f64>() / n,
+                mean_of(&reports, |r| r.makespan_secs),
+                mean_of(&reports, |r| r.speedup),
             );
         }
         _ => usage(),

@@ -8,11 +8,10 @@
 //! repro --svg <dir> …    additionally render the figures as SVG files
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cloudburst_bench::{all_ids, run_experiment_by_id, ExpOutput};
+use cloudburst_sim::ShardPool;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,38 +45,15 @@ fn main() {
         args.iter().map(|s| s.as_str()).collect()
     };
 
-    // Experiments run on a worker pool (each id's output is buffered), but
-    // everything is printed and written strictly in id order as results
-    // stream in — byte-identical to a serial run.
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get()).min(ids.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Option<ExpOutput>)>();
-    let ids_ref = &ids;
+    // Experiments run on the worker pool (each id's output is buffered in
+    // its own slot), then everything is printed and written strictly in id
+    // order — byte-identical to a serial run.
+    let mut outputs: Vec<Option<ExpOutput>> = Vec::new();
+    ShardPool::new(0).map_ordered_into(&ids, &mut outputs, |_, id| run_experiment_by_id(id));
     let mut failures = 0;
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(id) = ids_ref.get(i) else { break };
-                if tx.send((i, run_experiment_by_id(id))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut buffered: BTreeMap<usize, Option<ExpOutput>> = BTreeMap::new();
-        let mut emit_next = 0usize;
-        for (i, out) in rx.iter() {
-            buffered.insert(i, out);
-            while let Some(out) = buffered.remove(&emit_next) {
-                emit(ids_ref[emit_next], out, &json_dir, &svg_dir, &mut failures);
-                emit_next += 1;
-            }
-        }
-    })
-    .expect("experiment worker panicked");
+    for (id, out) in ids.iter().zip(outputs) {
+        emit(id, out, &json_dir, &svg_dir, &mut failures);
+    }
     if failures > 0 {
         eprintln!("{failures} experiment(s) failed their shape check");
         std::process::exit(1);
@@ -85,7 +61,7 @@ fn main() {
 }
 
 /// Prints one experiment's buffered output and writes its JSON/SVG
-/// artifacts. Always called in id order from the main thread.
+/// artifacts. Always called in id order.
 fn emit(
     id: &str,
     out: Option<ExpOutput>,

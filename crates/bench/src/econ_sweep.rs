@@ -8,11 +8,13 @@
 //! determinism contract the run reports themselves carry.
 
 use cloudburst_chaos::CrashLaw;
-use cloudburst_core::{run_replications, ExperimentConfig, SchedulerKind};
+use cloudburst_core::{ExperimentConfig, SchedulerKind};
 use cloudburst_econ::{
     AdmissionPolicy, BrokerPolicy, EconConfig, Money, PenaltySchedule, PriceModel,
 };
 use cloudburst_sla::RunReport;
+
+use crate::runner::run_replications;
 
 /// The schedulers the sweep ranks (the bursting trio; IC-only never
 /// spends a dollar, which makes its "ranking" vacuous).

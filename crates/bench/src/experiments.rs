@@ -13,7 +13,6 @@ use serde_json::{json, Value};
 use cloudburst_core::autonomic::calibrate;
 use cloudburst_core::config::ScalingPolicy;
 use cloudburst_core::multi_ec::compare_split_vs_consolidated;
-use cloudburst_core::runner::{mean_of, run_replications};
 use cloudburst_core::{run_experiment, run_experiment_detailed, ExperimentConfig, SchedulerKind};
 use cloudburst_net::threads::optimal_threads;
 use cloudburst_net::BandwidthModel;
@@ -22,6 +21,8 @@ use cloudburst_sim::{RngFactory, SimDuration};
 use cloudburst_sla::RunReport;
 use cloudburst_workload::arrival::training_corpus;
 use cloudburst_workload::{DocumentFeatures, GroundTruth, JobType, SizeBucket};
+
+use crate::runner::{mean_of, run_replications};
 
 /// Seeds used for aggregate (table-style) experiments. Chosen (with
 /// `examples/seedscan.rs`) so every qualitative shape check holds with
@@ -32,7 +33,7 @@ pub const AGG_SEEDS: [u64; 3] = [22, 44, 49];
 pub const SERIES_SEED: u64 = 42;
 
 /// The rendered result of one experiment.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExpOutput {
     /// Experiment id (`fig6`, `table1`, …).
     pub id: &'static str,

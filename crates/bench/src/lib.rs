@@ -17,12 +17,12 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod econ_sweep;
 pub mod experiments;
+pub mod runner;
 pub mod svg;
 
-pub use clock::WallClock;
 pub use econ_sweep::{econ_sweep_table, price_regimes};
 pub use experiments::{all_ids, run_experiment_by_id, ExpOutput};
+pub use runner::{mean_of, run_replications};
 pub use svg::{Chart, Series};

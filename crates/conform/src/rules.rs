@@ -11,10 +11,11 @@
 //!   `from_entropy`: randomness not derived from the experiment seed.
 //! * `determinism/thread-spawn` — `thread::spawn` or `crossbeam::scope`
 //!   worker orchestration in deterministic crates; real threads belong to
-//!   the orchestration layer and bins. The shard/runner coordinators that
-//!   do fan work out live behind per-file waivers whose justifications
-//!   state the determinism argument (order-invariant merge) — a waiver is
-//!   mandatory per file, never a blanket relaxation of the rule.
+//!   the orchestration layer and bins. The one coordinator that does fan
+//!   work out, `sim::ShardPool`, lives behind a per-file waiver whose
+//!   justification states the determinism argument (order-invariant
+//!   merge) — a waiver is mandatory per file, never a blanket relaxation
+//!   of the rule.
 //! * `hotpath/unsafe` — `unsafe` anywhere (library, bins, tests) outside
 //!   an explicit waiver.
 //! * `hotpath/unwrap-budget` — `.unwrap()` in library (non-bin, non-test)

@@ -19,15 +19,15 @@
 //!   leaves named in a waiver. (`debug_assert*` is release-dead and
 //!   exempt by construction — the parser drops its argument tokens.)
 //! * `determinism/taint` — spawning functions in a nondeterministic source
-//!   file (one carrying a `determinism/thread-spawn` waiver: the shard /
-//!   runner / live coordinators) taint every deterministic-crate caller
+//!   file (one carrying a `determinism/thread-spawn` waiver: today only
+//!   the shard coordinator) taint every deterministic-crate caller
 //!   that reaches them. A *source* is a fn in such a file whose body
 //!   actually fans out (`crossbeam::scope`, `thread::spawn`, `.spawn(..)`)
 //!   — pure helpers that merely live in the same file do not taint, so
 //!   the waived file can still export innocent config/constructor code. A caller file carrying a `determinism/taint`
 //!   waiver is a *justified boundary*: its finding renders waived and the
 //!   taint is absorbed there; an unwaived caller propagates the taint
-//!   upward, so a refactor that leaks `live.rs` helpers into the
+//!   upward, so a refactor that leaks a spawning helper into the
 //!   simulated path lights up every hop back to the first justified
 //!   boundary.
 //!

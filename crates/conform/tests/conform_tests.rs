@@ -291,10 +291,10 @@ fn lint_header_fixture_pair() {
 #[test]
 fn determinism_rules_do_not_bind_free_crates() {
     // The same wall-clock sample is legal in a non-deterministic crate
-    // (bench owns the real WallClock).
+    // (bench is the orchestration layer).
     let src = fixture("rules/wall_clock_violation.rs");
     let findings =
-        scan_str(&Config::default(), "bench", FileContext::Lib, "crates/bench/src/clock.rs", &src, false);
+        scan_str(&Config::default(), "bench", FileContext::Lib, "crates/bench/src/runner.rs", &src, false);
     assert!(findings.is_empty(), "bench may read the wall clock, got {findings:?}");
 }
 

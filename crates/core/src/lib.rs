@@ -21,14 +21,9 @@
 //!   produces a `cloudburst_sla::RunReport`.
 //! * [`autonomic`] — periodic 1 MB probe transfers, EWMA recalibration and
 //!   thread-count adaptation (Sec. III-A-2).
-//! * [`runner`] — multi-seed replication, parallelized with crossbeam
-//!   scoped threads; aggregation helpers.
 //! * [`scaling`] — the elastic-EC extension ("the scaling must be just
 //!   enough to ensure saturation of the download bandwidth", Sec. V-B-4).
 //! * [`multi_ec`] — the multiple-external-clouds extension (Sec. I / VII).
-//! * [`live`] — the same pipeline on real threads and crossbeam channels at
-//!   a configurable time scale, demonstrating the event-based architecture
-//!   outside virtual time.
 //! * [`timeline`] — per-job stage timestamps for run auditing.
 
 #![forbid(unsafe_code)]
@@ -39,9 +34,7 @@
 pub mod autonomic;
 pub mod config;
 pub mod engine;
-pub mod live;
 pub mod multi_ec;
-pub mod runner;
 pub mod scaling;
 pub mod timeline;
 
@@ -51,4 +44,3 @@ pub use engine::{
     serve_experiment_detailed, EngineHarness, ServeHarness,
 };
 pub use timeline::JobTimeline;
-pub use runner::{run_all_buckets, run_replications};

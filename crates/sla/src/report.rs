@@ -14,7 +14,7 @@ use crate::ooo::OoSample;
 /// member must be *absent* from the JSON when the run carried no economics
 /// layer, so reports from econ-free configs — including every checked-in
 /// golden fixture — stay byte-identical to the pre-econ format.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
     /// Scheduler label ("greedy", "op", "op+sibs", "ic-only", …).
     pub scheduler: String,

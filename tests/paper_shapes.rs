@@ -5,7 +5,7 @@
 //! `cargo test`, so a regression in any scheduler or substrate that flips a
 //! paper conclusion fails CI.
 
-use cloudburst_repro::core::runner::mean_of;
+use cloudburst_bench::mean_of;
 use cloudburst_repro::core::{run_experiment, ExperimentConfig, SchedulerKind};
 use cloudburst_repro::workload::SizeBucket;
 
