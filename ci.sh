@@ -107,6 +107,21 @@ cargo test -q --release --test chaos_golden
 cargo test -q --release -p cloudburst-core --test serve_equivalence
 cargo test -q --release --test golden_determinism
 
+# The QRSM training fit and the window's rank-1 update run over contiguous
+# slices: a column-major Householder QR and Gram-row slice updates. Both
+# must stay bitwise equal to the indexed row-major kernels they replaced,
+# kept as #[cfg(test)] oracles: the QR over random tall, square,
+# zero-column and duplicate-column systems, and the whole model fit
+# (coefficients, rmse, mape, XᵀX, Xᵀy, Σy²) over 240 zero-laced corpora.
+# Wrong-arity training rows are a typed error in release builds too, and
+# predict/observe/refit stay allocation-free.
+echo "== QRSM kernel equivalence: column-major QR and slice rank-1 vs row-major oracles, arity check, zero-alloc hot path"
+cargo test -q --release -p cloudburst-qrsm --lib -- \
+  decomp::tests::column_major_qr_matches_row_major_oracle \
+  model::tests::fit_matches_design_matrix_qr_push_oracle \
+  model::tests::fit_rejects_wrong_arity_rows
+cargo test -q --release -p cloudburst-qrsm --test alloc_free
+
 # Every multi-run fan-out goes through the one thread coordinator,
 # ShardPool: repro maps its ids through the pool and emits each result in
 # id order. A multi-id run must therefore print exactly the single-id runs

@@ -1,5 +1,6 @@
 //! Criterion benches for the QRSM stack: design expansion, OLS / ridge /
-//! LAD fitting, prediction and online refits.
+//! LAD fitting, the model's whole training fit, prediction and online
+//! refits.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -38,6 +39,16 @@ fn bench_fits(c: &mut Criterion) {
     group.finish();
 }
 
+/// The whole training fit that engine set-up pays: row expansion into the
+/// window ring, the QR solve, the window's normal equations and the
+/// residual stats.
+fn bench_model_fit(c: &mut Criterion) {
+    let (xs, ys) = corpus(400);
+    c.bench_function("qrsm/model_fit_400x28", |b| {
+        b.iter(|| black_box(QrsModel::fit(&xs, &ys, Method::Ols).unwrap()))
+    });
+}
+
 fn bench_predict(c: &mut Criterion) {
     let (xs, ys) = corpus(500);
     let model = QrsModel::fit(&xs, &ys, Method::Ols).unwrap();
@@ -59,5 +70,12 @@ fn bench_online_refit(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_design_expansion, bench_fits, bench_predict, bench_online_refit);
+criterion_group!(
+    benches,
+    bench_design_expansion,
+    bench_fits,
+    bench_model_fit,
+    bench_predict,
+    bench_online_refit
+);
 criterion_main!(benches);

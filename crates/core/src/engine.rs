@@ -541,8 +541,6 @@ impl EngineWorld {
         // Initial QRSM: trained on the standard production corpus.
         let mut train_rng = rngs.stream("qrsm/training");
         let corpus = training_corpus(&mut train_rng, &cfg.truth, cfg.training_docs.max(64));
-        let xs: Vec<Vec<f64>> = corpus.iter().map(|(f, _)| f.regressors()).collect();
-        let ys: Vec<f64> = corpus.iter().map(|(_, t)| *t).collect();
         let time_model = if cfg.per_class_qrsm {
             let samples: Vec<(u64, Vec<f64>, f64)> = corpus
                 .iter()
@@ -558,6 +556,8 @@ impl EngineWorld {
             // O(window·terms²), so the model re-solves on every observation
             // instead of batching 25 of them — estimate error tracks drift
             // as tightly as the window allows.
+            let xs: Vec<Vec<f64>> = corpus.iter().map(|(f, _)| f.regressors()).collect();
+            let ys: Vec<f64> = corpus.iter().map(|(_, t)| *t).collect();
             ProcTimeModel::Pooled(
                 QrsModel::fit(&xs, &ys, cfg.fit.to_method())
                     .expect("training corpus must support a quadratic fit")

@@ -227,6 +227,16 @@ mod tests {
     }
 
     #[test]
+    fn wrong_arity_sample_is_rejected() {
+        let mut samples = two_regime_samples(40);
+        samples[11].1 = vec![1.0, 2.0];
+        assert_eq!(
+            ClassedModel::fit(&samples, Method::Ols, 8).unwrap_err(),
+            FitError::DimensionMismatch
+        );
+    }
+
+    #[test]
     fn queued_flush_matches_eager_routing_bitwise() {
         let samples = two_regime_samples(40);
         let fresh = || {

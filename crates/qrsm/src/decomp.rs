@@ -91,17 +91,165 @@ impl Cholesky {
     }
 }
 
-/// Householder QR of a tall matrix `A (m×n, m ≥ n)`, stored compactly:
-/// `r` holds R in its upper triangle and the Householder vectors below.
+/// Householder QR of a tall matrix `A (m×n, m ≥ n)`, stored compactly and
+/// column-major: column `k` of the factor is the contiguous slice
+/// `a[k·m .. (k+1)·m]`, holding R's column `k` on and above the diagonal
+/// and the Householder vector `v_k` (scaled so its leading entry is 1)
+/// below it. The sweep and `Qᵀb` walk these slices as unit-stride zips,
+/// with no per-element index checks; the `O(n²)` back-substitution reads
+/// R's rows at stride `m`.
 #[derive(Debug)]
 pub struct Qr {
-    a: Matrix,      // transformed in place
+    m: usize,
+    n: usize,
+    a: Vec<f64>,     // column-major, transformed in place
     betas: Vec<f64>, // Householder scalars
 }
 
 impl Qr {
     /// Factorizes `a` (requires `rows ≥ cols`).
     pub fn new(a: &Matrix) -> Result<Qr, MatrixError> {
+        Qr::from_row_major(a.as_slice(), a.rows(), a.cols())
+    }
+
+    /// Factorizes the `m×n` matrix whose rows are the consecutive
+    /// `n`-element runs of `rows`, transposing into column-major storage on
+    /// entry. The model's training fit hands its ring rows over here
+    /// directly, without building a [`Matrix`].
+    pub(crate) fn from_row_major(rows: &[f64], m: usize, n: usize) -> Result<Qr, MatrixError> {
+        if m < n || rows.len() != m * n {
+            return Err(MatrixError::DimensionMismatch);
+        }
+        let mut a = vec![0.0; m * n];
+        for (i, row) in rows.chunks_exact(n.max(1)).enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                a[j * m + i] = x;
+            }
+        }
+        let mut betas = vec![0.0; n];
+        for (k, beta_k) in betas.iter_mut().enumerate() {
+            let (done, rest) = a.split_at_mut((k + 1) * m);
+            let (upper, v) = done[k * m..].split_at_mut(k + 1);
+            let akk = &mut upper[k];
+            // Build the Householder vector for column k from row k down.
+            let norm = std::iter::once(&*akk).chain(v.iter()).fold(0.0, |s, x| s + x * x).sqrt();
+            if norm == 0.0 {
+                continue; // beta stays 0: H_k is the identity
+            }
+            let alpha = if *akk >= 0.0 { -norm } else { norm };
+            let v0 = *akk - alpha;
+            // v = (v0, a[k+1..m, k]); beta = 2 / (vᵀv)
+            let vtv = v.iter().fold(v0 * v0, |s, x| s + x * x);
+            if vtv == 0.0 {
+                continue;
+            }
+            let beta = 2.0 / vtv;
+            // Apply H = I − β·v·vᵀ to column k (it becomes alpha on the
+            // diagonal; below it stays v) ...
+            let s = beta * v.iter().fold(v0 * *akk, |s, x| s + x * x);
+            *akk -= s * v0;
+            // ... and to every column j > k. Columns are independent, so
+            // four dot-product chains share one pass over v; each chain
+            // still sums its own column left to right.
+            let vr: &[f64] = v;
+            let mut quads = rest.chunks_exact_mut(4 * m);
+            for quad in &mut quads {
+                let (c0, quad) = quad.split_at_mut(m);
+                let (c1, quad) = quad.split_at_mut(m);
+                let (c2, c3) = quad.split_at_mut(m);
+                let (mut d0, mut d1, mut d2, mut d3) =
+                    (v0 * c0[k], v0 * c1[k], v0 * c2[k], v0 * c3[k]);
+                let below =
+                    c0[k + 1..].iter().zip(&c1[k + 1..]).zip(&c2[k + 1..]).zip(&c3[k + 1..]);
+                for (x, (((y0, y1), y2), y3)) in vr.iter().zip(below) {
+                    d0 += x * y0;
+                    d1 += x * y1;
+                    d2 += x * y2;
+                    d3 += x * y3;
+                }
+                reflect(c0, k, v0, vr, beta * d0);
+                reflect(c1, k, v0, vr, beta * d1);
+                reflect(c2, k, v0, vr, beta * d2);
+                reflect(c3, k, v0, vr, beta * d3);
+            }
+            for c in quads.into_remainder().chunks_exact_mut(m) {
+                let dot = vr.iter().zip(&c[k + 1..]).fold(v0 * c[k], |s, (x, y)| s + x * y);
+                reflect(c, k, v0, vr, beta * dot);
+            }
+            // Normalize v so its leading entry is 1 and fold the scale into
+            // beta; the leading 1 stays implicit.
+            let inv_v0 = 1.0 / v0;
+            for x in v.iter_mut() {
+                *x *= inv_v0;
+            }
+            *beta_k = beta * v0 * v0;
+        }
+        Ok(Qr { m, n, a, betas })
+    }
+
+    /// Solves the least-squares problem `min ‖A·x − b‖₂` via `Qᵀb` and
+    /// back-substitution on R. Returns [`MatrixError::Singular`] if R has a
+    /// (near-)zero diagonal entry.
+    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+        let (m, n) = (self.m, self.n);
+        if b.len() != m {
+            return Err(MatrixError::DimensionMismatch);
+        }
+        let mut qtb = b.to_vec();
+        // Apply the Householder reflections in order: H_k x = x − β v (vᵀx),
+        // with v = (1, a[k+1..m, k]).
+        for (k, &beta) in self.betas.iter().enumerate() {
+            if beta == 0.0 {
+                continue;
+            }
+            let v = &self.a[k * m + k + 1..(k + 1) * m];
+            let (head, tail) = qtb.split_at_mut(k + 1);
+            let s = beta * v.iter().zip(tail.iter()).fold(head[k], |s, (x, q)| s + x * q);
+            head[k] -= s;
+            for (q, x) in tail.iter_mut().zip(v) {
+                *q -= s * x;
+            }
+        }
+        // Back-substitute R x = (Qᵀb)[0..n]; row i of R is every m-th
+        // element from a[i].
+        let mut x = vec![0.0; n];
+        for i in (0..n).rev() {
+            let d = self.a[i * m + i];
+            if d.abs() < 1e-12 {
+                return Err(MatrixError::Singular);
+            }
+            let (xi, later) = x[i..].split_at_mut(1);
+            let r_i = self.a[i..].iter().step_by(m).skip(i + 1);
+            xi[0] = r_i.zip(later.iter()).fold(qtb[i], |s, (r, xj)| s - r * xj) / d;
+        }
+        Ok(x)
+    }
+}
+
+/// Applies the reflection `H = I − β·v·vᵀ` to one column `c` from row `k`
+/// down, where the full vector is `(v0, v)` and
+/// `s = β·(v0·c[k] + v·c[k+1..])`.
+fn reflect(c: &mut [f64], k: usize, v0: f64, v: &[f64], s: f64) {
+    c[k] -= s * v0;
+    for (y, x) in c[k + 1..].iter_mut().zip(v) {
+        *y -= s * x;
+    }
+}
+
+/// The row-major Householder QR that [`Qr`] replaced, kept as the oracle
+/// the column-major kernels must match bit for bit: it walks a row-major
+/// [`Matrix`] down its columns through `Index`, in the operation order
+/// [`Qr`] preserves.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct RowMajorQr {
+    a: Matrix,      // transformed in place
+    betas: Vec<f64>, // Householder scalars
+}
+
+#[cfg(test)]
+impl RowMajorQr {
+    pub(crate) fn new(a: &Matrix) -> Result<RowMajorQr, MatrixError> {
         let (m, n) = (a.rows(), a.cols());
         if m < n {
             return Err(MatrixError::DimensionMismatch);
@@ -151,22 +299,17 @@ impl Qr {
                     w[(i, j)] -= s * w[(i, k)];
                 }
             }
-            // Store v (unnormalized) below the diagonal; stash v0 implicitly
-            // by scaling: we keep v0 in a side channel via betas? Simpler:
-            // normalize v so v0 = 1 and fold the scale into beta.
+            // Normalize v so v0 = 1 and fold the scale into beta.
             let inv_v0 = 1.0 / v0;
             for i in k + 1..m {
                 w[(i, k)] *= inv_v0;
             }
             betas[k] = beta * v0 * v0;
         }
-        Ok(Qr { a: w, betas })
+        Ok(RowMajorQr { a: w, betas })
     }
 
-    /// Solves the least-squares problem `min ‖A·x − b‖₂` via `Qᵀb` and
-    /// back-substitution on R. Returns [`MatrixError::Singular`] if R has a
-    /// (near-)zero diagonal entry.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>, MatrixError> {
         let (m, n) = (self.a.rows(), self.a.cols());
         if b.len() != m {
             return Err(MatrixError::DimensionMismatch);
@@ -206,9 +349,20 @@ impl Qr {
     }
 }
 
+/// SplitMix64: a tiny seeded stream for the oracle tests' random inputs.
+#[cfg(test)]
+pub(crate) fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn approx(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
@@ -283,6 +437,71 @@ mod tests {
         let a = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]);
         let qr = Qr::new(&a).unwrap();
         assert_eq!(qr.solve(&[1.0, 2.0, 3.0]).unwrap_err(), MatrixError::Singular);
+    }
+
+    /// An `m×n` matrix of mixed entries: mostly reals in `[-4, 4)`, with
+    /// exact zeros and small integers mixed in so sign-of-zero and exact
+    /// cancellation cases occur. `shape` 2 zeroes one column (the
+    /// `beta = 0` branch), `shape` 3 duplicates one column (rank-deficient).
+    fn oracle_matrix(m: usize, n: usize, shape: u8, seed: u64) -> Matrix {
+        let mut st = seed;
+        let mut a = Matrix::zeros(m, n);
+        for i in 0..m {
+            for j in 0..n {
+                let r = splitmix(&mut st);
+                a[(i, j)] = match r % 8 {
+                    0 => 0.0,
+                    1 => ((r >> 8) % 7) as f64 - 3.0,
+                    _ => ((r >> 11) as f64 / (1u64 << 53) as f64) * 8.0 - 4.0,
+                };
+            }
+        }
+        let pick = (splitmix(&mut st) % n as u64) as usize;
+        match shape {
+            2 => (0..m).for_each(|i| a[(i, pick)] = 0.0),
+            3 if n > 1 => {
+                let src = (pick + 1) % n;
+                (0..m).for_each(|i| a[(i, pick)] = a[(i, src)]);
+            }
+            _ => {}
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// The column-major kernels are bitwise the row-major ones: the
+        /// same factor, the same Householder scalars, and bit-equal
+        /// solutions or the same `Singular` outcome, over `m ∈ [n, 4n]`,
+        /// `n ∈ 1..=30`, square systems, an all-zero column and duplicate
+        /// columns.
+        #[test]
+        fn column_major_qr_matches_row_major_oracle(
+            n in 1usize..=30,
+            tall in 0usize..=90,
+            shape in 0u8..4,
+            seed in any::<u64>(),
+        ) {
+            // shape 1 is square; the rest draw m from [n, 4n].
+            let m = if shape == 1 { n } else { n + tall % (3 * n + 1) };
+            let a = oracle_matrix(m, n, shape, seed);
+            let fast = Qr::new(&a).expect("m >= n");
+            let slow = RowMajorQr::new(&a).expect("m >= n");
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast.betas), bits(&slow.betas));
+            for i in 0..m {
+                for j in 0..n {
+                    prop_assert_eq!(fast.a[j * m + i].to_bits(), slow.a[(i, j)].to_bits());
+                }
+            }
+            let mut st = seed ^ 0xA5A5;
+            let b: Vec<f64> =
+                (0..m).map(|_| (splitmix(&mut st) % 2001) as f64 / 100.0 - 10.0).collect();
+            let got = fast.solve(&b).map(|x| bits(&x));
+            let want = slow.solve(&b).map(|x| bits(&x));
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

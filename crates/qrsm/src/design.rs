@@ -102,10 +102,15 @@ impl QuadraticDesign {
         }
     }
 
-    /// Builds the design matrix for a sample of raw feature vectors.
+    /// Builds the design matrix for a sample of raw feature vectors,
+    /// expanding each one straight into its row.
     pub fn design_matrix(&self, xs: &[Vec<f64>]) -> Matrix {
-        let rows: Vec<Vec<f64>> = xs.iter().map(|x| self.expand(x)).collect();
-        Matrix::from_rows(&rows)
+        let p = self.terms.len();
+        let mut data = vec![0.0; xs.len() * p];
+        for (x, row) in xs.iter().zip(data.chunks_exact_mut(p)) {
+            self.expand_into(x, row);
+        }
+        Matrix::from_row_major(xs.len(), p, data)
     }
 
     /// Evaluates the polynomial with the given coefficient vector at `x`,

@@ -64,6 +64,23 @@ pub fn fit(x: &Matrix, y: &[f64], method: Method) -> Result<Vec<f64>, FitError> 
     }
 }
 
+/// [`fit`] over a flat row-major design of `y.len()` rows × `p` columns,
+/// whose shape the caller has checked. The model's training fit hands its
+/// ring rows over here: OLS factorizes them without building a [`Matrix`].
+pub(crate) fn fit_rows(
+    rows: &[f64],
+    p: usize,
+    y: &[f64],
+    method: Method,
+) -> Result<Vec<f64>, FitError> {
+    match method {
+        Method::Ols => Ok(Qr::from_row_major(rows, y.len(), p)?.solve(y)?),
+        Method::Ridge(_) | Method::Lad => {
+            fit(&Matrix::from_row_major(y.len(), p, rows.to_vec()), y, method)
+        }
+    }
+}
+
 /// Ridge: solve `(XᵀX + λ·D)·β = Xᵀy` where `D` is the identity except a
 /// zero in the intercept position (column 0 is assumed to be the intercept,
 /// which the quadratic design guarantees).

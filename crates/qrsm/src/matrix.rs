@@ -56,6 +56,12 @@ impl Matrix {
         Matrix { rows: r, cols: c, data: rows.iter().flatten().copied().collect() }
     }
 
+    /// Wraps `rows × cols` elements already laid out row-major.
+    pub(crate) fn from_row_major(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
+        assert_eq!(data.len(), rows * cols, "row-major data does not match the shape");
+        Matrix { rows, cols, data }
+    }
+
     /// Builds a column vector.
     pub fn col_vector(v: &[f64]) -> Matrix {
         Matrix { rows: v.len(), cols: 1, data: v.to_vec() }
@@ -79,6 +85,11 @@ impl Matrix {
     /// The underlying data in row-major order.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
+    }
+
+    /// Mutable view of the data in row-major order.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
     }
 
     /// Transpose.

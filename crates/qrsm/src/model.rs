@@ -40,7 +40,7 @@
 
 use crate::decomp::Cholesky;
 use crate::design::QuadraticDesign;
-use crate::fit::{fit, lad_irls_rows, FitError, Method};
+use crate::fit::{fit_rows, lad_irls_rows, FitError, Method};
 use crate::matrix::Matrix;
 
 /// Down-dates between full normal-equation rebuilds. Each up/down-date pair
@@ -92,19 +92,49 @@ pub struct QrsModel {
 }
 
 impl QrsModel {
-    /// Fits a model on raw feature vectors `xs` and responses `ys`.
+    /// Fits a model on raw feature vectors `xs` and responses `ys`. Every
+    /// row must have the arity of `xs[0]` and `ys` one response per row,
+    /// else [`FitError::DimensionMismatch`].
+    ///
+    /// Each row is expanded once, straight into its window ring slot. The
+    /// coefficient fit reads those ring rows, and `(XᵀX, Xᵀy, Σy²)` is
+    /// built from them in the order [`QrsModel::observe`] would push them;
+    /// the window holds the whole corpus, so nothing is evicted.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], method: Method) -> Result<QrsModel, FitError> {
-        if xs.is_empty() {
+        let Some(first) = xs.first() else {
+            return Err(FitError::TooFewObservations);
+        };
+        if xs.iter().any(|x| x.len() != first.len()) || ys.len() != xs.len() {
+            return Err(FitError::DimensionMismatch);
+        }
+        let design = QuadraticDesign::new(first.len());
+        let (n, p) = (xs.len(), design.n_terms());
+        if n < p {
             return Err(FitError::TooFewObservations);
         }
-        let design = QuadraticDesign::new(xs[0].len());
-        let x = design.design_matrix(xs);
-        let coeffs = fit(&x, ys, method)?;
+        let mut m = QrsModel::empty(design, method, n.max(64));
+        for (x, row) in xs.iter().zip(m.rows.chunks_exact_mut(p)) {
+            m.design.expand_into(x, row);
+        }
+        m.coeffs = fit_rows(&m.rows[..n * p], p, ys, method)?;
+        m.ys[..n].copy_from_slice(ys);
+        m.len = n;
+        for (row, &y) in m.rows.chunks_exact(p).zip(ys) {
+            rank1(m.gram.as_mut_slice(), &mut m.xty, &mut m.yty, row, y, 1.0);
+        }
+        let (rmse, mape) = m.window_residual_stats();
+        m.rmse = rmse;
+        m.mape = mape;
+        Ok(m)
+    }
+
+    /// A model with an empty window of `window_capacity` rows and zero
+    /// coefficients, every buffer allocated once at its final size.
+    fn empty(design: QuadraticDesign, method: Method, window_capacity: usize) -> QrsModel {
         let p = design.n_terms();
-        let window_capacity = xs.len().max(64);
-        let mut m = QrsModel {
+        QrsModel {
             design,
-            coeffs,
+            coeffs: vec![0.0; p],
             method,
             rmse: 0.0,
             mape: 0.0,
@@ -122,14 +152,7 @@ impl QrsModel {
             chol: Matrix::zeros(p, p),
             work: Matrix::zeros(p, p),
             solve_buf: vec![0.0; p],
-        };
-        for (x, &y) in xs.iter().zip(ys) {
-            m.push_observation(x, y);
         }
-        let (rmse, mape) = m.window_residual_stats();
-        m.rmse = rmse;
-        m.mape = mape;
-        Ok(m)
     }
 
     /// Sets the sliding-window capacity for online tuning (default: the
@@ -300,7 +323,7 @@ impl QrsModel {
             // Evict the oldest row: remove its contribution, reuse its slot.
             let h = self.head;
             let Self { rows, ys, gram, xty, yty, .. } = self;
-            rank1(gram, xty, yty, &rows[h * p..(h + 1) * p], ys[h], -1.0);
+            rank1(gram.as_mut_slice(), xty, yty, &rows[h * p..(h + 1) * p], ys[h], -1.0);
             self.head = (self.head + 1) % self.window_capacity;
             self.downdates += 1;
             h
@@ -314,7 +337,7 @@ impl QrsModel {
             let row = &mut rows[slot * p..(slot + 1) * p];
             design.expand_into(x, row);
             ys[slot] = y;
-            rank1(gram, xty, yty, row, y, 1.0);
+            rank1(gram.as_mut_slice(), xty, yty, row, y, 1.0);
         }
         if self.downdates >= REBUILD_DOWNDATES {
             self.rebuild_normals();
@@ -334,7 +357,7 @@ impl QrsModel {
         *yty = 0.0;
         for k in 0..*len {
             let i = (*head + k) % *window_capacity;
-            rank1(gram, xty, yty, &rows[i * p..(i + 1) * p], ys[i], 1.0);
+            rank1(gram.as_mut_slice(), xty, yty, &rows[i * p..(i + 1) * p], ys[i], 1.0);
         }
         self.downdates = 0;
     }
@@ -390,16 +413,19 @@ impl QrsModel {
 }
 
 /// Rank-1 up-date (`sign = +1`) or down-date (`sign = -1`) of the normal
-/// equations with one `(row, y)` pair. Touches only the gram lower triangle.
-fn rank1(gram: &mut Matrix, xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64, sign: f64) {
-    for i in 0..row.len() {
-        let ai = sign * row[i];
+/// equations with one `(row, y)` pair. `gram` is the row-major `p×p` Gram
+/// matrix; only its lower triangle is touched: Gram row `i` gains
+/// `ai·row[..=i]`.
+fn rank1(gram: &mut [f64], xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64, sign: f64) {
+    let p = row.len();
+    for (i, ((&ri, g), b)) in row.iter().zip(gram.chunks_exact_mut(p)).zip(xty).enumerate() {
+        let ai = sign * ri;
         if ai == 0.0 {
             continue;
         }
-        xty[i] += ai * y;
-        for j in 0..=i {
-            gram[(i, j)] += ai * row[j];
+        *b += ai * y;
+        for (gij, &rj) in g[..=i].iter_mut().zip(&row[..=i]) {
+            *gij += ai * rj;
         }
     }
     *yty += sign * y * y;
@@ -408,6 +434,7 @@ fn rank1(gram: &mut Matrix, xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decomp::{splitmix, RowMajorQr};
 
     fn truth(x: &[f64]) -> f64 {
         10.0 + 3.0 * x[0] + 0.5 * x[1] + 0.2 * x[0] * x[1] + 0.05 * x[0] * x[0]
@@ -526,6 +553,117 @@ mod tests {
             assert_eq!(deferred.rmse().to_bits(), eager.rmse().to_bits());
             assert_eq!(deferred.mape().to_bits(), eager.mape().to_bits());
         }
+    }
+
+    /// The rank-1 up-date as it was before it ran over row slices: element
+    /// by element through `Matrix` indexing.
+    fn rank1_indexed(gram: &mut Matrix, xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64) {
+        for i in 0..row.len() {
+            let ai = row[i];
+            if ai == 0.0 {
+                continue;
+            }
+            xty[i] += ai * y;
+            for j in 0..=i {
+                gram[(i, j)] += ai * row[j];
+            }
+        }
+        *yty += y * y;
+    }
+
+    /// The OLS training fit as it ran before each row was expanded once:
+    /// `Vec<Vec>` rows and a row-major design matrix → row-major QR →
+    /// per-row ring pushes with the indexed rank-1 up-date.
+    fn oracle_fit(xs: &[Vec<f64>], ys: &[f64]) -> Result<QrsModel, FitError> {
+        let design = QuadraticDesign::new(xs[0].len());
+        let rows: Vec<Vec<f64>> = xs.iter().map(|x| design.expand(x)).collect();
+        let coeffs = RowMajorQr::new(&Matrix::from_rows(&rows))?.solve(ys)?;
+        let mut m = QrsModel::empty(design, Method::Ols, xs.len().max(64));
+        let p = m.design.n_terms();
+        for (k, (row, &y)) in rows.iter().zip(ys).enumerate() {
+            m.rows[k * p..(k + 1) * p].copy_from_slice(row);
+            m.ys[k] = y;
+            m.len += 1;
+            rank1_indexed(&mut m.gram, &mut m.xty, &mut m.yty, row, y);
+        }
+        m.coeffs = coeffs;
+        let (rmse, mape) = m.window_residual_stats();
+        m.rmse = rmse;
+        m.mape = mape;
+        Ok(m)
+    }
+
+    /// A 6-regressor corpus (28 quadratic terms) of `n` rows. About one
+    /// feature in six is an exact zero (a third of those `-0.0`), so the
+    /// rank-1 update's zero skip runs on every row.
+    fn zero_laced_corpus(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+        let mut st = seed;
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| {
+                (0..6)
+                    .map(|_| {
+                        let r = splitmix(&mut st);
+                        match r % 18 {
+                            0 | 1 => 0.0,
+                            2 => -0.0,
+                            _ => ((r >> 11) as f64 / (1u64 << 53) as f64) * 10.0 - 2.0,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let ys = xs
+            .iter()
+            .map(|x| {
+                let noise = (splitmix(&mut st) % 1000) as f64 / 500.0 - 1.0;
+                5.0 + 2.0 * x[0] - x[3] + 0.3 * x[1] * x[4] + 0.1 * x[5] * x[5] + noise
+            })
+            .collect();
+        (xs, ys)
+    }
+
+    #[test]
+    fn fit_matches_design_matrix_qr_push_oracle() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut fitted = 0;
+        for seed in 0..240u64 {
+            // 28..=127 rows: a third of the corpora sit below the 64-row
+            // window floor, so their ring keeps unused zero slots.
+            let n = 28 + (seed as usize * 37) % 100;
+            let (xs, ys) = zero_laced_corpus(seed, n);
+            let (got, want) = match (QrsModel::fit(&xs, &ys, Method::Ols), oracle_fit(&xs, &ys)) {
+                (Ok(g), Ok(w)) => (g, w),
+                (g, w) => {
+                    assert_eq!(g.map(|_| ()), w.map(|_| ()), "seed {seed}: outcomes differ");
+                    continue;
+                }
+            };
+            fitted += 1;
+            assert_eq!(bits(&got.coeffs), bits(&want.coeffs), "seed {seed}: coefficients");
+            assert_eq!(got.rmse.to_bits(), want.rmse.to_bits(), "seed {seed}: rmse");
+            assert_eq!(got.mape.to_bits(), want.mape.to_bits(), "seed {seed}: mape");
+            assert_eq!(bits(got.gram.as_slice()), bits(want.gram.as_slice()), "seed {seed}: XᵀX");
+            assert_eq!(bits(&got.xty), bits(&want.xty), "seed {seed}: Xᵀy");
+            assert_eq!(got.yty.to_bits(), want.yty.to_bits(), "seed {seed}: Σy²");
+            assert_eq!(bits(&got.rows), bits(&want.rows), "seed {seed}: ring rows");
+            assert_eq!(bits(&got.ys), bits(&want.ys), "seed {seed}: ring responses");
+            assert_eq!((got.head, got.len), (want.head, want.len), "seed {seed}: ring cursor");
+        }
+        assert!(fitted >= 200, "only {fitted} of 240 corpora were full rank");
+    }
+
+    #[test]
+    fn fit_rejects_wrong_arity_rows() {
+        let (mut xs, ys) = dataset(40);
+        xs[17] = vec![1.0, 2.0, 3.0];
+        assert_eq!(QrsModel::fit(&xs, &ys, Method::Ols).unwrap_err(), FitError::DimensionMismatch);
+        xs[17] = vec![1.0];
+        assert_eq!(QrsModel::fit(&xs, &ys, Method::Ols).unwrap_err(), FitError::DimensionMismatch);
+        let (xs, ys) = dataset(40);
+        assert_eq!(
+            QrsModel::fit(&xs, &ys[..39], Method::Ols).unwrap_err(),
+            FitError::DimensionMismatch
+        );
     }
 
     #[test]
