@@ -122,6 +122,22 @@ cargo test -q --release -p cloudburst-qrsm --lib -- \
   model::tests::fit_rejects_wrong_arity_rows
 cargo test -q --release -p cloudburst-qrsm --test alloc_free
 
+# The cluster execution layer costs O(log m) per event: per-machine
+# running slots behind a (finish, machine) completion heap, and an idle
+# bitset read a word at a time. Both must pick exactly what the linear
+# scans they replaced picked. The unit tests assert every pick against
+# the #[cfg(test)] scans; the proptest drives random submissions,
+# advances, crashes, recoveries and active-limit changes on heterogeneous
+# pools with equal finish times against a rebuilt linear-scan cloud; the
+# IC-crash elastic-EC golden pins crash aborts and pool resizing end to
+# end; and steady-state engine steps must still allocate nothing (the
+# heap is pre-sized to the machine count).
+echo "== execution-layer equivalence: heap/bitset Cloud vs scan oracle, IC-crash elastic golden, zero-alloc engine steps"
+cargo test -q --release -p cloudburst-cluster --lib
+cargo test -q --release -p cloudburst-cluster --test props heap_and_bitset_match_the_scan_oracle
+cargo test -q --release --test chaos_golden golden_ic_crash_elastic_report_is_byte_stable
+cargo test -q --release -p cloudburst-core --test alloc_free_wake
+
 # Every multi-run fan-out goes through the one thread coordinator,
 # ShardPool: repro maps its ids through the pool and emits each result in
 # id order. A multi-id run must therefore print exactly the single-id runs

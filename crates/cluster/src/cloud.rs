@@ -1,6 +1,13 @@
 //! A pool of machines with an FCFS wait queue — one cloud (IC or EC).
+//!
+//! The execution layer costs O(log m) per event on an `m`-machine pool:
+//! running jobs sit in per-machine slots behind a `(finish, machine)`
+//! min-heap, and idle capacity is a bitset read a word at a time. The
+//! linear scans these replaced survive as `#[cfg(test)]` oracles that
+//! every pick is checked against (DESIGN.md §7).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use cloudburst_sim::{SimDuration, SimTime};
 
@@ -17,7 +24,8 @@ pub struct PoolBoundary {
     pub queued: usize,
     /// Jobs currently executing.
     pub running: usize,
-    /// Machines currently idle (crashed machines are not idle capacity).
+    /// Machines dispatch could fill right now: idle, up, and below the
+    /// active limit. So `queued > 0` implies `idle == 0` (FCFS).
     pub idle: usize,
     /// Total declared drain cost of the queue, in integer microsecond
     /// ticks (the depth-flat drain's O(1) load signal).
@@ -37,12 +45,11 @@ pub struct ExecCompletion<K> {
     pub started: SimTime,
 }
 
-#[derive(Clone, Debug)]
+/// The job in one machine's running slot (the machine is the slot index).
+#[derive(Clone, Copy, Debug)]
 struct Running<K> {
     key: K,
-    machine: MachineId,
     started: SimTime,
-    finish: SimTime,
 }
 
 /// One FCFS queue entry: the caller's key, the ground-truth standard
@@ -72,7 +79,14 @@ pub struct Cloud<K> {
     /// mutation — the O(1) aggregate the engine's depth-flat fluid drain
     /// reads instead of rescanning the queue.
     queued_cost_ticks: u64,
-    running: Vec<Running<K>>,
+    /// Per-machine running slots: `running[m]` is the job on machine `m`.
+    running: Vec<Option<Running<K>>>,
+    /// `(finish, machine)` min-heap with one entry per occupied slot.
+    /// Pre-sized to the machine count, so pushes never reallocate.
+    completions: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Bit `m` is set iff machine `m` is idle and not crashed, whatever
+    /// the active limit; readers mask it to `[0, active_limit)`.
+    idle: Vec<u64>,
     clock: SimTime,
     completed: u64,
     /// Only machines `[0, active_limit)` accept new work — the elastic-EC
@@ -89,33 +103,29 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
     /// Creates a cloud of `n` machines with uniform `speed`.
     pub fn homogeneous(name: impl Into<String>, n: usize, speed: f64) -> Cloud<K> {
         assert!(n >= 1, "a cloud needs at least one machine");
-        Cloud {
-            name: name.into(),
-            machines: (0..n).map(|i| Machine::new(MachineId(i), speed)).collect(),
-            queue: VecDeque::new(),
-            queued_cost_ticks: 0,
-            running: Vec::new(),
-            clock: SimTime::ZERO,
-            completed: 0,
-            active_limit: n,
-            failed: vec![false; n],
-            n_failed: 0,
-        }
+        Cloud::with_speeds(name, &vec![speed; n])
     }
 
     /// Creates a cloud from explicit machine speeds (heterogeneous pools).
     pub fn with_speeds(name: impl Into<String>, speeds: &[f64]) -> Cloud<K> {
         assert!(!speeds.is_empty());
+        let n = speeds.len();
+        let mut idle = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            idle[n / 64] = (1 << (n % 64)) - 1;
+        }
         Cloud {
             name: name.into(),
             machines: speeds.iter().enumerate().map(|(i, &s)| Machine::new(MachineId(i), s)).collect(),
             queue: VecDeque::new(),
             queued_cost_ticks: 0,
-            running: Vec::new(),
+            running: vec![None; n],
+            completions: BinaryHeap::with_capacity(n),
+            idle,
             clock: SimTime::ZERO,
             completed: 0,
-            active_limit: speeds.len(),
-            failed: vec![false; speeds.len()],
+            active_limit: n,
+            failed: vec![false; n],
             n_failed: 0,
         }
     }
@@ -142,16 +152,40 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
         self.machines.len()
     }
 
-    /// Machines currently idle (crashed machines are not idle capacity).
+    /// Machines dispatch could fill right now: idle, up, and below the
+    /// active limit. Crashed and deactivated machines are not idle
+    /// capacity. A masked popcount, O(active_limit / 64).
     pub fn idle_machines(&self) -> usize {
-        if self.n_failed == 0 {
-            return self.machines.iter().filter(|m| !m.is_busy()).count();
+        let idle = self.dispatchable_words().map(|w| w.count_ones() as usize).sum();
+        #[cfg(test)]
+        assert_eq!(idle, self.scan_idle().count(), "idle bitset diverged from the machine scan");
+        idle
+    }
+
+    /// The idle bitset's words masked to `[0, active_limit)`.
+    fn dispatchable_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let limit = self.active_limit;
+        self.idle[..limit.div_ceil(64)].iter().enumerate().map(move |(w, &word)| {
+            let bits = limit - w * 64;
+            if bits < 64 { word & ((1 << bits) - 1) } else { word }
+        })
+    }
+
+    /// Lowest idle, up machine below the active limit: the first set bit.
+    fn lowest_idle(&self) -> Option<usize> {
+        self.dispatchable_words()
+            .enumerate()
+            .find(|&(_, word)| word != 0)
+            .map(|(w, word)| w * 64 + word.trailing_zeros() as usize)
+    }
+
+    fn set_idle(&mut self, m: usize, idle: bool) {
+        let bit = 1 << (m % 64);
+        if idle {
+            self.idle[m / 64] |= bit;
+        } else {
+            self.idle[m / 64] &= !bit;
         }
-        self.machines
-            .iter()
-            .zip(&self.failed)
-            .filter(|(m, &f)| !m.is_busy() && !f)
-            .count()
     }
 
     /// Machines currently crashed.
@@ -179,8 +213,10 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
         }
         self.failed[idx] = true;
         self.n_failed += 1;
-        let pos = self.running.iter().position(|r| r.machine == machine)?;
-        let r = self.running.remove(pos);
+        self.set_idle(idx, false);
+        let r = self.running[idx].take()?;
+        // O(machines), but crashes are rare.
+        self.completions.retain(|&Reverse((_, m))| m != idx);
         let span = self.machines[idx].abort(now);
         Some((r.key, span))
     }
@@ -196,6 +232,8 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
         }
         self.failed[idx] = false;
         self.n_failed -= 1;
+        // A crash aborted whatever ran here, so the machine is idle.
+        self.set_idle(idx, true);
         self.dispatch();
     }
 
@@ -232,18 +270,17 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
 
     /// Number of jobs currently executing.
     pub fn running(&self) -> usize {
-        self.running.len()
-    }
-
-    /// Keys of running jobs with their start times.
-    pub fn running_keys(&self) -> impl Iterator<Item = (K, SimTime)> + '_ {
-        self.running.iter().map(|r| (r.key, r.started))
+        self.completions.len()
     }
 
     /// Full detail of running jobs: `(key, machine, started)` — the input
-    /// schedulers need to estimate per-machine drain times.
+    /// schedulers need to estimate per-machine drain times. Iterates in
+    /// machine order.
     pub fn running_detail(&self) -> impl Iterator<Item = (K, MachineId, SimTime)> + '_ {
-        self.running.iter().map(|r| (r.key, r.machine, r.started))
+        self.running
+            .iter()
+            .enumerate()
+            .filter_map(|(m, r)| r.map(|r| (r.key, MachineId(m), r.started)))
     }
 
     /// Jobs completed so far.
@@ -257,7 +294,7 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
     pub fn boundary(&self) -> PoolBoundary {
         PoolBoundary {
             queued: self.queue.len(),
-            running: self.running.len(),
+            running: self.running(),
             idle: self.idle_machines(),
             queued_cost_ticks: self.queued_cost_ticks,
         }
@@ -319,20 +356,25 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
     /// allocation across every wake.
     pub fn advance_into(&mut self, to: SimTime, done: &mut Vec<ExecCompletion<K>>) {
         loop {
-            // Earliest finishing running job not after `to`.
-            let next = self
-                .running
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.finish <= to)
-                .min_by_key(|(_, r)| (r.finish, r.machine))
-                .map(|(i, _)| i);
-            let Some(i) = next else { break };
-            let r = self.running.remove(i);
-            self.clock = self.clock.max(r.finish);
-            self.machines[r.machine.0].finish();
+            // Earliest finishing running job not after `to`: the heap top.
+            // `(finish, machine)` is unique, since a machine runs one job.
+            let next = self.completions.peek().map(|&Reverse(e)| e).filter(|&(f, _)| f <= to);
+            #[cfg(test)]
+            assert_eq!(
+                next,
+                self.scan_earliest().filter(|&(f, _)| f <= to),
+                "completion heap diverged from the running scan"
+            );
+            let Some((finish, m)) = next else { break };
+            self.completions.pop();
+            // Every heap entry names an occupied slot (the oracle above
+            // checks the pair against the machines in test builds).
+            let Some(r) = self.running[m].take() else { continue };
+            self.clock = self.clock.max(finish);
+            self.machines[m].finish();
+            self.set_idle(m, true);
             self.completed += 1;
-            done.push(ExecCompletion { key: r.key, at: r.finish, machine: r.machine, started: r.started });
+            done.push(ExecCompletion { key: r.key, at: finish, machine: MachineId(m), started: r.started });
             self.dispatch();
         }
         self.clock = self.clock.max(to);
@@ -340,32 +382,45 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
 
     /// Earliest pending completion, if any work is running.
     pub fn next_wake(&self) -> Option<SimTime> {
-        self.running.iter().map(|r| r.finish).min()
+        let wake = self.completions.peek().map(|&Reverse((finish, _))| finish);
+        #[cfg(test)]
+        assert_eq!(wake, self.scan_earliest().map(|(f, _)| f), "completion heap diverged from the running scan");
+        wake
     }
 
     /// Assigns queued jobs to idle machines (FCFS; lowest machine id first).
     // conform::hot_root
     fn dispatch(&mut self) {
         while !self.queue.is_empty() {
-            let failed = &self.failed;
-            let Some(m_idx) = self.machines[..self.active_limit]
-                .iter()
-                .enumerate()
-                .position(|(i, m)| !m.is_busy() && !failed[i])
-            else {
-                break;
-            };
+            let pick = self.lowest_idle();
+            #[cfg(test)]
+            assert_eq!(pick, self.scan_idle().next(), "idle bitset diverged from the machine scan");
+            let Some(m) = pick else { break };
             let q = self.queue.pop_front().expect("non-empty queue");
             self.queued_cost_ticks -= q.cost_ticks;
-            let (key, secs) = (q.key, q.standard_secs);
-            let finish = self.machines[m_idx].start(self.clock, secs);
-            self.running.push(Running {
-                key,
-                machine: MachineId(m_idx),
-                started: self.clock,
-                finish,
-            });
+            let finish = self.machines[m].start(self.clock, q.standard_secs);
+            self.set_idle(m, false);
+            self.running[m] = Some(Running { key: q.key, started: self.clock });
+            self.completions.push(Reverse((finish, m)));
         }
+    }
+
+    /// Scan oracle for the idle bitset: the idle, up machines below the
+    /// active limit, in id order, read off the machines themselves.
+    #[cfg(test)]
+    fn scan_idle(&self) -> impl Iterator<Item = usize> + '_ {
+        self.machines[..self.active_limit]
+            .iter()
+            .enumerate()
+            .filter(|&(i, m)| !m.is_busy() && !self.failed[i])
+            .map(|(i, _)| i)
+    }
+
+    /// Scan oracle for the completion heap: the earliest `(finish,
+    /// machine)` over every busy machine.
+    #[cfg(test)]
+    fn scan_earliest(&self) -> Option<(SimTime, usize)> {
+        self.machines.iter().filter_map(|m| m.busy_until().map(|f| (f, m.id().0))).min()
     }
 
     /// Average utilization over the pool up to `now` (Eq. 9).
@@ -579,6 +634,64 @@ mod tests {
         c.submit(SimTime::ZERO, 1, 10.0);
         assert_eq!(c.running_detail().next().map(|(_, m, _)| m), Some(MachineId(0)));
         assert_eq!(c.idle_machines(), 0);
+    }
+
+    #[test]
+    fn deactivated_machines_are_not_idle_capacity() {
+        let mut c: Cloud<u32> = Cloud::homogeneous("ec", 4, 1.0);
+        c.set_active_limit(2);
+        for k in 1..=3 {
+            c.submit(SimTime::ZERO, k, 10.0);
+        }
+        // Machines 2 and 3 are idle but deactivated: a job still waits, so
+        // the boundary must report no dispatchable idle machine.
+        let b = c.boundary();
+        assert_eq!((b.queued, b.running, b.idle), (1, 2, 0));
+        c.set_active_limit(4);
+        assert_eq!((c.queued(), c.running(), c.idle_machines()), (0, 3, 1));
+        c.set_active_limit(1);
+        assert_eq!(c.idle_machines(), 0, "running jobs finish on deactivated machines");
+        c.advance(SimTime::from_secs(10));
+        assert_eq!((c.running(), c.idle_machines()), (0, 1));
+    }
+
+    #[test]
+    fn idle_bitset_spans_word_boundaries() {
+        let mut c: Cloud<u32> = Cloud::homogeneous("ic", 130, 1.0);
+        assert_eq!(c.idle_machines(), 130);
+        for k in 0..129 {
+            c.submit(SimTime::ZERO, k, 10.0 + f64::from(k));
+        }
+        assert_eq!(c.running_detail().last().map(|(k, m, _)| (k, m)), Some((128, MachineId(128))));
+        assert_eq!(c.idle_machines(), 1);
+        c.fail_machine(SimTime::ZERO, MachineId(129));
+        c.submit(SimTime::ZERO, 129, 1.0);
+        assert_eq!((c.queued(), c.idle_machines()), (1, 0));
+        // Machine 0 frees first and takes the waiting job.
+        let done = c.advance(SimTime::from_secs(10));
+        assert_eq!(done.iter().map(|d| d.key).collect::<Vec<_>>(), vec![0]);
+        assert_eq!(c.running_detail().next().map(|(k, m, _)| (k, m)), Some((129, MachineId(0))));
+        c.set_active_limit(64);
+        c.recover_machine(SimTime::from_secs(10), MachineId(129));
+        assert_eq!(c.idle_machines(), 0, "machine 129 is up but above the limit");
+        c.set_active_limit(130);
+        assert_eq!(c.idle_machines(), 1);
+    }
+
+    #[test]
+    fn equal_finishes_complete_in_machine_order() {
+        let mut c: Cloud<u32> = Cloud::with_speeds("ec", &[2.0, 1.0, 2.0, 4.0]);
+        // 20 s of standard work finishes at t = 10 on machines 0 and 2;
+        // 10 s finishes at t = 10 on machine 1; 40 s at t = 10 on machine 3.
+        for (k, secs) in [(1, 20.0), (2, 10.0), (3, 20.0), (4, 40.0)] {
+            c.submit(SimTime::ZERO, k, secs);
+        }
+        c.submit(SimTime::ZERO, 5, 0.0);
+        let done = c.advance(SimTime::from_secs(10));
+        let order: Vec<_> = done.iter().map(|d| (d.key, d.machine.0)).collect();
+        // Job 5 starts on machine 0 at t = 10 and, taking no time, completes
+        // there before machine 1's job is collected.
+        assert_eq!(order, vec![(1, 0), (5, 0), (2, 1), (3, 2), (4, 3)]);
     }
 
     #[test]

@@ -9,12 +9,13 @@ use proptest::prelude::*;
 use cloudburst_repro::chaos::{CrashLaw, FaultPlan, FaultProfile, RetryPolicy};
 use cloudburst_repro::core::{
     run_experiment, run_experiment_detailed, run_with_plan, serve_experiment_detailed,
-    ExperimentConfig, SchedulerKind, ServeConfig,
+    EngineHarness, ExperimentConfig, SchedulerKind, ServeConfig,
 };
-use cloudburst_repro::core::config::EcSiteConfig;
+use cloudburst_repro::core::config::{EcSiteConfig, ScalingPolicy};
 use cloudburst_repro::econ::{
     AdmissionPolicy, BrokerPolicy, EconConfig, Money, PenaltySchedule, PriceModel,
 };
+use cloudburst_repro::cluster::MachineId;
 use cloudburst_repro::sim::{RngFactory, SimDuration};
 use cloudburst_repro::sla::WindowConfig;
 use cloudburst_repro::workload::{
@@ -298,6 +299,81 @@ fn golden_econ_commit_serve_report_is_byte_stable() {
         fresh,
         golden.trim_end(),
         "commit-or-reject serving report drifted from {path}; if intentional, re-bless"
+    );
+}
+
+/// IC crashes under an elastic EC pool: IC machines crash mid-job (the
+/// aborted job re-enters the IC queue) while the scaling tick resizes the
+/// primary EC pool with jobs queued and running on it. It pins the two
+/// execution-layer paths the other fixtures leave open: crash removal of
+/// a running IC job, and an active limit that shrinks under running work
+/// and grows back while jobs wait.
+fn ic_crash_elastic_cfg() -> ExperimentConfig {
+    let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 61);
+    cfg.arrivals.jobs_per_batch = 14.0;
+    cfg.n_ic = 3;
+    cfg.n_ec = 6;
+    cfg.scaling = Some(ScalingPolicy {
+        min_instances: 1,
+        max_instances: 6,
+        period: SimDuration::from_secs(30),
+    });
+    cfg.faults = Some(FaultProfile {
+        ic_crash: Some(CrashLaw {
+            mean_uptime_secs: 400.0,
+            mean_downtime_secs: 90.0,
+            max_faults_per_machine: 3,
+        }),
+        ..FaultProfile::dormant()
+    });
+    cfg
+}
+
+/// Cross-commit golden for [`ic_crash_elastic_cfg`], blessed like the
+/// fixtures above:
+/// `CHAOS_GOLDEN_BLESS=1 cargo test --test chaos_golden golden`.
+#[test]
+fn golden_ic_crash_elastic_report_is_byte_stable() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/ic_crash_elastic.report.json");
+    let cfg = ic_crash_elastic_cfg();
+    let mut h = EngineHarness::new(&cfg, batches_for(&cfg));
+    // Pin the premise while stepping: an IC crash lands on a machine whose
+    // job would still be running, and the EC active limit both shrinks
+    // with jobs running on the pool and grows to start jobs queued on it.
+    let (mut ic_aborts, mut shrinks, mut grows) = (0, 0, 0);
+    loop {
+        let ic = h.world().ic_cloud();
+        let busy_until: Vec<_> = ic.machines().iter().map(|m| m.busy_until()).collect();
+        let failed: Vec<_> = (0..ic.n_machines()).map(|i| ic.is_failed(MachineId(i))).collect();
+        let ec = h.world().ec_cloud(0);
+        let (limit, queued, running) = (ec.active_limit(), ec.queued(), ec.running());
+        if !h.step() {
+            break;
+        }
+        let (now, ic) = (h.now(), h.world().ic_cloud());
+        ic_aborts += (0..ic.n_machines())
+            .filter(|&i| !failed[i] && ic.is_failed(MachineId(i)))
+            .filter(|&i| busy_until[i].is_some_and(|u| u > now))
+            .count();
+        let ec = h.world().ec_cloud(0);
+        shrinks += usize::from(ec.active_limit() < limit && ec.running() > 0);
+        grows += usize::from(ec.active_limit() > limit && queued > 0 && ec.running() > running);
+    }
+    assert!(ic_aborts > 0, "no IC crash aborted a running job");
+    assert!(shrinks > 0, "the EC pool never shrank under running work");
+    assert!(grows > 0, "the EC pool never grew to start waiting jobs");
+    let (report, _) = h.finish();
+    assert!(report.faults.redispatches > 0, "{:?}", report.faults);
+    let fresh = serde_json::to_string(&report).expect("report serializes");
+    if std::env::var_os("CHAOS_GOLDEN_BLESS").is_some() {
+        std::fs::write(path, format!("{fresh}\n")).expect("write golden fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden fixture exists (bless to create)");
+    assert_eq!(
+        fresh,
+        golden.trim_end(),
+        "IC-crash elastic-EC report drifted from {path}; if intentional, re-bless"
     );
 }
 
