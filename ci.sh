@@ -138,6 +138,33 @@ cargo test -q --release -p cloudburst-cluster --test props heap_and_bitset_match
 cargo test -q --release --test chaos_golden golden_ic_crash_elastic_report_is_byte_stable
 cargo test -q --release -p cloudburst-core --test alloc_free_wake
 
+# The QRSM does each piece of work once, and only where a decision reads
+# it: completions stop feeding the model once no decision can read it
+# again (the seal), the scheduler predicts each admitted job once and
+# carries the estimate, a full window slides in one fused pass, and the
+# refit's residual pass dots four rows at a time. All of it is bitwise
+# identical. The fused slide and the interleaved residual pass are checked
+# against the two-pass and one-row #[cfg(test)] oracles, and the slide
+# against a replica of two signed rank-1 calls by proptest (zeros, -0.0,
+# negatives, a drift-rebuild boundary); the truncating microsecond
+# rounding against f64::round; the seal's engagement by engine unit tests.
+# The engine's unit tests also assert, for every scheduler, that each
+# carried estimate equals a fresh prediction, and that no QRSM read comes
+# after the seal. The goldens pin the bytes end to end, and steady-state
+# engine steps must still allocate nothing.
+echo "== QRSM read-path equivalence: seal, one estimate per job, fused slide, interleaved residuals, rounding"
+cargo test -q --release -p cloudburst-qrsm --lib -- \
+  model::tests::fused_slide_matches_two_pass_oracle \
+  model::tests::interleaved_residual_pass_matches_one_row_oracle
+cargo test -q --release -p cloudburst-qrsm --test props fused_slide_matches_two_rank1_calls
+cargo test -q --release -p cloudburst-sim --lib time::tests::truncating_round_matches_f64_round
+cargo test -q --release -p cloudburst-sched --test props schedulers_conserve_the_batch
+cargo test -q --release -p cloudburst-core --lib
+cargo test -q --release --test chaos_golden
+cargo test -q --release --test golden_determinism
+cargo test -q --release -p cloudburst-core --test serve_equivalence
+cargo test -q --release -p cloudburst-core --test alloc_free_wake
+
 # Every multi-run fan-out goes through the one thread coordinator,
 # ShardPool: repro maps its ids through the pool and emits each result in
 # id order. A multi-id run must therefore print exactly the single-id runs

@@ -2,7 +2,8 @@
 //! refit-from-scratch (rebuild the design matrix over the window, re-run a
 //! batch fit) against the sliding-window RLS refit (rank-1 maintained
 //! normal equations + Cholesky solve), across window sizes, plus the
-//! allocation-free non-refit observe step.
+//! allocation-free non-refit observe step and the engine's deferred-refit
+//! window slide.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -66,5 +67,22 @@ fn bench_refit_batch_vs_rls(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_refit_batch_vs_rls);
+/// The engine's per-completion QRSM cost: `observe_queued` on a full
+/// 400-row window of 28 quadratic terms (the default training corpus), so
+/// every push evicts the oldest row and slides the normal equations.
+fn bench_window_slide(c: &mut Criterion) {
+    let (xs, ys) = corpus(1_600);
+    let mut m = QrsModel::fit(&xs[..400], &ys[..400], Method::Ols).unwrap();
+    let mut i = 400usize;
+    c.bench_function("qrsm/window_slide_400x28", |b| {
+        b.iter(|| {
+            let k = i % xs.len();
+            i += 1;
+            m.observe_queued(black_box(&xs[k]), black_box(ys[k]));
+        })
+    });
+    black_box(m.window_len());
+}
+
+criterion_group!(benches, bench_refit_batch_vs_rls, bench_window_slide);
 criterion_main!(benches);

@@ -199,9 +199,9 @@ pub struct ExperimentConfig {
     /// that [`cloudburst_chaos::FaultProfile::is_dormant`] — leave the run
     /// byte-identical to a fault-free one.
     pub faults: Option<cloudburst_chaos::FaultProfile>,
-    /// Worker threads for intra-run shard fan-outs (admission estimate
-    /// precompute, report sections). `None` or `Some(0)` means auto (the
-    /// machine's available parallelism); `Some(1)` pins the inline serial
+    /// Worker threads for the intra-run shard fan-out (the report's two
+    /// sections). `None` or `Some(0)` means auto (the machine's available
+    /// parallelism); `Some(1)` pins the inline serial
     /// path. `Option` so configs serialized before the knob existed still
     /// deserialize (missing fields decode as null). Results are
     /// byte-identical for every value — the epoch-barrier merge makes the

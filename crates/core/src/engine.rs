@@ -35,7 +35,8 @@ use cloudburst_sched::resched::{
 };
 use cloudburst_sched::{
     BurstScheduler, EstimateProvider, FreeTimeIndex, GreedyScheduler, IcOnlyScheduler, LoadModel,
-    OrderPreservingScheduler, OutstandingSet, Placement, ProcTimeModel, SibsScheduler,
+    OrderPreservingScheduler, OutstandingSet, Placement, ProcTimeModel, ScheduledJob,
+    SibsScheduler,
 };
 use cloudburst_sim::{EventId, FxHashMap, RngFactory, ShardPool, Sim, SimDuration, SimTime};
 use cloudburst_sla::{
@@ -510,14 +511,10 @@ pub struct EngineWorld {
     po_queue: Vec<PushOutCandidate>,
     /// Fault-injection bookkeeping; `None` ⇔ no fault can ever realize.
     chaos: Option<ChaosState>,
-    /// Worker policy for intra-run shard fan-outs (admission estimate
-    /// precompute, report sections). Results are byte-identical for any
-    /// worker count; `cfg.shard_workers` only trades wall-clock time.
+    /// Worker policy for the report's two-section join. Results are
+    /// byte-identical for any worker count; `cfg.shard_workers` only
+    /// trades wall-clock time.
     pool: ShardPool,
-    /// Reusable buffer for the sharded admission precompute: per-job
-    /// `(QRSM exec estimate, serving-model RMSE)` read against the frozen
-    /// post-flush estimator, merged back in job-id order.
-    admit_scratch: Vec<(f64, f64)>,
     /// Open-system serving state; `None` ⇔ classic closed-batch mode.
     serve: Option<ServeState>,
     /// Economics state; `None` ⇔ no price, penalty, admission commitment
@@ -737,7 +734,6 @@ impl EngineWorld {
             po_queue: Vec::new(),
             chaos,
             pool,
-            admit_scratch: Vec::new(),
             serve: None,
             econ,
         }
@@ -757,11 +753,6 @@ impl EngineWorld {
     /// Instance-seconds of EC capacity provisioned over the run.
     pub fn ec_provisioned_machine_secs(&self) -> f64 {
         self.ec_provisioned_machine_secs
-    }
-
-    /// The autonomic estimation models in their end-of-run state.
-    pub fn estimates(&self) -> &EstimateProvider {
-        &self.est
     }
 
     /// Per-job lifecycle timelines, indexed by job id.
@@ -800,8 +791,17 @@ impl EngineWorld {
         TransferId(self.next_tid)
     }
 
-    /// Every arrival is in (the last batch, or the serving horizon) and
-    /// every admitted job has delivered — O(1) in both modes.
+    /// Every arrival is in: the last batch was admitted, or the serving
+    /// stream reached its horizon.
+    fn arrivals_done(&self) -> bool {
+        match &self.serve {
+            Some(s) => s.arrivals_done,
+            None => self.batches_seen == self.batches_total,
+        }
+    }
+
+    /// Every arrival is in and every admitted job has delivered — O(1) in
+    /// both modes.
     fn all_done(&self) -> bool {
         #[cfg(test)]
         assert_eq!(
@@ -809,11 +809,16 @@ impl EngineWorld {
             self.timelines.iter().all(|t| t.completed.is_some()),
             "outstanding pool diverged from the timelines' completion stamps"
         );
-        let arrivals_done = match &self.serve {
-            Some(s) => s.arrivals_done,
-            None => self.batches_seen == self.batches_total,
-        };
-        arrivals_done && self.outstanding.is_empty()
+        self.arrivals_done() && self.outstanding.is_empty()
+    }
+
+    /// No decision will read the QRSM again. Only `on_batch`,
+    /// `try_pull_back` and `try_push_out` read it; once every arrival is
+    /// in, no batch remains, and with rescheduling off neither
+    /// rescheduling path runs. From then on completions are not observed:
+    /// the window would only feed refits nobody reads.
+    fn qrsm_sealed(&self) -> bool {
+        !self.cfg.rescheduling && self.arrivals_done()
     }
 
     /// Rescan oracle for [`fill_running_free`]: estimated seconds until
@@ -1384,22 +1389,31 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
     resync(w, sim);
 }
 
+/// Makes the QRSM current before a decision reads it: observations queued
+/// since the last read are refit in, once. Every QRSM read in the engine
+/// sits behind this barrier, and none may come after the seal
+/// ([`EngineWorld::qrsm_sealed`]), because sealed completions are no
+/// longer observed.
+fn qrsm_barrier(w: &mut W) {
+    #[cfg(any(test, debug_assertions))]
+    assert!(!w.qrsm_sealed(), "a decision read the QRSM after it was sealed");
+    w.est.flush_refits();
+}
+
 /// Applies one batch arrival: snapshot → schedule → re-index → dispatch.
 ///
-/// A batch arrival is an epoch barrier of the sharded engine: every
-/// component has been advanced to `now` (completed transfers and
-/// executions exchanged), the QRSM observations queued during the epoch
-/// are refit in exactly once, and the pure per-job estimate reads fan out
-/// over the shard pool against that frozen model before the sequential
-/// decision spine (planner commits, queue pushes) replays them in job-id
-/// order — byte-identical for any worker count.
+/// A batch arrival is an epoch barrier: every component has been advanced
+/// to `now` (completed transfers and executions exchanged) and the QRSM
+/// observations queued during the epoch are refit in exactly once. The
+/// scheduler predicts each job once; admission replays its placements
+/// from those carried estimates.
 fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     let now = sim.now();
     // Process anything that completed up to now first.
     on_wake(w, sim);
     // Epoch barrier: the scheduler, planner, and ticket quotes below all
     // read the QRSM; queued observations become current here, once.
-    w.est.flush_refits();
+    qrsm_barrier(w);
 
     let site = w.refresh_load_model(now);
     w.scheduler.set_upload_queue_state(w.sites[site].up_queues.queued_bytes());
@@ -1419,56 +1433,45 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     }
 
     // Re-index into the global FCFS id space and record estimates by
-    // replaying the scheduler's own planner commitments. The admission is
-    // split into three phases so the per-job estimate reads can fan out
-    // over the shard pool without perturbing a single sequential byte:
+    // replaying the scheduler's own planner commitments, in two phases.
     //
-    // Phase 1 (sequential): chunk ground-truth resampling on the one
-    // shared RNG stream (call order preserved exactly). The scheduler
-    // fabricates a pro-rata service time when it splits a job; the engine
-    // is the authority on ground truth, so chunk times are re-sampled
-    // from the truth law on the chunk's own features (documents are
-    // embarrassingly parallel) plus the split/merge overhead. Without
-    // this, chunks would secretly carry their parent's superlinear cost
-    // and every QRSM estimate of a chunk would be biased low. Global ids
-    // materialize in phase 3, after the admission gate — a rejected job
-    // must not consume an id (the spine slot would leak).
+    // Phase 1: chunk ground-truth resampling on the one shared RNG stream
+    // (call order preserved exactly). The scheduler fabricates a pro-rata
+    // service time when it splits a job; the engine is the authority on
+    // ground truth, so chunk times are re-sampled from the truth law on
+    // the chunk's own features (documents are embarrassingly parallel)
+    // plus the split/merge overhead. Without this, chunks would secretly
+    // carry their parent's superlinear cost and every QRSM estimate of a
+    // chunk would be biased low. The carried estimates stay valid: they
+    // read only the features. Global ids materialize in phase 2, after
+    // the admission gate — a rejected job must not consume an id (the
+    // spine slot would leak).
     let mut admitted = schedule.jobs;
     let base = w.jobs.len() as u64;
     let mut fresh = 0u64;
-    for (job, _) in admitted.iter_mut() {
-        if job.is_chunk() {
-            job.true_service_secs = w.cfg.truth.sample_secs(&mut w.rng_chunk_truth, &job.features)
-                + w.cfg.chunk_policy.per_chunk_overhead_secs;
+    for s in admitted.iter_mut() {
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            s.est_secs.to_bits(),
+            w.est.exec_secs(&s.job).to_bits(),
+            "{} carried an estimate the QRSM does not give",
+            w.scheduler.name()
+        );
+        if s.job.is_chunk() {
+            s.job.true_service_secs =
+                w.cfg.truth.sample_secs(&mut w.rng_chunk_truth, &s.job.features)
+                    + w.cfg.chunk_policy.per_chunk_overhead_secs;
         }
     }
 
-    // Phase 2 (shard fan-out): each job's execution estimate and RMSE
-    // quote is a pure read of the frozen post-barrier model, so the pool
-    // computes them in parallel and merges results back in id order —
-    // byte-identical for any worker count.
-    let mut planner_inputs = std::mem::take(&mut w.admit_scratch);
-    let pool = w.pool;
-    {
-        let est = &w.est;
-        pool.map_ordered_into(&admitted, &mut planner_inputs, |_, (job, _)| {
-            (
-                est.exec_secs(job),
-                est.qrsm.rmse_for(job.features.job_type.code() as u64),
-            )
-        });
-    }
-
-    // Phase 3 (sequential spine): the admission gate, planner
-    // commitments, dispatch pushes, and ticket quotes replay in id order
-    // exactly as the serial engine.
+    // Phase 2: the admission gate, planner commitments, dispatch pushes,
+    // and ticket quotes, in id order.
     let mut planner = Planner::new(&load, &w.est);
     let mut decisions = Vec::with_capacity(admitted.len());
-    for ((mut job, placement), &(est_secs, rmse_secs)) in
-        admitted.into_iter().zip(&planner_inputs)
-    {
+    for ScheduledJob { mut job, placement, est_secs } in admitted {
         // The ticket quote's k-RMSE confidence margin (also the admission
         // gate's safety margin below).
+        let rmse_secs = w.est.qrsm.rmse_for(job.features.job_type.code() as u64);
         let margin = cloudburst_sim::SimDuration::from_secs_f64(
             w.cfg.ticket_margin_k.max(0.0) * rmse_secs,
         );
@@ -1480,8 +1483,8 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         if let Some(econ) = &mut w.econ {
             if let AdmissionPolicy::CommitOrReject { max_turnaround_secs } = econ.admission {
                 let est_finish = match placement {
-                    Placement::Internal => planner.ft_ic(&job),
-                    Placement::External => planner.ft_ec(&job),
+                    Placement::Internal => planner.ft_ic(est_secs),
+                    Placement::External => planner.ft_ec(&job, est_secs),
                 };
                 let deadline = job.arrival + SimDuration::from_secs_f64(max_turnaround_secs);
                 if est_finish + margin > deadline {
@@ -1504,7 +1507,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         };
         let id = job.id;
         let idx = id.0 as usize;
-        let est_ct = planner.commit(&job, placement);
+        let est_ct = planner.commit(&job, est_secs, placement);
         decisions.push(placement == Placement::External);
         // The ticket quote: estimate plus the confidence margin.
         let promise = est_ct + margin;
@@ -1546,8 +1549,6 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         }
         put(&mut w.jobs, idx, job);
     }
-    // Hand the warm precompute buffer back for the next batch.
-    w.admit_scratch = planner_inputs;
     if w.serve.is_none() {
         // Closed mode keeps the whole-run per-batch decision log for the
         // Eq. 11/12 burst ratios; serving folds it into the counter above,
@@ -1737,15 +1738,20 @@ fn observe_transfer(
 /// Execution finished anywhere: tune the QRSM with the observed time.
 /// The observation is *queued* — the sliding-window rank-1 update lands
 /// now, but the `O(terms³)` coefficient refit is deferred to the next
-/// epoch barrier where predictions are actually read (`on_batch`,
-/// `try_pull_back`, `try_push_out`, or run end). That keeps a completion
-/// burst O(completions × terms²) instead of O(completions × terms³), and
-/// the flushed coefficients are bitwise what eager per-completion refits
-/// would have produced at each read point.
+/// [`qrsm_barrier`], where predictions are actually read (`on_batch`,
+/// `try_pull_back`, `try_push_out`). That keeps a completion burst
+/// O(completions × terms²) instead of O(completions × terms³), and the
+/// flushed coefficients are bitwise what eager per-completion refits
+/// would have produced at each read point. Once the model is sealed
+/// ([`EngineWorld::qrsm_sealed`]) no barrier remains, so the observation
+/// is skipped: no decision could ever read it.
 fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, ic: bool) {
     let speed = if ic { w.cfg.ic_speed } else { w.cfg.ec_speed };
     w.timelines[id.0 as usize].exec_started = Some(started);
     w.timelines[id.0 as usize].exec_done = Some(at);
+    if w.qrsm_sealed() {
+        return;
+    }
     let standard_secs = (at - started).as_secs_f64() * speed;
     let job = &w.jobs[id.0 as usize];
     let class = job.features.job_type.code() as u64;
@@ -2080,7 +2086,7 @@ fn try_pull_back(w: &mut W, now: SimTime) {
         // the guard, so a wake with IC work still queued (nearly every IC
         // completion on a deep queue) pays no refit. A no-op branch once
         // flushed.
-        w.est.flush_refits();
+        qrsm_barrier(w);
         // Head candidates: the front of each class queue at each site.
         // `pb_cands`/`pb_meta` are persistent world scratch kept in
         // lock-step, so the decision slice feeds `pull_back_candidate`
@@ -2143,7 +2149,7 @@ fn try_push_out(w: &mut W, now: SimTime) {
     // Epoch barrier: the candidate scan below reads QRSM predictions, so
     // queued observations must be refit in first (after the early returns
     // — a wake that evaluates no candidate reads no estimate).
-    w.est.flush_refits();
+    qrsm_barrier(w);
     // Fresh Eq. 1 anchors: replay the IC's FCFS drain with *current*
     // estimates. Using the completion estimates recorded at batch time
     // would bake in everything the system has since fallen behind on, and
@@ -2454,9 +2460,8 @@ impl<R> Harness<R> {
         &mut self.world
     }
 
-    /// Asserts the run drained, accrues provisioning, and runs the final
-    /// epoch barrier (queued observations refit in, so the handed-back
-    /// QRSM matches the eager-refit engine's). Returns the end instant.
+    /// Asserts the run drained and accrues provisioning. Returns the end
+    /// instant. No refit runs here: nothing reads the QRSM after the run.
     fn drain(&mut self) -> SimTime {
         assert!(
             self.world.all_done(),
@@ -2466,7 +2471,6 @@ impl<R> Harness<R> {
         );
         let end = self.sim.now();
         self.world.accrue_provisioning(end);
-        self.world.est.flush_refits();
         end
     }
 }
@@ -2688,9 +2692,72 @@ mod tests {
         }
         let now = h.now();
         let w = h.world_mut();
+        // The last batch is in, so without rescheduling the model is sealed
+        // here; this probe is a rescheduling decision, so turn it on.
+        w.cfg.rescheduling = true;
         queue_observation(w);
         try_pull_back(w, now);
         assert!(!w.est.flush_refits(), "pull-back read a candidate without refitting first");
+    }
+
+    /// Executions stamped done so far.
+    fn execs_done(w: &EngineWorld) -> usize {
+        w.timelines.iter().filter(|t| t.exec_done.is_some()).count()
+    }
+
+    #[test]
+    fn qrsm_seals_after_the_last_batch_without_rescheduling() {
+        // Two IC machines keep work running well past the last batch.
+        let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 5);
+        cfg.n_ic = 2;
+        cfg.arrivals.jobs_per_batch = 12.0;
+        let rngs = RngFactory::new(cfg.seed);
+        let batches = BatchArrivals::new(cfg.arrivals.clone()).generate(&rngs, &cfg.truth);
+        let mut h = EngineHarness::new(&cfg, batches);
+        while h.world().batches_seen < h.world().batches_total {
+            assert!(!h.world().qrsm_sealed(), "sealed before the last batch");
+            assert!(h.step(), "the run ended before its last batch");
+        }
+        assert!(h.world().qrsm_sealed(), "not sealed after the last batch");
+
+        // Observations queued before the seal refit in once; completions
+        // after it queue nothing.
+        h.world_mut().est.flush_refits();
+        let sealed_at = execs_done(h.world());
+        while h.step() {}
+        let w = h.world_mut();
+        assert!(execs_done(w) > sealed_at, "no execution finished after the seal");
+        assert!(!w.est.flush_refits(), "a sealed run still observed completions");
+        let (r, _) = h.finish();
+        assert_eq!(r.completion_times.len(), r.n_jobs);
+    }
+
+    #[test]
+    fn qrsm_never_seals_with_rescheduling_or_before_the_horizon() {
+        // Rescheduling reads the QRSM until the run drains.
+        let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 5);
+        cfg.n_ic = 2;
+        cfg.arrivals.jobs_per_batch = 12.0;
+        cfg.rescheduling = true;
+        let rngs = RngFactory::new(cfg.seed);
+        let batches = BatchArrivals::new(cfg.arrivals.clone()).generate(&rngs, &cfg.truth);
+        let mut h = EngineHarness::new(&cfg, batches);
+        while h.step() {
+            assert!(!h.world().qrsm_sealed(), "sealed with rescheduling on at {:?}", h.now());
+        }
+        assert_eq!(h.world().batches_seen, h.world().batches_total);
+
+        // Serving without rescheduling: open until the horizon, sealed
+        // once the last epoch is in.
+        let mut h = ServeHarness::new(&serve_cfg(42));
+        let mut sealed_steps = 0;
+        while h.step() {
+            let w = h.world();
+            let horizon_reached = w.serve.as_ref().is_some_and(|s| s.arrivals_done);
+            assert_eq!(w.qrsm_sealed(), horizon_reached, "seal at {:?}", h.now());
+            sealed_steps += horizon_reached as usize;
+        }
+        assert!(sealed_steps > 0, "the stream drained with no step after its horizon");
     }
 
     #[test]

@@ -34,6 +34,13 @@
 //!   model); LAD falls back to IRLS over the stored rows (allocates per
 //!   iteration, still never re-expands the window).
 //!
+//! Once the window is full, each observation *slides* it: one fused pass
+//! over the lower triangle down-dates the evicted row and up-dates the new
+//! one, `g = (g − oᵢ·oⱼ) + nᵢ·nⱼ` per element. That is the same two
+//! additions in the same order as a down-date pass followed by an up-date
+//! pass, so the maintained moments are bitwise those of the two-pass
+//! slide.
+//!
 //! Floating-point drift from long up/down-date chains is bounded by a full
 //! normal-equation rebuild from the stored rows every
 //! [`REBUILD_DOWNDATES`] evictions (amortized `O(terms²)` per observe).
@@ -47,7 +54,7 @@ use crate::matrix::Matrix;
 /// loses at most a few ulps, so thousands of them keep the maintained
 /// `XᵀX` within ~1e-12 relative of exact; rebuilding this rarely makes the
 /// amortized cost negligible.
-const REBUILD_DOWNDATES: usize = 8_192;
+pub const REBUILD_DOWNDATES: usize = 8_192;
 
 /// A fitted quadratic response-surface model `features → processing seconds`.
 #[derive(Clone, Debug)]
@@ -89,6 +96,9 @@ pub struct QrsModel {
     work: Matrix,
     /// Right-hand-side / solution buffer, reused across refits.
     solve_buf: Vec<f64>,
+    /// The incoming design row of a window slide: the evicted row still
+    /// occupies its ring slot while the fused pass reads both.
+    incoming: Vec<f64>,
 }
 
 impl QrsModel {
@@ -120,7 +130,7 @@ impl QrsModel {
         m.ys[..n].copy_from_slice(ys);
         m.len = n;
         for (row, &y) in m.rows.chunks_exact(p).zip(ys) {
-            rank1(m.gram.as_mut_slice(), &mut m.xty, &mut m.yty, row, y, 1.0);
+            rank1(m.gram.as_mut_slice(), &mut m.xty, &mut m.yty, row, y);
         }
         let (rmse, mape) = m.window_residual_stats();
         m.rmse = rmse;
@@ -152,6 +162,7 @@ impl QrsModel {
             chol: Matrix::zeros(p, p),
             work: Matrix::zeros(p, p),
             solve_buf: vec![0.0; p],
+            incoming: vec![0.0; p],
         }
     }
 
@@ -315,29 +326,36 @@ impl QrsModel {
         self.len
     }
 
-    /// Inserts one observation into the ring, down-dating the evicted row
-    /// first when the window is full. No heap allocation.
+    /// The maintained normal equations `(XᵀX, Xᵀy, Σy²)` over the window.
+    /// Only the lower triangle of `XᵀX` is kept; entries above the
+    /// diagonal read zero.
+    pub fn normal_equations(&self) -> (&Matrix, &[f64], f64) {
+        (&self.gram, &self.xty, self.yty)
+    }
+
+    /// Inserts one observation into the ring. When the window is full the
+    /// oldest row is evicted by one fused [`slide`] pass and its slot takes
+    /// the new row. No heap allocation.
     fn push_observation(&mut self, x: &[f64], y: f64) {
         let p = self.design.n_terms();
-        let slot = if self.len == self.window_capacity {
-            // Evict the oldest row: remove its contribution, reuse its slot.
+        if self.len == self.window_capacity {
             let h = self.head;
-            let Self { rows, ys, gram, xty, yty, .. } = self;
-            rank1(gram.as_mut_slice(), xty, yty, &rows[h * p..(h + 1) * p], ys[h], -1.0);
-            self.head = (self.head + 1) % self.window_capacity;
+            let Self { design, rows, ys, gram, xty, yty, incoming, .. } = self;
+            design.expand_into(x, incoming);
+            let old = &mut rows[h * p..(h + 1) * p];
+            slide(gram.as_mut_slice(), xty, yty, old, ys[h], incoming, y);
+            old.copy_from_slice(incoming);
+            ys[h] = y;
+            self.head = (h + 1) % self.window_capacity;
             self.downdates += 1;
-            h
         } else {
-            let s = (self.head + self.len) % self.window_capacity;
+            let slot = (self.head + self.len) % self.window_capacity;
             self.len += 1;
-            s
-        };
-        {
             let Self { design, rows, ys, gram, xty, yty, .. } = self;
             let row = &mut rows[slot * p..(slot + 1) * p];
             design.expand_into(x, row);
             ys[slot] = y;
-            rank1(gram.as_mut_slice(), xty, yty, row, y, 1.0);
+            rank1(gram.as_mut_slice(), xty, yty, row, y);
         }
         if self.downdates >= REBUILD_DOWNDATES {
             self.rebuild_normals();
@@ -357,7 +375,7 @@ impl QrsModel {
         *yty = 0.0;
         for k in 0..*len {
             let i = (*head + k) % *window_capacity;
-            rank1(gram.as_mut_slice(), xty, yty, &rows[i * p..(i + 1) * p], ys[i], 1.0);
+            rank1(gram.as_mut_slice(), xty, yty, &rows[i * p..(i + 1) * p], ys[i]);
         }
         self.downdates = 0;
     }
@@ -397,38 +415,119 @@ impl QrsModel {
     /// RMSE/MAPE over the window for the current coefficients, streamed
     /// over the stored rows — one dot product per row, no re-expansion, no
     /// allocation.
+    ///
+    /// The window is at most two contiguous runs of the ring (oldest slot
+    /// to the end, then the wrapped start). Within a run, four rows are
+    /// dotted at once: four independent add chains instead of one, each
+    /// row's own sum still left to right from `.sum()`'s neutral `-0.0`.
+    /// The `sse`/`ape` folds then take the four predictions in row order,
+    /// so both statistics are bitwise the one-row-at-a-time loop's.
     fn window_residual_stats(&self) -> (f64, f64) {
+        let p = self.design.n_terms();
         let n = self.len as f64;
         let mut sse = 0.0;
         let mut ape = 0.0;
-        for (row, y) in self.window_iter() {
-            let pred: f64 = row.iter().zip(&self.coeffs).map(|(b, c)| b * c).sum();
+        let mut fold = |pred: f64, y: f64| {
             sse += (pred - y) * (pred - y);
             if y.abs() > 1e-9 {
                 ape += ((pred - y) / y).abs();
+            }
+        };
+        let end = self.head + self.len;
+        let cap = self.window_capacity;
+        let runs = [self.head..end.min(cap), 0..end.saturating_sub(cap)];
+        for run in runs {
+            let rows = &self.rows[run.start * p..run.end * p];
+            let ys = &self.ys[run];
+            let mut quads = rows.chunks_exact(4 * p);
+            let mut y4s = ys.chunks_exact(4);
+            for (quad, y4) in (&mut quads).zip(&mut y4s) {
+                let preds = dot4(quad, &self.coeffs);
+                for (&pred, &y) in preds.iter().zip(y4) {
+                    fold(pred, y);
+                }
+            }
+            for (row, &y) in quads.remainder().chunks_exact(p).zip(y4s.remainder()) {
+                fold(row.iter().zip(&self.coeffs).map(|(b, c)| b * c).sum(), y);
             }
         }
         ((sse / n).sqrt(), ape / n)
     }
 }
 
-/// Rank-1 up-date (`sign = +1`) or down-date (`sign = -1`) of the normal
-/// equations with one `(row, y)` pair. `gram` is the row-major `p×p` Gram
-/// matrix; only its lower triangle is touched: Gram row `i` gains
-/// `ai·row[..=i]`.
-fn rank1(gram: &mut [f64], xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64, sign: f64) {
+/// Dot products of four consecutive `coeffs.len()`-long rows with
+/// `coeffs`, as four interleaved chains. Each chain adds its row's terms
+/// left to right from `-0.0`, the neutral element `f64`'s `Sum` starts
+/// from, so each result is bitwise that row's `.sum()`.
+fn dot4(quad: &[f64], coeffs: &[f64]) -> [f64; 4] {
+    let p = coeffs.len();
+    let (r0, rest) = quad.split_at(p);
+    let (r1, rest) = rest.split_at(p);
+    let (r2, r3) = rest.split_at(p);
+    let mut s = [-0.0f64; 4];
+    for ((((&a, &b), &c), &d), &k) in r0.iter().zip(r1).zip(r2).zip(r3).zip(coeffs) {
+        s[0] += a * k;
+        s[1] += b * k;
+        s[2] += c * k;
+        s[3] += d * k;
+    }
+    s
+}
+
+/// Rank-1 up-date of the normal equations with one `(row, y)` pair.
+/// `gram` is the row-major `p×p` Gram matrix; only its lower triangle is
+/// touched: Gram row `i` gains `rowᵢ·row[..=i]`.
+///
+/// There is no skip for `rowᵢ = ±0`: the moments start at `+0.0`, and a
+/// round-to-nearest sum is `-0.0` only when both addends are, so they
+/// never hold `-0.0`, and adding the `±0` products of a finite row leaves
+/// every bit as the skip would.
+fn rank1(gram: &mut [f64], xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64) {
+    debug_assert_finite(row, y);
     let p = row.len();
     for (i, ((&ri, g), b)) in row.iter().zip(gram.chunks_exact_mut(p)).zip(xty).enumerate() {
-        let ai = sign * ri;
-        if ai == 0.0 {
-            continue;
-        }
-        *b += ai * y;
+        *b += ri * y;
         for (gij, &rj) in g[..=i].iter_mut().zip(&row[..=i]) {
-            *gij += ai * rj;
+            *gij += ri * rj;
         }
     }
-    *yty += sign * y * y;
+    *yty += y * y;
+}
+
+/// One window slide: the down-date of the evicted `(old, y_old)` and the
+/// up-date of the incoming `(new, y_new)`, fused into one pass over the
+/// lower triangle. Each element takes the down-date's addend and then the
+/// up-date's, exactly the additions (and rounding) of the two separate
+/// passes, so the result is bitwise theirs (see [`rank1`] on zero rows).
+fn slide(
+    gram: &mut [f64],
+    xty: &mut [f64],
+    yty: &mut f64,
+    old: &[f64],
+    y_old: f64,
+    new: &[f64],
+    y_new: f64,
+) {
+    debug_assert_finite(new, y_new);
+    let p = new.len();
+    let lanes = old.iter().zip(new).zip(gram.chunks_exact_mut(p)).zip(xty);
+    for (i, (((&oi, &ni), g), b)) in lanes.enumerate() {
+        let ao = -oi;
+        *b = (*b + ao * y_old) + ni * y_new;
+        for ((gij, &oj), &nj) in g[..=i].iter_mut().zip(&old[..=i]).zip(&new[..=i]) {
+            *gij = (*gij + ao * oj) + ni * nj;
+        }
+    }
+    *yty = (*yty + -y_old * y_old) + y_new * y_new;
+}
+
+/// Every row entering the normal equations must be finite: the kernels add
+/// `0·x` products without a zero skip, and `0·∞` is NaN.
+fn debug_assert_finite(row: &[f64], y: f64) {
+    debug_assert!(
+        y.is_finite() && row.iter().all(|v| v.is_finite()),
+        "non-finite observation pushed into the QRSM window"
+    );
 }
 
 #[cfg(test)]
@@ -650,6 +749,135 @@ mod tests {
             assert_eq!((got.head, got.len), (want.head, want.len), "seed {seed}: ring cursor");
         }
         assert!(fitted >= 200, "only {fitted} of 240 corpora were full rank");
+    }
+
+    /// The signed rank-1 update the window ran before the fused slide,
+    /// with its `ai == 0.0` row skip.
+    fn rank1_signed(
+        gram: &mut [f64],
+        xty: &mut [f64],
+        yty: &mut f64,
+        row: &[f64],
+        y: f64,
+        sign: f64,
+    ) {
+        let p = row.len();
+        for (i, ((&ri, g), b)) in row.iter().zip(gram.chunks_exact_mut(p)).zip(xty).enumerate() {
+            let ai = sign * ri;
+            if ai == 0.0 {
+                continue;
+            }
+            *b += ai * y;
+            for (gij, &rj) in g[..=i].iter_mut().zip(&row[..=i]) {
+                *gij += ai * rj;
+            }
+        }
+        *yty += sign * y * y;
+    }
+
+    impl QrsModel {
+        /// The window push as it ran before the fused slide: a down-date
+        /// call for the evicted row, then an up-date call for the new one
+        /// written into its slot. The oracle for the fused pass.
+        fn push_observation_two_pass(&mut self, x: &[f64], y: f64) {
+            let p = self.design.n_terms();
+            let slot = if self.len == self.window_capacity {
+                let h = self.head;
+                let Self { rows, ys, gram, xty, yty, .. } = self;
+                rank1_signed(gram.as_mut_slice(), xty, yty, &rows[h * p..(h + 1) * p], ys[h], -1.0);
+                self.head = (self.head + 1) % self.window_capacity;
+                self.downdates += 1;
+                h
+            } else {
+                let s = (self.head + self.len) % self.window_capacity;
+                self.len += 1;
+                s
+            };
+            let Self { design, rows, ys, gram, xty, yty, .. } = self;
+            let row = &mut rows[slot * p..(slot + 1) * p];
+            design.expand_into(x, row);
+            ys[slot] = y;
+            rank1_signed(gram.as_mut_slice(), xty, yty, row, y, 1.0);
+            if self.downdates >= REBUILD_DOWNDATES {
+                let Self { rows, ys, gram, xty, yty, head, len, window_capacity, .. } = self;
+                gram.as_mut_slice().fill(0.0);
+                xty.fill(0.0);
+                *yty = 0.0;
+                for k in 0..*len {
+                    let i = (*head + k) % *window_capacity;
+                    let row = &rows[i * p..(i + 1) * p];
+                    rank1_signed(gram.as_mut_slice(), xty, yty, row, ys[i], 1.0);
+                }
+                self.downdates = 0;
+            }
+        }
+
+        /// The residual pass as it ran before rows were interleaved: one
+        /// dot product per row in window order.
+        fn window_residual_stats_one_row(&self) -> (f64, f64) {
+            let n = self.len as f64;
+            let mut sse = 0.0;
+            let mut ape = 0.0;
+            for (row, y) in self.window_iter() {
+                let pred: f64 = row.iter().zip(&self.coeffs).map(|(b, c)| b * c).sum();
+                sse += (pred - y) * (pred - y);
+                if y.abs() > 1e-9 {
+                    ape += ((pred - y) / y).abs();
+                }
+            }
+            ((sse / n).sqrt(), ape / n)
+        }
+    }
+
+    #[test]
+    fn fused_slide_matches_two_pass_oracle() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..6u64 {
+            let (xs, ys) = zero_laced_corpus(seed, 120);
+            let Ok(base) = QrsModel::fit(&xs, &ys, Method::Ols) else { continue };
+            // A 29-row window wraps constantly and crosses the drift
+            // rebuild after REBUILD_DOWNDATES evictions.
+            let mut fused = base.with_window_capacity(29).with_refit_every(0);
+            let mut oracle = fused.clone();
+            let (more_xs, more_ys) = zero_laced_corpus(seed + 1_000, REBUILD_DOWNDATES + 64);
+            for (k, (x, &y)) in more_xs.iter().zip(&more_ys).enumerate() {
+                fused.push_observation(x, y);
+                oracle.push_observation_two_pass(x, y);
+                assert_eq!(fused.downdates, oracle.downdates, "seed {seed} push {k}");
+                if k % 97 == 0 || k + 70 > REBUILD_DOWNDATES {
+                    let at = format!("seed {seed} push {k}");
+                    let (g, want_g) = (fused.gram.as_slice(), oracle.gram.as_slice());
+                    assert_eq!(bits(g), bits(want_g), "{at}: XᵀX");
+                    assert_eq!(bits(&fused.xty), bits(&oracle.xty), "{at}: Xᵀy");
+                    assert_eq!(fused.yty.to_bits(), oracle.yty.to_bits(), "{at}: Σy²");
+                }
+            }
+            assert_eq!(bits(&fused.rows), bits(&oracle.rows), "seed {seed}: ring rows");
+            assert_eq!(bits(&fused.ys), bits(&oracle.ys), "seed {seed}: ring responses");
+            let cursor = |m: &QrsModel| (m.head, m.len);
+            assert_eq!(cursor(&fused), cursor(&oracle), "seed {seed}: ring cursor");
+        }
+    }
+
+    #[test]
+    fn interleaved_residual_pass_matches_one_row_oracle() {
+        // Windows of every length mod 4, wrapped at every offset, so both
+        // runs of the ring end in every remainder.
+        for seed in 0..40u64 {
+            let n = 40 + (seed as usize * 7) % 60;
+            let (xs, ys) = zero_laced_corpus(seed, n);
+            let Ok(base) = QrsModel::fit(&xs, &ys, Method::Ols) else { continue };
+            let mut m = base.with_window_capacity(29 + seed as usize % 8).with_refit_every(1);
+            let (more_xs, more_ys) = zero_laced_corpus(seed + 500, 45);
+            for (x, &y) in more_xs.iter().zip(&more_ys) {
+                m.observe(x, y);
+                let (rmse, mape) = m.window_residual_stats();
+                let (want_rmse, want_mape) = m.window_residual_stats_one_row();
+                let at = format!("seed {seed} head {}", m.head);
+                assert_eq!(rmse.to_bits(), want_rmse.to_bits(), "{at}: rmse");
+                assert_eq!(mape.to_bits(), want_mape.to_bits(), "{at}: mape");
+            }
+        }
     }
 
     #[test]

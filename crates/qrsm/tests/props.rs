@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use cloudburst_qrsm::decomp::{Cholesky, Qr};
+use cloudburst_qrsm::model::REBUILD_DOWNDATES;
 use cloudburst_qrsm::{design::QuadraticDesign, fit, ClassedModel, Matrix, Method, QrsModel};
 
 /// A random well-conditioned tall matrix: diagonal dominance via identity
@@ -207,5 +208,108 @@ proptest! {
         let err_pooled = (pooled.predict(&probe) - 10.0).abs();
         prop_assert!(err_classed <= err_pooled + 1e-9);
         prop_assert!(err_classed < 1e-6, "noise-free per-class fit is exact");
+    }
+}
+
+/// The signed rank-1 update the sliding window applied before its slide
+/// was fused: Gram row `i` gains `(sign·rowᵢ)·row[..=i]`, rows whose
+/// scaled entry is zero skipped.
+fn rank1_signed(gram: &mut [f64], xty: &mut [f64], yty: &mut f64, row: &[f64], y: f64, sign: f64) {
+    let p = row.len();
+    for i in 0..p {
+        let ai = sign * row[i];
+        if ai == 0.0 {
+            continue;
+        }
+        xty[i] += ai * y;
+        for j in 0..=i {
+            gram[i * p + j] += ai * row[j];
+        }
+    }
+    *yty += sign * y * y;
+}
+
+/// A feature drawn from a palette of exact zeros, negative zeros,
+/// negatives and arbitrary values.
+fn palette_feature(code: u8, v: f64) -> f64 {
+    match code {
+        0 => 0.0,
+        1 => -0.0,
+        2 => -v,
+        _ => v,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every window push, fused slide included, leaves `(XᵀX, Xᵀy, Σy²)`
+    /// bitwise equal to a replica that down-dates the evicted row and then
+    /// up-dates the new one with two separate signed rank-1 calls, and
+    /// rebuilds from its ring every `REBUILD_DOWNDATES` evictions. Rows
+    /// carry exact zeros, `-0.0` and negatives; half the cases run past a
+    /// rebuild boundary.
+    #[test]
+    fn fused_slide_matches_two_rank1_calls(
+        arity in 1usize..7,
+        slack in 1usize..20,
+        codes in prop::collection::vec(0u8..6, 64),
+        values in prop::collection::vec(0.0f64..8.0, 64),
+        extra in 0usize..200,
+        cross_rebuild in any::<bool>(),
+    ) {
+        let design = QuadraticDesign::new(arity);
+        let p = design.n_terms();
+        let window = p + slack;
+        let x_at = |k: usize| -> Vec<f64> {
+            (0..arity)
+                .map(|f| {
+                    let s = (k * 7 + f * 13) % 64;
+                    palette_feature(codes[s], values[(s + k) % 64] + (k % 5) as f64)
+                })
+                .collect()
+        };
+        let y_at = |k: usize| ((k * 31) % 17) as f64 - 6.0 + values[k % 64];
+        let n0 = window + 5;
+        let xs: Vec<Vec<f64>> = (0..n0).map(x_at).collect();
+        let ys: Vec<f64> = (0..n0).map(y_at).collect();
+        // Ridge keeps the training solve well posed on zero-heavy rows.
+        let mut m = QrsModel::fit(&xs, &ys, Method::Ridge(1e-3))
+            .unwrap()
+            .with_window_capacity(window)
+            .with_refit_every(0);
+        let (g0, b0, s0) = m.normal_equations();
+        let (mut gram, mut xty, mut yty) = (g0.as_slice().to_vec(), b0.to_vec(), s0);
+        let mut ring: std::collections::VecDeque<(Vec<f64>, f64)> =
+            (n0 - window..n0).map(|k| (design.expand(&xs[k]), ys[k])).collect();
+        let mut downdates = 0;
+        let pushes = extra + if cross_rebuild { REBUILD_DOWNDATES } else { 0 };
+        for k in n0..n0 + pushes {
+            let (x, y) = (x_at(k), y_at(k));
+            m.observe_queued(&x, y);
+            if ring.len() == window {
+                let (old, y_old) = ring.pop_front().unwrap();
+                rank1_signed(&mut gram, &mut xty, &mut yty, &old, y_old, -1.0);
+                downdates += 1;
+            }
+            let row = design.expand(&x);
+            rank1_signed(&mut gram, &mut xty, &mut yty, &row, y, 1.0);
+            ring.push_back((row, y));
+            if downdates >= REBUILD_DOWNDATES {
+                gram.fill(0.0);
+                xty.fill(0.0);
+                yty = 0.0;
+                for (row, y) in &ring {
+                    rank1_signed(&mut gram, &mut xty, &mut yty, row, *y, 1.0);
+                }
+                downdates = 0;
+            }
+            let (g, b, s) = m.normal_equations();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(g.as_slice()), bits(&gram), "XᵀX after push {}", k);
+            prop_assert_eq!(bits(b), bits(&xty), "Xᵀy after push {}", k);
+            prop_assert_eq!(s.to_bits(), yty.to_bits(), "Σy² after push {}", k);
+        }
+        prop_assert_eq!(m.window_len(), ring.len());
     }
 }

@@ -100,12 +100,27 @@ impl LoadModelBuf {
     }
 }
 
+/// One job of a [`BatchSchedule`]: its placement and its QRSM estimate.
+#[derive(Clone, Debug)]
+pub struct ScheduledJob {
+    /// The job (possibly a chunk). Its id is provisional; the engine
+    /// re-indexes on enqueue.
+    pub job: Job,
+    /// Where the scheduler placed it.
+    pub placement: Placement,
+    /// [`EstimateProvider::exec_secs`] of `job` in standard-machine
+    /// seconds, computed once by the scheduler. The planner, the SIBS
+    /// bounds and the engine's admission all read this value instead of
+    /// predicting the job again.
+    pub est_secs: f64,
+}
+
 /// The outcome of scheduling one batch.
 #[derive(Clone, Debug)]
 pub struct BatchSchedule {
     /// Jobs (possibly expanded by chunking) in queue order, with their
-    /// placements. Ids are provisional; the engine re-indexes on enqueue.
-    pub jobs: Vec<(Job, Placement)>,
+    /// placements and estimates.
+    pub jobs: Vec<ScheduledJob>,
     /// Size-interval bounds, when the scheduler uses SIBS upload queues.
     pub sibs: Option<SibsBounds>,
 }
@@ -113,7 +128,7 @@ pub struct BatchSchedule {
 impl BatchSchedule {
     /// Number of jobs bursted to the EC.
     pub fn n_bursted(&self) -> usize {
-        self.jobs.iter().filter(|(_, p)| *p == Placement::External).count()
+        self.jobs.iter().filter(|s| s.placement == Placement::External).count()
     }
 }
 
@@ -143,6 +158,10 @@ pub trait BurstScheduler {
 /// Wraps a [`LoadModel`] and *commits* each placement as it is decided, so
 /// job `i+1`'s estimates see job `i`'s load — the recursive structure of
 /// Algorithms 1 and 2.
+///
+/// Every read takes the job's standard-machine execution estimate
+/// (`est_secs`, [`EstimateProvider::exec_secs`]) from the caller, so a job
+/// is predicted once however many times it is planned.
 ///
 /// The planned per-machine free-times live in two [`FreeTimeIndex`]
 /// tournament trees, so the earliest-free read behind `ft_ic`/`ft_ec` is
@@ -194,17 +213,17 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// `ft^ic(i, S)`: estimated completion instant if `job` were scheduled
-    /// in the IC right now.
-    pub fn ft_ic(&self, job: &Job) -> SimTime {
-        self.ic_finish(self.est.exec_secs_ic(job))
+    /// `ft^ic(i, S)`: estimated completion instant if a job estimated at
+    /// `est_secs` were scheduled in the IC right now.
+    pub fn ft_ic(&self, est_secs: f64) -> SimTime {
+        self.ic_finish(est_secs / self.est.ic_speed)
     }
 
     /// `ft^ec(i, S)`: estimated completion instant if `job` were bursted
     /// right now — upload-queue wait, upload, EC queue wait, remote
     /// execution, result download.
-    pub fn ft_ec(&self, job: &Job) -> SimTime {
-        self.ec_finish(self.round_trip_parts(job))
+    pub fn ft_ec(&self, job: &Job, est_secs: f64) -> SimTime {
+        self.ec_finish(self.round_trip_parts(job, est_secs))
     }
 
     /// IC completion of `exec` seconds started on the earliest-free
@@ -221,8 +240,8 @@ impl<'a> Planner<'a> {
 
     /// The EC round-trip *duration* components for a burst starting now,
     /// `(upload_wait, upload, exec, download)` — inputs to Eq. 2.
-    pub fn round_trip_parts(&self, job: &Job) -> (f64, f64, f64, f64) {
-        self.est.round_trip_parts(self.now, job, self.upload_backlog_secs)
+    pub fn round_trip_parts(&self, job: &Job, est_secs: f64) -> (f64, f64, f64, f64) {
+        self.est.round_trip_parts(self.now, job, est_secs, self.upload_backlog_secs)
     }
 
     /// Eq. 1: the slack anchor — max estimated completion of all work ahead
@@ -234,18 +253,18 @@ impl<'a> Planner<'a> {
     /// Commits `job` to the given placement, updating the planned load and
     /// the estimated-completion pool. Returns the job's estimated
     /// completion instant. The target pool must have at least one machine.
-    pub fn commit(&mut self, job: &Job, placement: Placement) -> SimTime {
+    pub fn commit(&mut self, job: &Job, est_secs: f64, placement: Placement) -> SimTime {
         let ft = match placement {
             Placement::Internal => {
                 debug_assert!(!self.ic_free.is_empty(), "IC has machines");
-                let exec = self.est.exec_secs_ic(job);
+                let exec = est_secs / self.est.ic_speed;
                 let ft = self.ic_finish(exec);
                 self.ic_free.fcfs_commit(exec);
                 ft
             }
             Placement::External => {
                 debug_assert!(!self.ec_free.is_empty(), "EC has machines");
-                let parts = self.round_trip_parts(job);
+                let parts = self.round_trip_parts(job, est_secs);
                 let ft = self.ec_finish(parts);
                 let (wait, up, exec, _down) = parts;
                 self.upload_backlog_secs += up;
@@ -281,8 +300,8 @@ mod tests {
         let mut buf = LoadModelBuf::idle(SimTime::ZERO, 2, 1);
         buf.ic_free_secs = vec![100.0, 10.0];
         let planner = Planner::new(&buf.as_model(), &est);
-        let ft = planner.ft_ic(&jobs[0]);
         let exec = est.exec_secs(&jobs[0]);
+        let ft = planner.ft_ic(exec);
         assert!((ft.as_secs_f64() - (10.0 + exec)).abs() < 1e-6);
     }
 
@@ -291,8 +310,8 @@ mod tests {
         let (est, jobs) = provider_and_jobs(&[50, 50]);
         let buf = LoadModelBuf::idle(SimTime::ZERO, 1, 1);
         let mut planner = Planner::new(&buf.as_model(), &est);
-        let ft1 = planner.commit(&jobs[0], Placement::Internal);
-        let ft2 = planner.ft_ic(&jobs[1]);
+        let ft1 = planner.commit(&jobs[0], est.exec_secs(&jobs[0]), Placement::Internal);
+        let ft2 = planner.ft_ic(est.exec_secs(&jobs[1]));
         assert!(ft2 > ft1, "second job queues behind the first");
     }
 
@@ -301,9 +320,10 @@ mod tests {
         let (est, jobs) = provider_and_jobs(&[100]);
         let buf = LoadModelBuf::idle(SimTime::ZERO, 1, 1);
         let planner = Planner::new(&buf.as_model(), &est);
-        let (wait, up, exec, down) = planner.round_trip_parts(&jobs[0]);
+        let est_secs = est.exec_secs(&jobs[0]);
+        let (wait, up, exec, down) = planner.round_trip_parts(&jobs[0], est_secs);
         assert_eq!(wait, 0.0);
-        let ft = planner.ft_ec(&jobs[0]);
+        let ft = planner.ft_ec(&jobs[0], est_secs);
         assert!((ft.as_secs_f64() - (up + exec + down)).abs() < 1e-6);
     }
 
@@ -313,12 +333,13 @@ mod tests {
         let buf = LoadModelBuf::idle(SimTime::ZERO, 1, 2);
         let mut planner = Planner::new(&buf.as_model(), &est);
         assert_eq!(planner.upload_backlog_secs(), 0.0);
-        planner.commit(&jobs[0], Placement::External);
+        planner.commit(&jobs[0], est.exec_secs(&jobs[0]), Placement::External);
         assert!(planner.upload_backlog_secs() > 0.0);
         // Second burst sees the first upload ahead of it.
-        let ft2 = planner.ft_ec(&jobs[1]);
+        let est_1 = est.exec_secs(&jobs[1]);
+        let ft2 = planner.ft_ec(&jobs[1], est_1);
         let mut fresh = Planner::new(&buf.as_model(), &est);
-        let ft2_fresh = fresh.ft_ec(&jobs[1]);
+        let ft2_fresh = fresh.ft_ec(&jobs[1], est_1);
         assert!(ft2 > ft2_fresh);
         let _ = &mut fresh;
     }
@@ -331,7 +352,7 @@ mod tests {
         buf.outstanding_est_completions = vec![SimTime::from_secs(500)];
         let mut planner = Planner::new(&buf.as_model(), &est);
         assert_eq!(planner.slack(), Some(SimTime::from_secs(500)));
-        let ft = planner.commit(&jobs[0], Placement::Internal);
+        let ft = planner.commit(&jobs[0], est.exec_secs(&jobs[0]), Placement::Internal);
         assert_eq!(planner.slack(), Some(ft.max(SimTime::from_secs(500))));
         let _ = jobs;
     }
@@ -385,8 +406,12 @@ mod tests {
         }
 
         fn ft_ec(&self, job: &Job) -> SimTime {
-            let (wait, up, exec, down) =
-                self.est.round_trip_parts(self.now, job, self.upload_backlog_secs);
+            let (wait, up, exec, down) = self.est.round_trip_parts(
+                self.now,
+                job,
+                self.est.exec_secs(job),
+                self.upload_backlog_secs,
+            );
             let arrive_ec = wait + up;
             let ec_free = self.ec_free.iter().copied().fold(f64::INFINITY, f64::min);
             let start_ec = arrive_ec.max(ec_free);
@@ -409,8 +434,12 @@ mod tests {
                 }
                 Placement::External => {
                     let ft = self.ft_ec(job);
-                    let (wait, up, exec, _down) =
-                        self.est.round_trip_parts(self.now, job, self.upload_backlog_secs);
+                    let (wait, up, exec, _down) = self.est.round_trip_parts(
+                        self.now,
+                        job,
+                        self.est.exec_secs(job),
+                        self.upload_backlog_secs,
+                    );
                     let arrive_ec = wait + up;
                     self.upload_backlog_secs += up;
                     let (idx, _) = self
@@ -478,10 +507,11 @@ mod tests {
             let mut slow = LinearPlanner::new(&load, &est);
             for (step, &(external, j)) in ops.iter().enumerate() {
                 let job = &jobs[j];
-                prop_assert_eq!(fast.ft_ic(job), slow.ft_ic(job), "ft_ic at step {}", step);
-                prop_assert_eq!(fast.ft_ec(job), slow.ft_ec(job), "ft_ec at step {}", step);
+                let e = est.exec_secs(job);
+                prop_assert_eq!(fast.ft_ic(e), slow.ft_ic(job), "ft_ic at step {}", step);
+                prop_assert_eq!(fast.ft_ec(job, e), slow.ft_ec(job), "ft_ec at step {}", step);
                 let placement = if external { Placement::External } else { Placement::Internal };
-                prop_assert_eq!(fast.commit(job, placement), slow.commit(job, placement));
+                prop_assert_eq!(fast.commit(job, e, placement), slow.commit(job, placement));
                 prop_assert_eq!(bits(fast.ic_free.values()), bits(&slow.ic_free), "IC at {}", step);
                 prop_assert_eq!(bits(fast.ec_free.values()), bits(&slow.ec_free), "EC at {}", step);
                 prop_assert_eq!(fast.upload_backlog_secs.to_bits(), slow.upload_backlog_secs.to_bits());
@@ -500,7 +530,8 @@ mod tests {
         let slow = LinearPlanner::new(&buf.as_model(), &est);
         assert_eq!(fast.ic_free.min_value(), f64::INFINITY);
         assert_eq!(fast.ec_free.min_value(), f64::INFINITY);
-        assert_eq!(fast.ft_ic(&jobs[0]), slow.ft_ic(&jobs[0]));
-        assert_eq!(fast.ft_ec(&jobs[0]), slow.ft_ec(&jobs[0]));
+        let e = est.exec_secs(&jobs[0]);
+        assert_eq!(fast.ft_ic(e), slow.ft_ic(&jobs[0]));
+        assert_eq!(fast.ft_ec(&jobs[0], e), slow.ft_ec(&jobs[0]));
     }
 }

@@ -181,17 +181,19 @@ impl EstimateProvider {
         self.down.predict_transfer_secs(t, bytes, threads, self.kappa)
     }
 
-    /// The full estimated EC round trip for a job if its upload started at
-    /// `t` with `upload_backlog_secs` of queued work ahead of it:
-    /// `(upload_wait, upload, exec, download)` seconds.
+    /// The full estimated EC round trip for a job estimated at `est_secs`
+    /// standard-machine seconds ([`EstimateProvider::exec_secs`]) if its
+    /// upload started at `t` with `upload_backlog_secs` of queued work
+    /// ahead of it: `(upload_wait, upload, exec, download)` seconds.
     pub fn round_trip_parts(
         &self,
         t: SimTime,
         job: &Job,
+        est_secs: f64,
         upload_backlog_secs: f64,
     ) -> (f64, f64, f64, f64) {
         let up = self.upload_secs(t, job.input_bytes());
-        let exec = self.exec_secs_ec(job);
+        let exec = est_secs / self.ec_speed;
         // Download is predicted at the time it will plausibly start.
         let dl_at = t + cloudburst_sim::SimDuration::from_secs_f64(upload_backlog_secs + up + exec);
         let down = self.download_secs(dl_at, self.output_bytes(job));
@@ -283,7 +285,8 @@ mod tests {
     fn round_trip_parts_compose() {
         let p = provider();
         let j = job(50);
-        let (wait, up, exec, down) = p.round_trip_parts(SimTime::ZERO, &j, 120.0);
+        let (wait, up, exec, down) = p.round_trip_parts(SimTime::ZERO, &j, p.exec_secs(&j), 120.0);
+        assert_eq!(exec.to_bits(), p.exec_secs_ec(&j).to_bits());
         assert_eq!(wait, 120.0);
         assert!(up > 0.0 && exec > 0.0 && down > 0.0);
         // Download of half the bytes at equal rates is about half the upload.

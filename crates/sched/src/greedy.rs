@@ -8,7 +8,7 @@
 
 use cloudburst_workload::Job;
 
-use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, Planner};
+use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, Planner, ScheduledJob};
 use crate::estimates::EstimateProvider;
 
 /// Algorithm 1: job-level earliest-finish-time placement.
@@ -36,12 +36,13 @@ impl BurstScheduler for GreedyScheduler {
         let mut planner = Planner::new(load, est);
         let mut jobs = Vec::with_capacity(batch.len());
         for job in batch {
-            let t_ic = planner.ft_ic(&job);
-            let t_ec = planner.ft_ec(&job);
+            let est_secs = est.exec_secs(&job);
+            let t_ic = planner.ft_ic(est_secs);
+            let t_ec = planner.ft_ec(&job, est_secs);
             // Line 4: t_ic ≤ t_ec → IC, else EC.
             let placement = if t_ic <= t_ec { Placement::Internal } else { Placement::External };
-            planner.commit(&job, placement);
-            jobs.push((job, placement));
+            planner.commit(&job, est_secs, placement);
+            jobs.push(ScheduledJob { job, placement, est_secs });
         }
         BatchSchedule { jobs, sibs: None }
     }
@@ -88,7 +89,7 @@ mod tests {
         let mut buf = LoadModelBuf::idle(SimTime::ZERO, 2, 1);
         buf.ic_free_secs = vec![1_500.0, 1_500.0];
         let s = GreedyScheduler::new().schedule_batch(batch, &buf.as_model(), &est);
-        let placements: Vec<_> = s.jobs.iter().map(|(_, p)| *p).collect();
+        let placements: Vec<_> = s.jobs.iter().map(|s| s.placement).collect();
         let n_ec = s.n_bursted();
         assert!(n_ec > 0, "some jobs should burst: {placements:?}");
         assert!(n_ec < 10, "not all jobs should burst: {placements:?}");
@@ -101,7 +102,7 @@ mod tests {
         let ids: Vec<_> = batch.iter().map(|j| j.id).collect();
         let buf = LoadModelBuf::idle(SimTime::ZERO, 2, 1);
         let s = GreedyScheduler::new().schedule_batch(batch, &buf.as_model(), &est);
-        let out_ids: Vec<_> = s.jobs.iter().map(|(j, _)| j.id).collect();
+        let out_ids: Vec<_> = s.jobs.iter().map(|s| s.job.id).collect();
         assert_eq!(ids, out_ids);
     }
 

@@ -3,7 +3,7 @@
 
 use cloudburst_workload::Job;
 
-use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement};
+use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, ScheduledJob};
 use crate::estimates::EstimateProvider;
 
 /// Baseline scheduler: every job runs in the internal cloud.
@@ -26,12 +26,19 @@ impl BurstScheduler for IcOnlyScheduler {
         &mut self,
         batch: Vec<Job>,
         _load: &LoadModel<'_>,
-        _est: &EstimateProvider,
+        est: &EstimateProvider,
     ) -> BatchSchedule {
-        BatchSchedule {
-            jobs: batch.into_iter().map(|j| (j, Placement::Internal)).collect(),
-            sibs: None,
-        }
+        // No decision reads the estimate here, but admission records it:
+        // one prediction per job.
+        let jobs = batch
+            .into_iter()
+            .map(|job| ScheduledJob {
+                est_secs: est.exec_secs(&job),
+                job,
+                placement: Placement::Internal,
+            })
+            .collect();
+        BatchSchedule { jobs, sibs: None }
     }
 }
 

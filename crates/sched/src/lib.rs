@@ -39,7 +39,7 @@ pub mod order_preserving;
 pub mod resched;
 pub mod sibs;
 
-pub use api::{BatchSchedule, BurstScheduler, LoadModel, LoadModelBuf, Placement};
+pub use api::{BatchSchedule, BurstScheduler, LoadModel, LoadModelBuf, Placement, ScheduledJob};
 pub use drain::{fluid_fill_level, FluidScratch, DRAIN_WINDOW};
 pub use freetime::{FreeTimeIndex, OutstandingSet};
 pub use resched::eq1_slack;

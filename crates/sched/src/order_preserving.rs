@@ -17,7 +17,7 @@ use cloudburst_workload::Job;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, Planner};
+use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, Planner, ScheduledJob};
 use crate::estimates::EstimateProvider;
 
 /// Algorithm 2: chunk for variance, then burst within slack.
@@ -85,10 +85,11 @@ impl BurstScheduler for OrderPreservingScheduler {
         let mut planner = Planner::new(load, est);
         let mut jobs = Vec::with_capacity(expanded.len());
         for job in expanded {
+            let est_secs = est.exec_secs(&job);
             // Line 11–12: burst iff t_ec ≤ slack(J, i) (with margin τ).
             let placement = match planner.slack() {
                 Some(slack) => {
-                    let t_ec = planner.ft_ec(&job);
+                    let t_ec = planner.ft_ec(&job, est_secs);
                     let deadline =
                         slack - cloudburst_sim::SimDuration::from_secs_f64(self.tau_secs);
                     if t_ec <= deadline {
@@ -100,8 +101,8 @@ impl BurstScheduler for OrderPreservingScheduler {
                 // Head of an empty system: no cushion, run locally.
                 None => Placement::Internal,
             };
-            planner.commit(&job, placement);
-            jobs.push((job, placement));
+            planner.commit(&job, est_secs, placement);
+            jobs.push(ScheduledJob { job, placement, est_secs });
         }
         BatchSchedule { jobs, sibs: None }
     }
@@ -155,13 +156,14 @@ mod tests {
 
         // Replay with an identical planner.
         let mut planner = Planner::new(&buf.as_model(), &est);
-        for (job, placement) in &s.jobs {
-            if *placement == Placement::External {
+        for s in &s.jobs {
+            let e = est.exec_secs(&s.job);
+            if s.placement == Placement::External {
                 let slack = planner.slack().expect("bursted job must have predecessors");
-                let t_ec = planner.ft_ec(job);
+                let t_ec = planner.ft_ec(&s.job, e);
                 assert!(t_ec <= slack, "Eq. 2 violated: t_ec={t_ec:?} slack={slack:?}");
             }
-            planner.commit(job, *placement);
+            planner.commit(&s.job, e, s.placement);
         }
     }
 
@@ -174,7 +176,7 @@ mod tests {
         let buf = LoadModelBuf::idle(SimTime::ZERO, 8, 2);
         let s = op().schedule_batch(batch, &buf.as_model(), &est);
         assert!(s.jobs.len() > 4, "the 290 MB job should be chunked");
-        let n_chunks = s.jobs.iter().filter(|(j, _)| j.is_chunk()).count();
+        let n_chunks = s.jobs.iter().filter(|s| s.job.is_chunk()).count();
         assert_eq!(n_chunks, 4, "ceil(290/80) = 4 chunks");
     }
 

@@ -66,14 +66,14 @@ impl BurstScheduler for SibsScheduler {
         let candidates: Vec<SibsCandidate> = schedule
             .jobs
             .iter()
-            .map(|(job, _)| {
-                let (_wait, up, exec, down) = planner.round_trip_parts(job);
+            .map(|s| {
+                let (_wait, up, exec, down) = planner.round_trip_parts(&s.job, s.est_secs);
                 SibsCandidate {
-                    size: job.input_bytes(),
+                    size: s.job.input_bytes(),
                     t_up: up,
                     e_ec: exec,
                     t_down: down,
-                    e_ic: est.exec_secs_ic(job),
+                    e_ic: s.est_secs / est.ic_speed,
                 }
             })
             .collect();
@@ -111,8 +111,8 @@ mod tests {
         let mut op = crate::order_preserving::OrderPreservingScheduler::default_with_seed(3);
         let a = sibs.schedule_batch(batch.clone(), &load.as_model(), &est);
         let b = op.schedule_batch(batch, &load.as_model(), &est);
-        let pa: Vec<Placement> = a.jobs.iter().map(|(_, p)| *p).collect();
-        let pb: Vec<Placement> = b.jobs.iter().map(|(_, p)| *p).collect();
+        let pa: Vec<Placement> = a.jobs.iter().map(|s| s.placement).collect();
+        let pb: Vec<Placement> = b.jobs.iter().map(|s| s.placement).collect();
         assert_eq!(pa, pb, "SIBS must not change placements, only routing");
     }
 
@@ -129,7 +129,7 @@ mod tests {
         let n_small = s
             .jobs
             .iter()
-            .filter(|(j, _)| bounds.classify(j.input_bytes()) == SizeClass::Small)
+            .filter(|s| bounds.classify(s.job.input_bytes()) == SizeClass::Small)
             .count();
         assert!(n_small > 0);
     }

@@ -71,11 +71,16 @@ proptest! {
         ];
         for s in &mut scheds {
             let out = s.schedule_batch(batch.clone(), &load.as_model(), &est);
-            let got: u64 = out.jobs.iter().map(|(j, _)| j.input_bytes()).sum();
+            let got: u64 = out.jobs.iter().map(|s| s.job.input_bytes()).sum();
             prop_assert_eq!(got, total, "{} lost bytes", s.name());
+            // Each job carries exactly the estimate the QRSM gives it.
+            for sj in &out.jobs {
+                let want = est.exec_secs(&sj.job).to_bits();
+                prop_assert_eq!(sj.est_secs.to_bits(), want, "{}", s.name());
+            }
             // Original (unchunked) jobs appear in input order.
             let originals: Vec<_> =
-                out.jobs.iter().filter(|(j, _)| !j.is_chunk()).map(|(j, _)| j.id).collect();
+                out.jobs.iter().filter(|s| !s.job.is_chunk()).map(|s| s.job.id).collect();
             let expected: Vec<_> = in_ids
                 .iter()
                 .copied()
@@ -96,14 +101,15 @@ proptest! {
         // Replay the planner; at each step the chosen side's finish time
         // must be ≤ the other side's.
         let mut planner = Planner::new(&load.as_model(), &est);
-        for (job, placement) in &out.jobs {
-            let t_ic = planner.ft_ic(job);
-            let t_ec = planner.ft_ec(job);
-            match placement {
+        for s in &out.jobs {
+            let e = est.exec_secs(&s.job);
+            let t_ic = planner.ft_ic(e);
+            let t_ec = planner.ft_ec(&s.job, e);
+            match s.placement {
                 Placement::Internal => prop_assert!(t_ic <= t_ec),
                 Placement::External => prop_assert!(t_ec < t_ic),
             }
-            planner.commit(job, *placement);
+            planner.commit(&s.job, e, s.placement);
         }
     }
 
@@ -117,12 +123,13 @@ proptest! {
         let out = OrderPreservingScheduler::default_with_seed(2)
             .schedule_batch(batch, &load.as_model(), &est);
         let mut planner = Planner::new(&load.as_model(), &est);
-        for (job, placement) in &out.jobs {
-            if *placement == Placement::External {
+        for s in &out.jobs {
+            let e = est.exec_secs(&s.job);
+            if s.placement == Placement::External {
                 let slack = planner.slack().expect("burst requires predecessors");
-                prop_assert!(planner.ft_ec(job) <= slack, "Eq. 2 violated");
+                prop_assert!(planner.ft_ec(&s.job, e) <= slack, "Eq. 2 violated");
             }
-            planner.commit(job, *placement);
+            planner.commit(&s.job, e, s.placement);
         }
     }
 
@@ -197,8 +204,8 @@ proptest! {
         let a = SibsScheduler::default_with_seed(3).schedule_batch(batch.clone(), &load.as_model(), &est);
         let b = OrderPreservingScheduler::default_with_seed(3)
             .schedule_batch(batch, &load.as_model(), &est);
-        let pa: Vec<Placement> = a.jobs.iter().map(|(_, p)| *p).collect();
-        let pb: Vec<Placement> = b.jobs.iter().map(|(_, p)| *p).collect();
+        let pa: Vec<Placement> = a.jobs.iter().map(|s| s.placement).collect();
+        let pb: Vec<Placement> = b.jobs.iter().map(|s| s.placement).collect();
         prop_assert_eq!(pa, pb);
         if let Some(bounds) = a.sibs {
             prop_assert!(bounds.s_bound <= bounds.m_bound);

@@ -3,11 +3,10 @@
 //! A [`ShardPool`] runs *pure, per-item* work on worker threads and writes
 //! each result into its input-indexed slot, so the composed output is a
 //! pure function of the input — byte-identical for any worker count,
-//! including the inline `workers == 1` path. It is the epoch-barrier
-//! building block of the sharded engine: between two barriers the engine
-//! fans independent per-job computations (admission estimate precompute,
-//! report sections) out over shards, then merges them back in id order
-//! before the next sequential decision step.
+//! including the inline `workers == 1` path. Inside a run the engine joins
+//! its report's two independent sections through it; across runs,
+//! replications and `repro` map their inputs through it and merge the
+//! results back in input order.
 //!
 //! Safety/discipline notes, in the house style:
 //!

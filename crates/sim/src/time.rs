@@ -131,10 +131,29 @@ impl SimDuration {
 }
 
 fn secs_to_micros(s: f64) -> u64 {
-    if !s.is_finite() {
-        return if s > 0.0 { u64::MAX } else { 0 };
+    round_micros(s * MICROS_PER_SEC as f64)
+}
+
+/// `2⁵²`: below it every `f64` has a fraction bit of `1/2` or finer, and
+/// `raw − ⌊raw⌋` is exact.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// Rounds raw microseconds half away from zero, saturating into `u64`
+/// (negative, NaN and `-∞` give 0, `+∞` and overflow give `u64::MAX`).
+///
+/// On the x86-64 baseline `f64::round` is a software routine call, so the
+/// common case, `0 < raw < 2⁵²`, truncates and adds one when the exact
+/// fraction is at least one half: bitwise the rounded value. Everything
+/// else takes the `f64::round` path.
+fn round_micros(raw: f64) -> u64 {
+    if raw > 0.0 && raw < TWO_POW_52 {
+        let i = raw as u64;
+        return i + ((raw - i as f64) >= 0.5) as u64;
     }
-    let us = (s * MICROS_PER_SEC as f64).round();
+    if !raw.is_finite() {
+        return if raw > 0.0 { u64::MAX } else { 0 };
+    }
+    let us = raw.round();
     if us <= 0.0 {
         0
     } else if us >= u64::MAX as f64 {
@@ -275,6 +294,99 @@ mod tests {
         // both round to distinct microseconds
         assert!(a < b);
         assert_eq!(SimTime::from_secs_f64(1.0000000001), SimTime::from_secs(1));
+    }
+
+    /// The conversion as it was before the truncating fast path: checks on
+    /// the seconds, then `f64::round` on the scaled value.
+    fn secs_to_micros_by_round(s: f64) -> u64 {
+        if !s.is_finite() {
+            return if s > 0.0 { u64::MAX } else { 0 };
+        }
+        let us = (s * MICROS_PER_SEC as f64).round();
+        if us <= 0.0 {
+            0
+        } else if us >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            us as u64
+        }
+    }
+
+    /// `round_micros` against `f64::round` with the same saturation.
+    fn round_micros_by_round(raw: f64) -> u64 {
+        let us = raw.round();
+        if us.is_nan() || us <= 0.0 {
+            0
+        } else if us >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            us as u64
+        }
+    }
+
+    #[test]
+    fn truncating_round_matches_f64_round() {
+        let p52 = TWO_POW_52;
+        let mut adversarial = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            1.0 - f64::EPSILON / 2.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            5e-324,
+            -5e-324,
+            -0.5,
+            -1.5,
+            -3.0,
+            p52 - 1.5,
+            p52 - 1.0,
+            p52 - 0.5,
+            p52,
+            p52 + 1.0,
+            p52 + 2.0,
+            2.0 * p52 + 2.0,
+            u64::MAX as f64,
+            1e300,
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for k in 0..2_000u64 {
+            adversarial.push(k as f64 + 0.5);
+            adversarial.push(f64::from_bits((k as f64 + 0.5).to_bits() - 1));
+            adversarial.push(f64::from_bits((k as f64 + 0.5).to_bits() + 1));
+            adversarial.push((p52 / 2.0) + k as f64 + 0.5);
+        }
+        for raw in adversarial {
+            let want = round_micros_by_round(raw);
+            assert_eq!(round_micros(raw), want, "raw {raw:e} ({:#x})", raw.to_bits());
+        }
+        // Random seconds across every magnitude, and random bit patterns.
+        let mut st = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            st = st.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = st;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..200_000 {
+            let r = next();
+            let mantissa = (r >> 11) as f64 / (1u64 << 53) as f64;
+            let s = mantissa * 10f64.powi((r % 24) as i32 - 8);
+            let s = if r & (1 << 5) == 0 { s } else { -s };
+            assert_eq!(secs_to_micros(s), secs_to_micros_by_round(s), "seconds {s:e}");
+            let bits = f64::from_bits(next());
+            assert_eq!(round_micros(bits), round_micros_by_round(bits), "raw {bits:e}");
+            assert_eq!(secs_to_micros(bits), secs_to_micros_by_round(bits), "seconds {bits:e}");
+        }
     }
 
     #[test]
