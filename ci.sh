@@ -165,6 +165,31 @@ cargo test -q --release --test golden_determinism
 cargo test -q --release -p cloudburst-core --test serve_equivalence
 cargo test -q --release -p cloudburst-core --test alloc_free_wake
 
+# A paper-testbed wake does its work once: the link keeps the first piece
+# `next_wake` computed and `advance_into` starts from it, the refit
+# factors column by column (four rows as independent chains) and folds
+# only the SSE, and the MAPE is computed on demand. All of it is bitwise
+# identical. The link is checked against its uncached #[cfg(test)] oracle
+# and, through the public API, against a twin never asked `next_wake`
+# (random starts, aborts, faults, advances); the Cholesky against the
+# row-order oracle over SPD, near-singular, singular and indefinite
+# matrices (factor bits, outcome and failing pivot); the SSE-only refit
+# and on-demand MAPE against the fused and one-row residual passes; the
+# fused Householder vᵀv/dot pass by the QR oracle; the i64 rounding fast
+# path against f64::round. The goldens pin the bytes end to end.
+echo "== refit/link equivalence: kept link piece, column Cholesky, SSE-only refit, on-demand MAPE"
+cargo test -q --release -p cloudburst-net --lib link::tests::kept_piece_matches_uncached_oracle
+cargo test -q --release -p cloudburst-net --test props asking_next_wake_changes_nothing
+cargo test -q --release -p cloudburst-qrsm --lib -- \
+  decomp::tests::column_cholesky_matches_row_order_oracle \
+  decomp::tests::column_major_qr_matches_row_major_oracle \
+  model::tests::sse_only_refit_and_on_demand_mape_match_the_fused_pass \
+  model::tests::queued_flush_is_bitwise_identical_to_eager_refit
+cargo test -q --release -p cloudburst-sim --lib time::tests::truncating_round_matches_f64_round
+cargo test -q --release --test chaos_golden
+cargo test -q --release --test golden_determinism
+cargo test -q --release -p cloudburst-core --test alloc_free_wake
+
 # Every multi-run fan-out goes through the one thread coordinator,
 # ShardPool: repro maps its ids through the pool and emits each result in
 # id order. A multi-id run must therefore print exactly the single-id runs

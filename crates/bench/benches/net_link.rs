@@ -1,6 +1,6 @@
 //! Criterion benches for the network substrate: fluid-flow link advancing
-//! under contention, bandwidth-model evaluation, and the SIBS bound
-//! computation.
+//! under contention, one engine-style wake at a time, bandwidth-model
+//! evaluation, and the SIBS bound computation.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -35,6 +35,33 @@ fn bench_link_contention(c: &mut Criterion) {
     group.finish();
 }
 
+/// One wake as the engine drives it: `next_wake` when the wake is re-armed,
+/// then `advance_into` to that instant. The `n` transfers are far too large
+/// to finish, so every wake is a 30 s rate-slot boundary that completes
+/// nothing — half of all events on the paper testbed.
+fn bench_link_wake_advance(c: &mut Criterion) {
+    let mut group = c.benchmark_group("net/link_wake_advance");
+    for n in [2usize, 8] {
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            let mut link = Link::new(BandwidthModel::high_variation(7), 1.5, SimDuration::from_secs(30))
+                .with_latency(SimDuration::from_millis(200));
+            let mut next_id = 0;
+            let mut buf = Vec::new();
+            b.iter(|| {
+                while link.in_flight() < n {
+                    link.start(link.now(), TransferId(next_id), 1 << 50, 4);
+                    next_id += 1;
+                }
+                let w = link.next_wake().expect("a busy link has a next wake");
+                buf.clear();
+                link.advance_into(w, &mut buf);
+                black_box(buf.len())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_model_eval(c: &mut Criterion) {
     let model = BandwidthModel::high_variation(3);
     c.bench_function("net/model_rate_eval", |b| {
@@ -61,5 +88,11 @@ fn bench_sibs_bounds(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_link_contention, bench_model_eval, bench_sibs_bounds);
+criterion_group!(
+    benches,
+    bench_link_contention,
+    bench_link_wake_advance,
+    bench_model_eval,
+    bench_sibs_bounds
+);
 criterion_main!(benches);

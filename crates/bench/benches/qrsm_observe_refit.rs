@@ -2,12 +2,13 @@
 //! refit-from-scratch (rebuild the design matrix over the window, re-run a
 //! batch fit) against the sliding-window RLS refit (rank-1 maintained
 //! normal equations + Cholesky solve), across window sizes, plus the
-//! allocation-free non-refit observe step and the engine's deferred-refit
-//! window slide.
+//! allocation-free non-refit observe step, the engine's deferred-refit
+//! window slide, and the refit's 28×28 Cholesky factorization.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use cloudburst_qrsm::{design::QuadraticDesign, fit, Method, QrsModel};
+use cloudburst_qrsm::decomp::Cholesky;
+use cloudburst_qrsm::{design::QuadraticDesign, fit, Matrix, Method, QrsModel};
 use cloudburst_sim::RngFactory;
 use cloudburst_workload::arrival::training_corpus;
 use cloudburst_workload::GroundTruth;
@@ -84,5 +85,18 @@ fn bench_window_slide(c: &mut Criterion) {
     black_box(m.window_len());
 }
 
-criterion_group!(benches, bench_refit_batch_vs_rls, bench_window_slide);
+/// The factorization at the heart of every refit: the maintained `XᵀX` of
+/// a 400-row window of 28 quadratic terms, into a reused workspace.
+fn bench_cholesky(c: &mut Criterion) {
+    let (xs, ys) = corpus(400);
+    let m = QrsModel::fit(&xs, &ys, Method::Ols).unwrap();
+    let gram = m.normal_equations().0.clone();
+    let mut l = Matrix::zeros(gram.rows(), gram.cols());
+    c.bench_function("qrsm/cholesky_28", |b| {
+        b.iter(|| Cholesky::factorize_into(black_box(&gram), &mut l).unwrap())
+    });
+    black_box(l.as_slice()[0]);
+}
+
+criterion_group!(benches, bench_refit_batch_vs_rls, bench_window_slide, bench_cholesky);
 criterion_main!(benches);

@@ -2138,7 +2138,7 @@ fn try_push_out(w: &mut W, now: SimTime) {
     if q == 0 {
         return;
     }
-    let idle = |s: &EcSite| s.up_queues.is_empty() && s.up_link.boundary().in_flight == 0;
+    let idle = |s: &EcSite| s.up_queues.is_empty() && s.up_link.in_flight() == 0;
     if !w.sites.iter().any(idle) {
         return;
     }

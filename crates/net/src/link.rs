@@ -19,6 +19,15 @@
 //! Capacity is held constant within a revaluation slot, which makes
 //! completion times within a slot exact and the whole simulation
 //! deterministic.
+//!
+//! `next_wake` and the `advance_into` that follows it compute the same
+//! first piece: the boundary, the per-thread rate and the earliest ETA at
+//! the link's clock. `next_wake` keeps that piece, and `advance_into`
+//! takes it as its own first piece while the clock and the transfer set
+//! are unchanged, so a wake that completes nothing scans the in-flight set
+//! once, not twice.
+
+use std::cell::Cell;
 
 use cloudburst_sim::{SimDuration, SimTime};
 
@@ -97,6 +106,20 @@ impl Completion {
     }
 }
 
+/// The first integration piece from the link's clock: the next boundary
+/// (slot multiple, flow start or fault edge, uncapped), the per-thread
+/// rate over it and the earliest `(index, eta)` among the flowing
+/// transfers (the first index on ties). A piece capped at `to` ends at
+/// `boundary.min(to)` and completes `earliest` only if its ETA falls
+/// inside.
+#[derive(Clone, Copy, Debug)]
+struct Piece {
+    clock: SimTime,
+    boundary: SimTime,
+    rate_per_thread: f64,
+    earliest: Option<(usize, SimTime)>,
+}
+
 /// One direction of the inter-cloud pipe.
 #[derive(Clone, Debug)]
 pub struct Link {
@@ -113,6 +136,11 @@ pub struct Link {
     /// Chaos-injected capacity faults, sorted by start. Empty (the default
     /// and the fault-free fast path) leaves behaviour bit-identical.
     faults: Vec<CapacityFault>,
+    /// The first piece the last [`Link::next_wake`] computed. It is valid
+    /// only while the clock and the transfer set are unchanged, so every
+    /// mutator drops it: `start`, `abort` and `set_faults` clear it and
+    /// `advance_into` consumes it.
+    next_piece: Cell<Option<Piece>>,
 }
 
 impl Link {
@@ -131,6 +159,7 @@ impl Link {
             bytes_done: 0,
             busy: SimDuration::ZERO,
             faults: Vec::new(),
+            next_piece: Cell::new(None),
         }
     }
 
@@ -159,6 +188,7 @@ impl Link {
         assert!(self.clock == SimTime::ZERO, "install faults before advancing");
         faults.retain(|f| f.until > f.from);
         self.faults = faults;
+        self.next_piece.set(None);
     }
 
     /// Capacity multiplier in effect at `t`: the product of every fault
@@ -235,15 +265,18 @@ impl Link {
     }
 
     /// Starts a transfer of `bytes` with `threads` parallel streams. The
-    /// caller must have advanced the link to `now` first. Panics on a
-    /// duplicate id or zero threads.
+    /// caller must have advanced the link to `now` first. Panics on zero
+    /// threads; a duplicate id is the caller's bug, checked in debug builds
+    /// (the engine draws transfer ids from its monotonic `fresh_tid`
+    /// counter, so they are unique by construction).
     pub fn start(&mut self, now: SimTime, id: TransferId, bytes: u64, threads: u32) {
         assert!(threads >= 1, "transfers need at least one thread");
         assert!(now >= self.clock, "link must be advanced before start");
-        assert!(
+        debug_assert!(
             self.active.iter().all(|t| t.id != id),
             "duplicate transfer id {id:?}"
         );
+        self.next_piece.set(None);
         self.advance_internal(now);
         self.active.push(Active {
             id,
@@ -258,6 +291,7 @@ impl Link {
     /// Aborts an in-flight transfer (used by rescheduling extensions).
     /// Returns the remaining bytes if the transfer existed.
     pub fn abort(&mut self, now: SimTime, id: TransferId) -> Option<u64> {
+        self.next_piece.set(None);
         self.advance_internal(now);
         let idx = self.active.iter().position(|t| t.id == id)?;
         let t = self.active.swap_remove(idx);
@@ -283,34 +317,24 @@ impl Link {
     /// driver loop can reuse one allocation across every wake.
     pub fn advance_into(&mut self, to: SimTime, done: &mut Vec<Completion>) {
         // Work in pieces: each piece ends at the next slot boundary, the
-        // next completion under the current rate, or `to`.
+        // next completion under the current rate, or `to`. The first piece
+        // is the one `next_wake` kept, if it is still current.
+        let mut kept = self.next_piece.take();
+        debug_assert!(kept.is_none_or(|p| p.clock == self.clock), "stale kept piece");
         while self.clock < to {
             if self.active.is_empty() {
                 self.clock = to;
                 break;
             }
-            let piece_end = self.next_boundary(to);
-            let rate_per_thread = self.rate_per_thread();
+            let piece = kept.take().unwrap_or_else(|| self.first_piece());
+            let piece_end = piece.boundary.min(to);
             // Earliest completion within this piece under constant rate?
             // Latent transfers (still inside their setup latency) cannot
             // complete — the boundary computation stops pieces at every
             // flow-start instant, so a piece never straddles one.
-            let mut first: Option<(usize, SimTime)> = None;
-            for (i, tr) in self.active.iter().enumerate() {
-                if tr.flows_from > self.clock {
-                    continue;
-                }
-                let r = rate_per_thread * tr.threads as f64;
-                if r <= 0.0 {
-                    continue;
-                }
-                let eta = self.clock + SimDuration::from_secs_f64(tr.remaining / r);
-                if eta <= piece_end && first.is_none_or(|(_, t)| eta < t) {
-                    first = Some((i, eta));
-                }
-            }
+            let first = piece.earliest.filter(|&(_, eta)| eta <= piece_end);
             let advance_to = first.map_or(piece_end, |(_, eta)| eta);
-            self.integrate(advance_to, rate_per_thread);
+            self.integrate(advance_to, piece.rate_per_thread);
             if let Some((i, eta)) = first {
                 let tr = self.active.remove(i);
                 self.bytes_done += tr.total;
@@ -334,24 +358,45 @@ impl Link {
     /// When should the engine next call [`Link::advance`]? Returns the
     /// earliest of the next completion (under the current instantaneous
     /// rate) and the next rate-revaluation boundary; `None` when idle.
+    /// The piece behind the answer is kept for the next `advance_into`.
     pub fn next_wake(&self) -> Option<SimTime> {
         if self.active.is_empty() {
             return None;
         }
+        let piece = match self.next_piece.get() {
+            Some(p) => {
+                debug_assert!(p.clock == self.clock, "stale kept piece");
+                p
+            }
+            None => {
+                let p = self.first_piece();
+                self.next_piece.set(Some(p));
+                p
+            }
+        };
+        Some(piece.earliest.map_or(piece.boundary, |(_, eta)| eta.min(piece.boundary)))
+    }
+
+    /// The first integration piece from the current clock: one pass for
+    /// the boundary, one for the rate and one for the earliest ETA.
+    fn first_piece(&self) -> Piece {
         let boundary = self.next_boundary(SimTime::MAX);
         let rate_per_thread = self.rate_per_thread();
-        let mut wake = boundary;
-        for tr in &self.active {
+        let mut earliest: Option<(usize, SimTime)> = None;
+        for (i, tr) in self.active.iter().enumerate() {
             if tr.flows_from > self.clock {
                 continue; // its flow-start is already a boundary
             }
             let r = rate_per_thread * tr.threads as f64;
-            if r > 0.0 {
-                let eta = self.clock + SimDuration::from_secs_f64(tr.remaining / r);
-                wake = wake.min(eta);
+            if r <= 0.0 {
+                continue;
+            }
+            let eta = self.clock + SimDuration::from_secs_f64(tr.remaining / r);
+            if earliest.is_none_or(|(_, t)| eta < t) {
+                earliest = Some((i, eta));
             }
         }
-        Some(wake)
+        Piece { clock: self.clock, boundary, rate_per_thread, earliest }
     }
 
     /// Instantaneous per-thread share of the capacity at the internal
@@ -430,6 +475,77 @@ impl Link {
             let rate = self.rate_per_thread();
             self.integrate(boundary, rate);
         }
+    }
+}
+
+/// The link as it ran before `next_wake` kept its first piece, kept as
+/// the oracle the memoized path must match bit for bit: every piece of
+/// `advance_into` recomputes its boundary (capped at `to`), its rate and
+/// its earliest in-piece ETA, and `next_wake` keeps nothing.
+#[cfg(test)]
+impl Link {
+    pub(crate) fn advance_into_uncached(&mut self, to: SimTime, done: &mut Vec<Completion>) {
+        self.next_piece.set(None);
+        while self.clock < to {
+            if self.active.is_empty() {
+                self.clock = to;
+                break;
+            }
+            let piece_end = self.next_boundary(to);
+            let rate_per_thread = self.rate_per_thread();
+            let mut first: Option<(usize, SimTime)> = None;
+            for (i, tr) in self.active.iter().enumerate() {
+                if tr.flows_from > self.clock {
+                    continue;
+                }
+                let r = rate_per_thread * tr.threads as f64;
+                if r <= 0.0 {
+                    continue;
+                }
+                let eta = self.clock + SimDuration::from_secs_f64(tr.remaining / r);
+                if eta <= piece_end && first.is_none_or(|(_, t)| eta < t) {
+                    first = Some((i, eta));
+                }
+            }
+            let advance_to = first.map_or(piece_end, |(_, eta)| eta);
+            self.integrate(advance_to, rate_per_thread);
+            if let Some((i, eta)) = first {
+                let tr = self.active.remove(i);
+                self.bytes_done += tr.total;
+                done.push(Completion { id: tr.id, at: eta, bytes: tr.total, started: tr.started });
+            }
+        }
+        let clock = self.clock;
+        let mut i = 0;
+        while i < self.active.len() {
+            if self.active[i].remaining <= 0.5 {
+                let tr = self.active.remove(i);
+                self.bytes_done += tr.total;
+                done.push(Completion { id: tr.id, at: clock, bytes: tr.total, started: tr.started });
+            } else {
+                i += 1;
+            }
+        }
+    }
+
+    pub(crate) fn next_wake_uncached(&self) -> Option<SimTime> {
+        if self.active.is_empty() {
+            return None;
+        }
+        let boundary = self.next_boundary(SimTime::MAX);
+        let rate_per_thread = self.rate_per_thread();
+        let mut wake = boundary;
+        for tr in &self.active {
+            if tr.flows_from > self.clock {
+                continue;
+            }
+            let r = rate_per_thread * tr.threads as f64;
+            if r > 0.0 {
+                let eta = self.clock + SimDuration::from_secs_f64(tr.remaining / r);
+                wake = wake.min(eta);
+            }
+        }
+        Some(wake)
     }
 }
 
@@ -707,6 +823,111 @@ mod tests {
         assert_eq!(rem, 8_000);
     }
 
+    /// One step of a random link workload: start a transfer, abort one,
+    /// advance by a span, or advance to the link's own next wake.
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Start { bytes: u64, threads: u32 },
+        Abort(u64),
+        Advance(u64),
+        Wake,
+    }
+
+    /// Decodes one drawn `(kind, bytes, threads, span)` tuple: kinds 0–2
+    /// start (kind 2 a copy of the first transfer, so ETAs tie), 3 aborts, 4–5 advance by the span in µs, 6–9 advance to
+    /// the next wake.
+    fn step((kind, bytes, threads, span): (u8, u64, u32, u64)) -> Step {
+        match kind {
+            0 | 1 => Step::Start { bytes, threads },
+        // The first transfer's twin: equal ETAs when started together.
+        2 => Step::Start { bytes: 2_000_000, threads: 2 },
+            3 => Step::Abort(span % 64),
+            4 | 5 => Step::Advance(span),
+            _ => Step::Wake,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The memoized first piece is bitwise the per-piece recomputation
+        /// it replaced: a link asked `next_wake` before every advance (and
+        /// again after every start and abort, as the engine's re-arm does)
+        /// against the uncached oracle, over starts, aborts, faults
+        /// installed after a kept piece, latency and jittered capacity.
+        #[test]
+        fn kept_piece_matches_uncached_oracle(
+            steps in proptest::collection::vec((0u8..10, 1_000u64..40_000_000, 1u32..6, 0u64..90_000_000), 1..80),
+            seed in 0u64..400,
+            latency in 0u64..20,
+            faulty in proptest::prelude::any::<bool>(),
+        ) {
+            use proptest::prelude::*;
+            let mut fast = Link::new(BandwidthModel::high_variation(seed), 1.5, SimDuration::from_secs(30))
+                .with_latency(SimDuration::from_secs(latency));
+            let mut slow = fast.clone();
+            fast.start(SimTime::ZERO, TransferId(0), 2_000_000, 2);
+            slow.start(SimTime::ZERO, TransferId(0), 2_000_000, 2);
+            prop_assert_eq!(fast.next_wake(), slow.next_wake_uncached());
+            if faulty {
+                // Installed after `next_wake` kept a piece: it must not
+                // survive the new fault edges.
+                let faults = vec![
+                    CapacityFault { from: SimTime::from_secs(5), until: SimTime::from_secs(95), factor: 0.0 },
+                    CapacityFault { from: SimTime::ZERO, until: SimTime::from_secs(400), factor: 0.3 },
+                ];
+                fast.set_faults(faults.clone());
+                slow.set_faults(faults);
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut now = SimTime::ZERO;
+            let mut next_id = 1;
+            for &drawn in &steps {
+                match step(drawn) {
+                    Step::Start { bytes, threads } => {
+                        fast.start(now, TransferId(next_id), bytes, threads);
+                        slow.start(now, TransferId(next_id), bytes, threads);
+                        next_id += 1;
+                    }
+                    Step::Abort(k) => {
+                        let id = TransferId(k % next_id);
+                        prop_assert_eq!(fast.abort(now, id), slow.abort(now, id));
+                    }
+                    Step::Advance(us) => {
+                        now += SimDuration::from_micros(us);
+                        fast.next_wake();
+                        fast.advance_into(now, &mut got);
+                        slow.advance_into_uncached(now, &mut want);
+                    }
+                    Step::Wake => {
+                        let w = fast.next_wake();
+                        prop_assert_eq!(w, slow.next_wake_uncached());
+                        if let Some(w) = w {
+                            now = w;
+                            fast.advance_into(now, &mut got);
+                            slow.advance_into_uncached(now, &mut want);
+                        }
+                    }
+                }
+                prop_assert_eq!(fast.next_wake(), slow.next_wake_uncached());
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(fast.remaining_bytes(), slow.remaining_bytes());
+                prop_assert_eq!(fast.boundary(), slow.boundary());
+                prop_assert_eq!(fast.busy_time(), slow.busy_time());
+            }
+            while let Some(w) = fast.next_wake() {
+                prop_assert_eq!(Some(w), slow.next_wake_uncached());
+                fast.advance_into(w, &mut got);
+                slow.advance_into_uncached(w, &mut want);
+            }
+            prop_assert_eq!(slow.next_wake_uncached(), None);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(fast.bytes_delivered(), slow.bytes_delivered());
+        }
+    }
+
+    // The duplicate-id check is a `debug_assert!`: release builds skip it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "duplicate transfer id")]
     fn duplicate_id_panics() {

@@ -4,7 +4,10 @@
 use proptest::prelude::*;
 
 use cloudburst_net::queues::{SibsCandidate, SibsQueues};
-use cloudburst_net::{sibs_bounds, BandwidthEstimator, BandwidthModel, Link, SizeClass, TransferId};
+use cloudburst_net::link::Completion;
+use cloudburst_net::{
+    sibs_bounds, BandwidthEstimator, BandwidthModel, CapacityFault, Link, SizeClass, TransferId,
+};
 use cloudburst_sim::{SimDuration, SimTime};
 
 proptest! {
@@ -120,5 +123,113 @@ proptest! {
         let (s, m, l) = q.queued_bytes();
         let remaining_bytes: u64 = s + m + l;
         prop_assert!(remaining_bytes <= items.iter().map(|(_, b)| *b).sum::<u64>());
+    }
+}
+
+/// One step of a random link workload (see
+/// `asking_next_wake_changes_nothing`).
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Start { bytes: u64, threads: u32 },
+    Abort(u64),
+    Advance(u64),
+    Wake,
+}
+
+/// Decodes one drawn `(kind, bytes, threads, span)` tuple: kinds 0–2
+/// start (kind 2 a copy of the first transfer, so ETAs tie), 3 aborts, 4–5 advance by the span in µs, 6–9 advance to
+/// the next wake.
+fn step((kind, bytes, threads, span): (u8, u64, u32, u64)) -> Step {
+    match kind {
+        0 | 1 => Step::Start { bytes, threads },
+        // The first transfer's twin: equal ETAs when started together.
+        2 => Step::Start { bytes: 2_000_000, threads: 2 },
+        3 => Step::Abort(span % 64),
+        4 | 5 => Step::Advance(span),
+        _ => Step::Wake,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `next_wake` is a pure query: a link asked it after every step and
+    /// before every advance (so each advance may start from the piece it
+    /// kept, and starts and aborts must drop a stale one) delivers the
+    /// same completions `(id, at, bytes)` and keeps the same remaining
+    /// bytes as a twin that is never asked, over random starts, aborts,
+    /// advances, capacity faults installed after a kept piece, latency
+    /// and jittered capacity. The twin advances to the asked link's
+    /// wakes, so both see the same instants.
+    #[test]
+    fn asking_next_wake_changes_nothing(
+        steps in prop::collection::vec((0u8..10, 1_000u64..40_000_000, 1u32..6, 0u64..90_000_000), 1..80),
+        seed in 0u64..400,
+        latency in 0u64..20,
+        faulty in any::<bool>(),
+    ) {
+        let mut asked = Link::new(BandwidthModel::high_variation(seed), 1.5, SimDuration::from_secs(30))
+            .with_latency(SimDuration::from_secs(latency));
+        let mut never = asked.clone();
+        asked.start(SimTime::ZERO, TransferId(0), 2_000_000, 2);
+        never.start(SimTime::ZERO, TransferId(0), 2_000_000, 2);
+        let first_wake = asked.next_wake();
+        if faulty {
+            let faults = vec![
+                CapacityFault { from: SimTime::from_secs(5), until: SimTime::from_secs(95), factor: 0.0 },
+                CapacityFault { from: SimTime::ZERO, until: SimTime::from_secs(400), factor: 0.3 },
+            ];
+            asked.set_faults(faults.clone());
+            never.set_faults(faults);
+            // The blackout's edge at 5 s now ends the first piece.
+            let cut = first_wake.map(|w| w.min(SimTime::from_secs(5)));
+            prop_assert_eq!(asked.next_wake(), cut, "a kept piece survived set_faults");
+        }
+        let key = |c: &Completion| (c.id, c.at, c.bytes);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        let mut next_id = 1;
+        let mut wakes = 0;
+        for &drawn in &steps {
+            match step(drawn) {
+                Step::Start { bytes, threads } => {
+                    asked.start(now, TransferId(next_id), bytes, threads);
+                    never.start(now, TransferId(next_id), bytes, threads);
+                    next_id += 1;
+                }
+                Step::Abort(k) => {
+                    let id = TransferId(k % next_id);
+                    prop_assert_eq!(asked.abort(now, id), never.abort(now, id));
+                }
+                Step::Advance(us) => {
+                    now += SimDuration::from_micros(us);
+                    asked.next_wake();
+                    asked.advance_into(now, &mut got);
+                    never.advance_into(now, &mut want);
+                }
+                Step::Wake => {
+                    if let Some(w) = asked.next_wake() {
+                        now = w;
+                        asked.advance_into(now, &mut got);
+                        never.advance_into(now, &mut want);
+                    }
+                }
+            }
+            prop_assert_eq!(got.iter().map(key).collect::<Vec<_>>(), want.iter().map(key).collect::<Vec<_>>());
+            prop_assert_eq!(asked.remaining_bytes(), never.remaining_bytes());
+            // The engine re-arms its wake after every event, so a piece is
+            // kept across the starts and aborts of the next event.
+            asked.next_wake();
+        }
+        while let Some(w) = asked.next_wake() {
+            asked.advance_into(w, &mut got);
+            never.advance_into(w, &mut want);
+            wakes += 1;
+            prop_assert!(wakes < 200_000, "no convergence");
+        }
+        prop_assert_eq!(never.in_flight(), 0);
+        prop_assert_eq!(got.iter().map(key).collect::<Vec<_>>(), want.iter().map(key).collect::<Vec<_>>());
+        prop_assert_eq!(asked.remaining_bytes(), never.remaining_bytes());
+        prop_assert_eq!(asked.bytes_delivered(), never.bytes_delivered());
     }
 }

@@ -28,7 +28,66 @@ impl Cholesky {
     /// Only the lower triangle of `a` is read and only the lower triangle of
     /// `l` is written; anything above the diagonal of `l` is left untouched
     /// (stale workspace contents are never read back).
+    ///
+    /// The factor is built column by column: the diagonal `l_jj` first,
+    /// then every entry below it. Those entries depend only on earlier
+    /// columns, so four rows run as independent chains sharing one pass
+    /// over row `j`. Each entry still starts from `a_ij` and subtracts
+    /// `l_ik·l_jk` in ascending `k`, so the factor is bitwise the
+    /// row-by-row one, and the first pivot at or below `1e-12` is the same
+    /// diagonal (the entries left in `l` after that error differ, and are
+    /// never read).
     pub fn factorize_into(a: &Matrix, l: &mut Matrix) -> Result<(), MatrixError> {
+        if a.rows() != a.cols() || l.rows() != a.rows() || l.cols() != a.cols() {
+            return Err(MatrixError::DimensionMismatch);
+        }
+        let n = a.rows();
+        let a = a.as_slice();
+        for j in 0..n {
+            let (row_j, below) = l.as_mut_slice()[j * n..].split_at_mut(n);
+            let (lj, diag) = row_j.split_at_mut(j);
+            let d = lj.iter().fold(a[j * n + j], |s, x| s - x * x);
+            if d <= 1e-12 {
+                return Err(MatrixError::Singular);
+            }
+            let ljj = d.sqrt();
+            diag[0] = ljj;
+            let lj: &[f64] = lj;
+            // Entry `(i, j)` of `a`, for the rows below the diagonal.
+            let a_ij = |i: usize| a[i * n + j];
+            let mut i = j + 1;
+            let mut quads = below.chunks_exact_mut(4 * n);
+            for quad in &mut quads {
+                let (r0, quad) = quad.split_at_mut(n);
+                let (r1, quad) = quad.split_at_mut(n);
+                let (r2, r3) = quad.split_at_mut(n);
+                let mut s = [a_ij(i), a_ij(i + 1), a_ij(i + 2), a_ij(i + 3)];
+                let rows = r0[..j].iter().zip(&r1[..j]).zip(&r2[..j]).zip(&r3[..j]);
+                for ((((&x0, &x1), &x2), &x3), &y) in rows.zip(lj) {
+                    s[0] -= x0 * y;
+                    s[1] -= x1 * y;
+                    s[2] -= x2 * y;
+                    s[3] -= x3 * y;
+                }
+                r0[j] = s[0] / ljj;
+                r1[j] = s[1] / ljj;
+                r2[j] = s[2] / ljj;
+                r3[j] = s[3] / ljj;
+                i += 4;
+            }
+            for r in quads.into_remainder().chunks_exact_mut(n) {
+                let s = r[..j].iter().zip(lj).fold(a_ij(i), |s, (x, y)| s - x * y);
+                r[j] = s / ljj;
+                i += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The row-by-row factorization [`Cholesky::factorize_into`] replaced,
+    /// kept as the oracle its column order must match bit for bit.
+    #[cfg(test)]
+    pub(crate) fn factorize_into_by_rows(a: &Matrix, l: &mut Matrix) -> Result<(), MatrixError> {
         if a.rows() != a.cols() || l.rows() != a.rows() || l.cols() != a.cols() {
             return Err(MatrixError::DimensionMismatch);
         }
@@ -138,15 +197,18 @@ impl Qr {
             }
             let alpha = if *akk >= 0.0 { -norm } else { norm };
             let v0 = *akk - alpha;
-            // v = (v0, a[k+1..m, k]); beta = 2 / (vᵀv)
-            let vtv = v.iter().fold(v0 * v0, |s, x| s + x * x);
+            // v = (v0, a[k+1..m, k]); beta = 2 / (vᵀv). One pass over v
+            // carries two chains: vᵀv and column k's own dot v·a[k..m, k],
+            // each summed left to right as two separate folds would.
+            let (vtv, dot) =
+                v.iter().fold((v0 * v0, v0 * *akk), |(t, d), x| (t + x * x, d + x * x));
             if vtv == 0.0 {
                 continue;
             }
             let beta = 2.0 / vtv;
             // Apply H = I − β·v·vᵀ to column k (it becomes alpha on the
             // diagonal; below it stays v) ...
-            let s = beta * v.iter().fold(v0 * *akk, |s, x| s + x * x);
+            let s = beta * dot;
             *akk -= s * v0;
             // ... and to every column j > k. Columns are independent, so
             // four dot-product chains share one pass over v; each chain
@@ -502,6 +564,103 @@ mod tests {
             let want = slow.solve(&b).map(|x| bits(&x));
             prop_assert_eq!(got, want);
         }
+    }
+
+    /// A symmetric `n×n` input for the Cholesky oracle, built as `BᵀB`
+    /// (plus a shift) from a random `(n+3)×n` matrix `B`. `shape` 0 is
+    /// well-conditioned SPD (`BᵀB + I`); 1 is singular from an all-zero
+    /// column of `B`; 2 is rank-deficient from a duplicated column, so a
+    /// pivot is pure rounding of either sign; 3 perturbs that duplicate by
+    /// ~1e-7, which puts a pivot near the `1e-12` cutoff; 4 is indefinite
+    /// (`BᵀB − c·I`); 5 scales `BᵀB + I` down so the pivots straddle the
+    /// cutoff.
+    fn cholesky_input(n: usize, shape: u8, seed: u64) -> Matrix {
+        let mut st = seed ^ 0x5EED;
+        let b = match shape {
+            1 => oracle_matrix(n + 3, n, 2, seed),
+            2 | 3 => {
+                let mut b = oracle_matrix(n + 3, n, 3, seed);
+                if shape == 3 {
+                    let i = (splitmix(&mut st) % (n as u64 + 3)) as usize;
+                    let j = (splitmix(&mut st) % n as u64) as usize;
+                    b[(i, j)] += 1e-7 * (1.0 + (splitmix(&mut st) % 100) as f64 / 100.0);
+                }
+                b
+            }
+            _ => oracle_matrix(n + 3, n, 0, seed),
+        };
+        let mut a = b.gram();
+        let shift = match shape {
+            0 | 5 => 1.0,
+            4 => -((splitmix(&mut st) % 40) as f64 + 1.0),
+            _ => 0.0,
+        };
+        let scale = if shape == 5 { 1e-12 * (splitmix(&mut st) % 4 + 1) as f64 } else { 1.0 };
+        for i in 0..n {
+            a[(i, i)] += shift;
+            for j in 0..n {
+                a[(i, j)] *= scale;
+            }
+        }
+        a
+    }
+
+    #[test]
+    fn column_cholesky_matches_row_order_oracle() {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut factored, mut singular) = (0, 0);
+        let mut pivots = [0; 4]; // failing pivot 0, 1, 2, or later
+        for seed in 0..1_500u64 {
+            let n = 1 + (seed as usize * 7) % 30;
+            let shape = (seed % 6) as u8;
+            let a = cholesky_input(n, shape, seed);
+            // Stale workspace contents must not matter: both start from
+            // the same junk above and below the diagonal.
+            let junk = Matrix::from_rows(&vec![vec![f64::NAN; n]; n]);
+            let (mut got, mut want) = (junk.clone(), junk);
+            let got_res = Cholesky::factorize_into(&a, &mut got);
+            let want_res = Cholesky::factorize_into_by_rows(&a, &mut want);
+            assert_eq!(got_res, want_res, "seed {seed} n {n} shape {shape}: outcome");
+            match got_res {
+                Ok(()) => {
+                    factored += 1;
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} n {n} shape {shape}: factor");
+                    let mut x: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
+                    let mut y = x.clone();
+                    Cholesky::solve_in_place(&got, &mut x).expect("square factor");
+                    Cholesky::solve_in_place(&want, &mut y).expect("square factor");
+                    assert_eq!(
+                        x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "seed {seed}: solution"
+                    );
+                }
+                Err(_) => {
+                    // Both orders write each diagonal only once it passes,
+                    // so the first junk diagonal is the failing pivot.
+                    singular += 1;
+                    let failed = |l: &Matrix| (0..n).find(|&d| l[(d, d)].is_nan());
+                    let d = failed(&want).expect("row order stops at a pivot");
+                    assert_eq!(failed(&got), Some(d), "seed {seed} n {n} shape {shape}: pivot");
+                    pivots[d.min(3)] += 1;
+                    // Entries both orders finished before the failure: rows
+                    // above the pivot and the pivot row left of it.
+                    for i in 0..=d {
+                        for j in 0..(i + 1).min(d) {
+                            assert_eq!(got[(i, j)].to_bits(), want[(i, j)].to_bits(), "seed {seed}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(factored >= 500 && singular >= 500, "{factored} factored, {singular} singular");
+        assert!(pivots.iter().all(|&c| c >= 10), "failing pivots by index: {pivots:?}");
+        let wide = Matrix::zeros(2, 3);
+        let mut l = Matrix::zeros(2, 3);
+        assert_eq!(
+            Cholesky::factorize_into(&wide, &mut l),
+            Cholesky::factorize_into_by_rows(&wide, &mut l)
+        );
     }
 
     #[test]

@@ -62,10 +62,10 @@ pub struct QrsModel {
     design: QuadraticDesign,
     coeffs: Vec<f64>,
     method: Method,
-    /// Root-mean-square training residual (seconds).
+    /// Root-mean-square training residual (seconds). The MAPE is not
+    /// stored: no decision reads it, so [`QrsModel::mape`] computes it on
+    /// demand.
     rmse: f64,
-    /// Mean absolute percentage training error, in `[0, ∞)`.
-    mape: f64,
     /// Sliding-window design rows: a flat ring of `window_capacity` rows ×
     /// `n_terms` columns. Each row is expanded exactly once, on entry.
     rows: Vec<f64>,
@@ -132,9 +132,7 @@ impl QrsModel {
         for (row, &y) in m.rows.chunks_exact(p).zip(ys) {
             rank1(m.gram.as_mut_slice(), &mut m.xty, &mut m.yty, row, y);
         }
-        let (rmse, mape) = m.window_residual_stats();
-        m.rmse = rmse;
-        m.mape = mape;
+        m.rmse = m.window_rmse();
         Ok(m)
     }
 
@@ -147,7 +145,6 @@ impl QrsModel {
             coeffs: vec![0.0; p],
             method,
             rmse: 0.0,
-            mape: 0.0,
             rows: vec![0.0; window_capacity * p],
             ys: vec![0.0; window_capacity],
             head: 0,
@@ -256,8 +253,9 @@ impl QrsModel {
 
     /// Re-solves the coefficients from the incrementally maintained normal
     /// equations, keeping old coefficients on failure. `O(terms³)` plus a
-    /// single `O(window × terms)` residual pass — the window is never
-    /// re-expanded or cloned.
+    /// single `O(window × terms)` residual pass that folds only the SSE
+    /// (the RMSE feeds `predict_upper`; the MAPE is left to
+    /// [`QrsModel::mape`]) — the window is never re-expanded or cloned.
     pub fn refit(&mut self) -> Result<(), FitError> {
         let p = self.design.n_terms();
         if self.len < p {
@@ -295,9 +293,7 @@ impl QrsModel {
                 self.coeffs = coeffs;
             }
         }
-        let (rmse, mape) = self.window_residual_stats();
-        self.rmse = rmse;
-        self.mape = mape;
+        self.rmse = self.window_rmse();
         Ok(())
     }
 
@@ -316,9 +312,11 @@ impl QrsModel {
         self.rmse
     }
 
-    /// Training mean absolute percentage error.
+    /// Mean absolute percentage error of the current coefficients over the
+    /// tuning window, in `[0, ∞)`, computed on demand (`O(window × terms)`).
+    /// Read right after a fit or refit, it is the training MAPE.
     pub fn mape(&self) -> f64 {
-        self.mape
+        self.window_mape()
     }
 
     /// Number of observations currently in the tuning window.
@@ -412,27 +410,19 @@ impl QrsModel {
         })
     }
 
-    /// RMSE/MAPE over the window for the current coefficients, streamed
-    /// over the stored rows — one dot product per row, no re-expansion, no
-    /// allocation.
+    /// Calls `fold(prediction, y)` for every window row in order, under
+    /// the current coefficients, streamed over the stored rows — one dot
+    /// product per row, no re-expansion, no allocation.
     ///
     /// The window is at most two contiguous runs of the ring (oldest slot
     /// to the end, then the wrapped start). Within a run, four rows are
     /// dotted at once: four independent add chains instead of one, each
     /// row's own sum still left to right from `.sum()`'s neutral `-0.0`.
-    /// The `sse`/`ape` folds then take the four predictions in row order,
-    /// so both statistics are bitwise the one-row-at-a-time loop's.
-    fn window_residual_stats(&self) -> (f64, f64) {
+    /// The fold then takes the four predictions in row order, so every
+    /// statistic folded from them is bitwise the one-row-at-a-time loop's.
+    #[inline]
+    fn for_each_prediction(&self, mut fold: impl FnMut(f64, f64)) {
         let p = self.design.n_terms();
-        let n = self.len as f64;
-        let mut sse = 0.0;
-        let mut ape = 0.0;
-        let mut fold = |pred: f64, y: f64| {
-            sse += (pred - y) * (pred - y);
-            if y.abs() > 1e-9 {
-                ape += ((pred - y) / y).abs();
-            }
-        };
         let end = self.head + self.len;
         let cap = self.window_capacity;
         let runs = [self.head..end.min(cap), 0..end.saturating_sub(cap)];
@@ -451,7 +441,25 @@ impl QrsModel {
                 fold(row.iter().zip(&self.coeffs).map(|(b, c)| b * c).sum(), y);
             }
         }
-        ((sse / n).sqrt(), ape / n)
+    }
+
+    /// RMSE over the window for the current coefficients.
+    fn window_rmse(&self) -> f64 {
+        let mut sse = 0.0;
+        self.for_each_prediction(|pred, y| sse += (pred - y) * (pred - y));
+        (sse / self.len as f64).sqrt()
+    }
+
+    /// MAPE over the window for the current coefficients; responses within
+    /// `1e-9` of zero add nothing (but still count in the mean).
+    fn window_mape(&self) -> f64 {
+        let mut ape = 0.0;
+        self.for_each_prediction(|pred, y| {
+            if y.abs() > 1e-9 {
+                ape += ((pred - y) / y).abs();
+            }
+        });
+        ape / self.len as f64
     }
 }
 
@@ -686,9 +694,7 @@ mod tests {
             rank1_indexed(&mut m.gram, &mut m.xty, &mut m.yty, row, y);
         }
         m.coeffs = coeffs;
-        let (rmse, mape) = m.window_residual_stats();
-        m.rmse = rmse;
-        m.mape = mape;
+        m.rmse = m.window_residual_stats().0;
         Ok(m)
     }
 
@@ -740,7 +746,7 @@ mod tests {
             fitted += 1;
             assert_eq!(bits(&got.coeffs), bits(&want.coeffs), "seed {seed}: coefficients");
             assert_eq!(got.rmse.to_bits(), want.rmse.to_bits(), "seed {seed}: rmse");
-            assert_eq!(got.mape.to_bits(), want.mape.to_bits(), "seed {seed}: mape");
+            assert_eq!(got.mape().to_bits(), want.mape().to_bits(), "seed {seed}: mape");
             assert_eq!(bits(got.gram.as_slice()), bits(want.gram.as_slice()), "seed {seed}: XᵀX");
             assert_eq!(bits(&got.xty), bits(&want.xty), "seed {seed}: Xᵀy");
             assert_eq!(got.yty.to_bits(), want.yty.to_bits(), "seed {seed}: Σy²");
@@ -812,6 +818,21 @@ mod tests {
             }
         }
 
+        /// The residual pass as it ran before the RMSE and MAPE were split
+        /// into two passes: both folded from one four-row interleaved pass.
+        fn window_residual_stats(&self) -> (f64, f64) {
+            let n = self.len as f64;
+            let mut sse = 0.0;
+            let mut ape = 0.0;
+            self.for_each_prediction(|pred, y| {
+                sse += (pred - y) * (pred - y);
+                if y.abs() > 1e-9 {
+                    ape += ((pred - y) / y).abs();
+                }
+            });
+            ((sse / n).sqrt(), ape / n)
+        }
+
         /// The residual pass as it ran before rows were interleaved: one
         /// dot product per row in window order.
         fn window_residual_stats_one_row(&self) -> (f64, f64) {
@@ -878,6 +899,50 @@ mod tests {
                 assert_eq!(mape.to_bits(), want_mape.to_bits(), "{at}: mape");
             }
         }
+    }
+
+    #[test]
+    fn sse_only_refit_and_on_demand_mape_match_the_fused_pass() {
+        // After the fit and every refit, the stored RMSE (SSE-only pass)
+        // and the on-demand MAPE are bitwise the fused pass's pair — and
+        // the one-row oracle's — over wrapping windows of every length
+        // mod 4, with zero responses, for OLS, ridge and LAD, eager and
+        // deferred.
+        let methods = [Method::Ols, Method::Ridge(0.5), Method::Lad];
+        let mut checked = [0; 3];
+        for seed in 0..24u64 {
+            let (xs, ys) = zero_laced_corpus(seed, 60 + seed as usize % 5);
+            let method = methods[seed as usize % 3];
+            let Ok(base) = QrsModel::fit(&xs, &ys, method) else { continue };
+            let (fit_rmse, fit_mape) = base.window_residual_stats();
+            assert_eq!(base.rmse().to_bits(), fit_rmse.to_bits(), "seed {seed}: fit rmse");
+            assert_eq!(base.mape().to_bits(), fit_mape.to_bits(), "seed {seed}: fit mape");
+            let eager = seed % 2 == 0;
+            let mut m = base.with_window_capacity(29 + seed as usize % 6).with_refit_every(1);
+            let (more_xs, mut more_ys) = zero_laced_corpus(seed + 900, 40);
+            // Zero responses, which the APE skips.
+            more_ys.iter_mut().step_by(7).for_each(|y| *y = 0.0);
+            for (k, (x, &y)) in more_xs.iter().zip(&more_ys).enumerate() {
+                let refitted = if eager {
+                    m.observe(x, y)
+                } else {
+                    m.observe_queued(x, y);
+                    k % 3 == 2 && m.flush_refit()
+                };
+                if !refitted {
+                    continue;
+                }
+                let (rmse, mape) = m.window_residual_stats();
+                let (one_rmse, one_mape) = m.window_residual_stats_one_row();
+                let at = format!("seed {seed} push {k}");
+                assert_eq!(m.rmse().to_bits(), rmse.to_bits(), "{at}: rmse");
+                assert_eq!(m.mape().to_bits(), mape.to_bits(), "{at}: mape");
+                assert_eq!(m.rmse().to_bits(), one_rmse.to_bits(), "{at}: one-row rmse");
+                assert_eq!(m.mape().to_bits(), one_mape.to_bits(), "{at}: one-row mape");
+                checked[seed as usize % 3] += 1;
+            }
+        }
+        assert!(checked.iter().all(|&c| c >= 50), "refits checked per method: {checked:?}");
     }
 
     #[test]

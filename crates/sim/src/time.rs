@@ -40,6 +40,7 @@ impl SimTime {
 
     /// Builds an instant from fractional seconds, rounding to the nearest
     /// microsecond. Negative or non-finite input saturates to zero.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimTime(secs_to_micros(s))
     }
@@ -99,6 +100,7 @@ impl SimDuration {
 
     /// Builds a span from fractional seconds, rounding to the nearest
     /// microsecond. Negative or non-finite input saturates to zero.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimDuration(secs_to_micros(s))
     }
@@ -130,6 +132,7 @@ impl SimDuration {
     }
 }
 
+#[inline]
 fn secs_to_micros(s: f64) -> u64 {
     round_micros(s * MICROS_PER_SEC as f64)
 }
@@ -143,13 +146,24 @@ const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
 ///
 /// On the x86-64 baseline `f64::round` is a software routine call, so the
 /// common case, `0 < raw < 2⁵²`, truncates and adds one when the exact
-/// fraction is at least one half: bitwise the rounded value. Everything
-/// else takes the `f64::round` path.
+/// fraction is at least one half: bitwise the rounded value. In that range
+/// the signed conversions `raw as i64` and `i as f64` give the same values
+/// as the unsigned ones, each in one instruction (the unsigned ones need a
+/// branch or a fix-up for inputs at or above `2⁶³`). Everything else takes
+/// the cold `f64::round` path.
+#[inline]
 fn round_micros(raw: f64) -> u64 {
     if raw > 0.0 && raw < TWO_POW_52 {
-        let i = raw as u64;
-        return i + ((raw - i as f64) >= 0.5) as u64;
+        let i = raw as i64;
+        return i as u64 + ((raw - i as f64) >= 0.5) as u64;
     }
+    round_micros_slow(raw)
+}
+
+/// [`round_micros`] outside `0 < raw < 2⁵²`: zero, negatives, huge
+/// values, NaN and infinities.
+#[cold]
+fn round_micros_slow(raw: f64) -> u64 {
     if !raw.is_finite() {
         return if raw > 0.0 { u64::MAX } else { 0 };
     }
@@ -358,6 +372,19 @@ mod tests {
             f64::INFINITY,
             f64::NEG_INFINITY,
         ];
+        // The fast path converts through `i64`: the edges of every integer
+        // width it could be confused with, and the largest values below 2⁵².
+        for e in [31, 32, 33, 51] {
+            let p = (1u64 << e) as f64;
+            for d in [-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0] {
+                adversarial.push(p + d);
+            }
+        }
+        for k in 1..2_000u64 {
+            let below = f64::from_bits(p52.to_bits() - k);
+            adversarial.push(below);
+            adversarial.push(below.floor() + 0.5);
+        }
         for k in 0..2_000u64 {
             adversarial.push(k as f64 + 0.5);
             adversarial.push(f64::from_bits((k as f64 + 0.5).to_bits() - 1));
@@ -386,6 +413,9 @@ mod tests {
             let bits = f64::from_bits(next());
             assert_eq!(round_micros(bits), round_micros_by_round(bits), "raw {bits:e}");
             assert_eq!(secs_to_micros(bits), secs_to_micros_by_round(bits), "seconds {bits:e}");
+            // Uniform over the fast path's whole range `(0, 2⁵²)`.
+            let fast = (next() >> 12) as f64 + (next() >> 11) as f64 / (1u64 << 53) as f64;
+            assert_eq!(round_micros(fast), round_micros_by_round(fast), "raw {fast:e}");
         }
     }
 
