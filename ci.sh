@@ -19,47 +19,26 @@ cargo test -q --release --workspace
 echo "== benches compile: cargo bench --no-run"
 cargo bench --no-run
 
-echo "== perfsmoke probes + floor gates vs BENCH_PR2.json / BENCH_PR5.json"
+# One perf record, one rule table: each probe line is checked once against
+# BENCH.json, the append-only record of every checked-in probe run.
+# perfgate's RULES table holds the floors (every shared *_per_sec key >= the
+# largest recorded value / 5) and the fresh-line rules (flat depth curve,
+# flat serving memory, open/closed and dormant-econ ratios). Its unit
+# tests, in the workspace pass above, hold every record to the same rules.
+echo "== perf probes: perfsmoke and perfscale --reduced, each gated once against BENCH.json"
 PERF_TMP="$(mktemp -d)"
 trap 'rm -rf "$PERF_TMP"' EXIT
 cargo run --release -p cloudburst-bench --bin perfsmoke -- "$PERF_TMP/smoke.json"
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR2.json
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR5.json
-# BENCH_PR9.json adds the open-system serving record: sustained jobs/s
-# floors, the >= 0.9x open/closed throughput ratio, and the per-window
-# live-bytes flatness rule (both read from the fresh smoke line).
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR9.json
-# BENCH_PR10.json adds the economics record: the dormant-econ runs/s and
-# cost-aware broker decisions/s floors, plus the fresh-line rule that a
-# dormant econ section holds >= 0.95x the econ-free throughput (the
-# wall-clock half of the byte-identity contract).
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH_PR10.json
-
-echo "== perfscale reduced probe + floor gates vs BENCH_PR4.json / BENCH_PR6.json / BENCH_PR7.json"
+cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH.json
 cargo run --release -p cloudburst-bench --bin perfscale -- --reduced "$PERF_TMP/scale.json"
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR4.json
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR6.json
-# BENCH_PR7.json adds the threads-vs-throughput curve; perfgate's scaling
-# rule (>= 2x end-to-end at 4 shard workers) arms itself from the fresh
-# record's host_cores, so a single-core CI box skips it with a notice
-# instead of failing on physics.
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR7.json
-# The serve-scale half of BENCH_PR9.json: the reduced probe emits the same
-# generic serve_scale_* keys as the checked-in 10M-job record, so the
-# megascale memory-flatness rule and the jobs/s floor both arm here.
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH_PR9.json
+cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH.json
 
-echo "== depth-curve record self-gate: BENCH_PR6.json curve must be flat (<= 2x)"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR6.json BENCH_PR6.json 1.0 2.0
-
-echo "== BENCH_PR7.json self-gate: curve still flat; threads rule arms iff host_cores >= 4"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR7.json BENCH_PR7.json 1.0 2.0
-
-echo "== BENCH_PR9.json self-gate: serving record's memory curves flat, open/closed ratio >= 0.9"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR9.json BENCH_PR9.json 1.0
-
-echo "== BENCH_PR10.json self-gate: dormant econ holds >= 0.95x econ-free throughput"
-cargo run --release -p cloudburst-bench --bin perfgate -- BENCH_PR10.json BENCH_PR10.json 1.0
+# Every workload of the benchmark must reproduce its pinned report digest
+# (baseline.json, seed 1); the benchmark exits non-zero on a mismatch.
+echo "== benchmark pinned digests: all four workloads at seed 1"
+for w in closed-op serve-diurnal chaos-econ paper-sweep; do
+  cargo run --release -p cloudburst-bench --bin benchmark -- --workload "$w" --seed 1 --seconds 0
+done
 
 # The PR's headline guarantee gets its own named gate: the composition
 # proptest (3 schedulers, with/without an armed chaos plan, workers

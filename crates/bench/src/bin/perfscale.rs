@@ -1,16 +1,12 @@
 //! `perfscale` — megascale decision-loop and end-to-end throughput probes.
 //!
-//! Two families of numbers, written as one line of JSON (the `BENCH_PR4`
-//! record; `perfgate` later enforces loose floors against it):
+//! Writes one line of JSON, which `perfgate` checks against `BENCH.json`:
 //!
 //! * **Decision loop** — an [`EngineHarness`] is advanced to a mid-run
 //!   state with every batch admitted (tens of thousands of queued jobs),
-//!   then `load_snapshot` is timed in place. The pre-PR engine's
-//!   O(queue × machines) linear rescan is replayed over the same state via
-//!   the public probe accessors, giving an apples-to-apples `decisions/s`
-//!   pair and the speedup. The hybrid drain is also spot-checked bitwise
-//!   against an independent full-rescan replica of its semantics at every
-//!   probed scale.
+//!   then `load_snapshot` is timed in place. Before it is timed, the
+//!   hybrid drain is spot-checked bitwise against an independent
+//!   full-rescan replica of its semantics at every probed scale.
 //! * **Depth curve** — `decision_curve_<depth>_*`: full decision sweeps
 //!   (load-model refresh + rescheduling evaluation) timed at queue depths
 //!   from ≈ 50k to ≈ 2M. The hybrid drain makes one decision independent
@@ -19,27 +15,23 @@
 //! * **End to end** — full `run_with_batches` runs of the megascale
 //!   workload (batches of ≈ 10 000 jobs, 64 + 64 machines) for the greedy,
 //!   order-preserving and SIBS schedulers, reported as jobs per second.
-//! * **Threads curve** — `threads_curve_w<N>_jobs_per_sec`: the same
-//!   end-to-end run pinned to 1/2/4/8 shard workers (the `BENCH_PR7`
-//!   record). Output bytes are worker-count invariant by construction;
-//!   `perfgate` requires the 4-worker run to be ≥ 2× the serial one when
-//!   the recorded `host_cores` shows the machine can actually scale.
 //! * **Serve scale** — `serve_scale_*`: a stable open-system serving
 //!   stream (10M jobs full mode, 150k reduced, utilization-matched)
 //!   stepped window by window, reporting sustained jobs/s, the live-jobs
 //!   high-water mark and the first/last post-warm-up window live-bytes
-//!   high-water pair that `perfgate` holds within 1.5× (the serve-scale
-//!   half of the `BENCH_PR9` record).
+//!   high-water pair that `perfgate` holds within 1.5×.
 //!
 //! ```text
-//! perfscale                  full probe (100k and 1M jobs + 4-depth curve)
-//! perfscale <path>           additionally write the JSON line to <path>
-//! perfscale --reduced [path] CI mode: 20k jobs, 2-depth curve, fewer iters
+//! perfscale                      full probe (100k and 1M jobs + 4-depth curve)
+//! perfscale <path>               additionally write the JSON line to <path>
+//! perfscale --reduced [path]     CI mode: 20k jobs, 2-depth curve, fewer iters
+//! perfscale --e2e <jobs>         one order-preserving end-to-end run
+//! perfscale --serve-scale <jobs> [speed] [rate]   one serve-scale run
 //! ```
 //!
 //! Generic (unsuffixed) keys always describe the primary scale — 100k in
 //! full mode, 20k in reduced mode — so a reduced CI run produces the same
-//! key set that `perfgate` reads from the checked-in full-run baseline.
+//! key set that `perfgate` reads from the full-run records.
 
 // Timing wall-clock durations is this binary's whole purpose; the
 // disallowed-methods ban on Instant::now targets deterministic library
@@ -70,35 +62,6 @@ static COUNTER: CountingAlloc = CountingAlloc;
 /// fault-free, so no entry ever reaches it — the filter below is kept only
 /// so the replica states the full production semantics.
 const DEAD_FREE_SECS: f64 = 1_000_000_000.0;
-
-/// Faithful replica of the pre-PR decision-loop inner step: rebuild the
-/// machine free-time array with a fresh allocation and drain the FCFS
-/// queue with a linear `min_by` rescan per queued job — O(queue × machines)
-/// per call, exactly what `EngineWorld::est_free_secs` did before the
-/// indexed fast path replaced it.
-fn legacy_est_free_secs(
-    est_exec: &[f64],
-    cloud: &Cloud<JobId>,
-    speed: f64,
-    now: SimTime,
-) -> Vec<f64> {
-    let mut free = vec![0.0; cloud.n_machines()];
-    for (key, machine, started) in cloud.running_detail() {
-        let est = est_exec.get(key.0 as usize).copied().unwrap_or(60.0);
-        let elapsed_std = (now - started).as_secs_f64() * speed;
-        free[machine.0] = (est - elapsed_std).max(0.0) / speed;
-    }
-    for key in cloud.queued_keys() {
-        let est = est_exec.get(key.0 as usize).copied().unwrap_or(60.0);
-        let (idx, _) = free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN"))
-            .expect("machines exist");
-        free[idx] += est / speed;
-    }
-    free
-}
 
 /// Independent full-rescan replica of the engine's *hybrid* drain
 /// semantics: fluid water-fill of the first `queue − DRAIN_WINDOW` jobs'
@@ -162,9 +125,9 @@ fn mid_run_harness_cfg(cfg: ExperimentConfig) -> (EngineHarness, SimTime) {
     (h, now)
 }
 
-/// Decision-loop probe at one scale: (indexed decisions/s, legacy
-/// decisions/s, queued jobs at the probed instant).
-fn decision_probe(total_jobs: u64, iters: usize) -> (f64, f64, usize) {
+/// Decision-loop probe at one scale: (decisions/s, queued jobs at the
+/// probed instant).
+fn decision_probe(total_jobs: u64, iters: usize) -> (f64, usize) {
     let (mut h, now) = mid_run_harness(SchedulerKind::OrderPreserving, total_jobs, 71);
     let w = h.world_mut();
     let queued = w.ic_cloud().queued();
@@ -189,20 +152,7 @@ fn decision_probe(total_jobs: u64, iters: usize) -> (f64, f64, usize) {
         let load = w.load_snapshot(now);
         assert!(!load.ic_free_secs.is_empty());
     }
-    let indexed = iters as f64 / t0.elapsed().as_secs_f64();
-
-    // The legacy rescan is orders of magnitude slower; a few iterations
-    // give a stable per-call time.
-    let legacy_iters = (iters / 8).clamp(2, 24);
-    let t0 = Instant::now();
-    let mut sink = 0.0;
-    for _ in 0..legacy_iters {
-        sink += legacy_est_free_secs(w.est_exec_estimates(), w.ic_cloud(), speed, now)[0];
-        sink += legacy_est_free_secs(w.est_exec_estimates(), w.ec_cloud(0), ec_speed, now)[0];
-    }
-    assert!(sink.is_finite());
-    let legacy = legacy_iters as f64 / t0.elapsed().as_secs_f64();
-    (indexed, legacy, queued)
+    (iters as f64 / t0.elapsed().as_secs_f64(), queued)
 }
 
 /// Depth-curve probe: full decision sweeps (load-model refresh plus
@@ -243,17 +193,9 @@ fn curve_probe(total_jobs: u64, iters: usize) -> (f64, usize) {
 
 /// End-to-end probe: a full megascale run, reported as jobs per second of
 /// wall clock (workload generation excluded, training included — it is
-/// part of every run). `workers` pins the engine's shard-worker count;
-/// `None` leaves the config default (auto). The output is byte-identical
-/// either way — only the wall clock moves.
-fn e2e_probe(
-    kind: SchedulerKind,
-    total_jobs: u64,
-    seed: u64,
-    workers: Option<usize>,
-) -> (f64, usize) {
-    let mut cfg = ExperimentConfig::megascale(kind, total_jobs, seed);
-    cfg.shard_workers = workers;
+/// part of every run).
+fn e2e_probe(kind: SchedulerKind, total_jobs: u64, seed: u64) -> (f64, usize) {
+    let cfg = ExperimentConfig::megascale(kind, total_jobs, seed);
     let rngs = RngFactory::new(cfg.seed);
     let batches = BatchArrivals::new(cfg.arrivals.clone()).generate(&rngs, &cfg.truth);
     let t0 = Instant::now();
@@ -333,26 +275,23 @@ fn stage(t0: Instant, what: &str) {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
-    // One-shot mode: `perfscale --e2e <jobs> [workers]` runs a single
+    // One-shot mode: `perfscale --e2e <jobs>` runs a single
     // order-preserving end-to-end probe at an arbitrary scale and prints
-    // one JSON line — how the EXPERIMENTS.md 10M-job sharded run is
-    // reproduced (`perfscale --e2e 10000000 4`). Omitting `workers`
-    // leaves the engine on auto (one worker per host core).
+    // one JSON line — how the EXPERIMENTS.md 10M-job run is reproduced
+    // (`perfscale --e2e 10000000`).
     if let Some(pos) = args.iter().position(|a| a == "--e2e") {
         let jobs: u64 = args
             .get(pos + 1)
             .and_then(|s| s.parse().ok())
-            .expect("usage: perfscale --e2e <jobs> [workers]");
-        let workers: Option<usize> = args.get(pos + 2).and_then(|s| s.parse().ok());
+            .expect("usage: perfscale --e2e <jobs>");
         let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let t0 = Instant::now();
-        stage(t0, &format!("one-shot e2e op: {jobs} jobs, workers {workers:?}"));
-        let (jps, n) = e2e_probe(SchedulerKind::OrderPreserving, jobs, 73, workers);
+        stage(t0, &format!("one-shot e2e op: {jobs} jobs"));
+        let (jps, n) = e2e_probe(SchedulerKind::OrderPreserving, jobs, 73);
         stage(t0, "done");
         let doc = json!({
             "bench": "perfscale-e2e",
             "total_jobs": jobs,
-            "shard_workers": workers,
             "host_cores": host_cores,
             "e2e_op_jobs_per_sec": jps,
             "e2e_op_jobs": n,
@@ -365,10 +304,10 @@ fn main() {
     // One-shot mode: `perfscale --serve-scale <jobs> [speed] [rate]` runs
     // only the open-stream serving probe at an arbitrary scale — how the
     // EXPERIMENTS.md 10M-job sustained-serving record (and the serve half
-    // of BENCH_PR9.json) is reproduced without paying for the full probe
-    // suite. `speed`/`rate` default to the full-mode shape (100x machines,
-    // 6 000 jobs/epoch, utilization ~ 0.5); scale them together when
-    // probing far smaller streams so utilization stays put.
+    // of the `BENCH.json` PR 9 record) is reproduced without paying for
+    // the full probe suite. `speed`/`rate` default to the full-mode shape
+    // (100x machines, 6 000 jobs/epoch, utilization ~ 0.5); scale them
+    // together when probing far smaller streams so utilization stays put.
     if let Some(pos) = args.iter().position(|a| a == "--serve-scale") {
         let jobs: u64 = args
             .get(pos + 1)
@@ -406,7 +345,7 @@ fn main() {
     };
     // Depth curve: total jobs chosen so OP chunking (≈ 2× ids) lands the
     // probed queue near the labeled depth. Reduced CI mode runs the two
-    // cheapest depths; the checked-in baseline carries all four.
+    // cheapest depths; the full-run records carry all four.
     let curve: &[(u64, &str)] = if reduced {
         &[(25_000, "d50k"), (100_000, "d200k")]
     } else {
@@ -421,19 +360,17 @@ fn main() {
     doc.insert("primary_scale_jobs".into(), json!(primary));
     // Host metadata: every record names the machine's core count and the
     // worker count the unpinned probes resolve to (`shard_workers: None`
-    // = auto = host cores), so BENCH_*.json numbers — the threads curve
-    // especially — stay interpretable across machines.
+    // = auto = host cores), so recorded numbers stay interpretable across
+    // machines.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     doc.insert("host_cores".into(), json!(host_cores));
     doc.insert("default_shard_workers".into(), json!(host_cores));
 
     // Decision loop at the primary scale (generic keys: the perfgate set).
     stage(t0, "decision probe (primary scale)");
-    let (indexed, legacy, queued) = decision_probe(primary, iters);
+    let (rate, queued) = decision_probe(primary, iters);
     doc.insert("decision_queue_depth".into(), json!(queued));
-    doc.insert("decision_loop_decisions_per_sec".into(), json!(indexed));
-    doc.insert("decision_loop_legacy_decisions_per_sec".into(), json!(legacy));
-    doc.insert("decision_loop_speedup".into(), json!(indexed / legacy));
+    doc.insert("decision_loop_decisions_per_sec".into(), json!(rate));
 
     // Decisions/s-vs-depth curve (the depth-flatness record perfgate
     // holds: max/min ratio across these keys stays bounded).
@@ -447,29 +384,16 @@ fn main() {
     // End to end at the primary scale.
     for (kind, label) in SCHEDULERS {
         stage(t0, &format!("e2e {label} (primary scale)"));
-        let (jps, n) = e2e_probe(kind, primary, 73, None);
+        let (jps, n) = e2e_probe(kind, primary, 73);
         doc.insert(format!("e2e_{label}_jobs_per_sec"), json!(jps));
         doc.insert(format!("e2e_{label}_jobs"), json!(n));
-    }
-
-    // Threads-vs-throughput curve (sharded-engine record): the same
-    // order-preserving megascale run pinned to 1/2/4/8 shard workers.
-    // The byte-identical merge is enforced by the test suite; here only
-    // the wall clock may move. `perfgate` requires ≥ 2× at 4 workers
-    // when — per the `host_cores` field above — the measuring host
-    // actually has 4 cores to scale onto.
-    for workers in [1usize, 2, 4, 8] {
-        stage(t0, &format!("threads curve: {workers} worker(s)"));
-        let (jps, n) = e2e_probe(SchedulerKind::OrderPreserving, primary, 73, Some(workers));
-        doc.insert(format!("threads_curve_w{workers}_jobs_per_sec"), json!(jps));
-        doc.insert(format!("threads_curve_w{workers}_jobs"), json!(n));
     }
 
     // Open-stream sustained serving: full mode drives the >= 10M-job
     // stream behind the EXPERIMENTS.md record; reduced CI mode shrinks the
     // stream (and the machine speed, keeping utilization matched) but
     // emits the same generic keys, so the memory-flatness comparison
-    // against the checked-in baseline stays well-typed.
+    // against the full-run records stays well-typed.
     let (serve_jobs, serve_speed, serve_rate) =
         if reduced { (150_000, 10.0, 600.0) } else { (10_000_000, 100.0, 6_000.0) };
     stage(t0, &format!("serve-scale probe ({serve_jobs} jobs)"));
@@ -483,14 +407,12 @@ fn main() {
     // Larger scales (full mode only): suffixed record keys.
     for &(scale, suffix) in extra_scales {
         stage(t0, &format!("decision probe ({suffix})"));
-        let (indexed, legacy, queued) = decision_probe(scale, iters / 4);
+        let (rate, queued) = decision_probe(scale, iters / 4);
         doc.insert(format!("decision_queue_depth_{suffix}"), json!(queued));
-        doc.insert(format!("decision_loop_decisions_per_sec_{suffix}"), json!(indexed));
-        doc.insert(format!("decision_loop_legacy_decisions_per_sec_{suffix}"), json!(legacy));
-        doc.insert(format!("decision_loop_speedup_{suffix}"), json!(indexed / legacy));
+        doc.insert(format!("decision_loop_decisions_per_sec_{suffix}"), json!(rate));
         for (kind, label) in SCHEDULERS {
             stage(t0, &format!("e2e {label} ({suffix})"));
-            let (jps, n) = e2e_probe(kind, scale, 73, None);
+            let (jps, n) = e2e_probe(kind, scale, 73);
             doc.insert(format!("e2e_{label}_jobs_per_sec_{suffix}"), json!(jps));
             doc.insert(format!("e2e_{label}_jobs_{suffix}"), json!(n));
         }

@@ -1,19 +1,15 @@
-//! `perfsmoke` — a one-command perf trajectory probe.
+//! `perfsmoke` — the small-probe line of the perf record.
 //!
 //! Times the raw event kernel (schedule/fire cascade and schedule/cancel
-//! churn, reported as events per second), the autonomic-model fast paths
-//! (sliding-window RLS refit vs the legacy batch refit; streaming OO
-//! series vs the legacy per-sample rescan, both reported with speedups),
-//! plus a representative subset of the `repro` experiments, a dormant-chaos
-//! probe (full engine runs with a zero-probability fault profile armed — the
-//! recovery plumbing must cost nothing when dormant), the matching
-//! dormant-econ probe and the cost-aware broker decision rate (the
-//! `BENCH_PR10.json` record), and the sustained
-//! open-system serving probe (a 24-virtual-hour stream vs its draw-identical
-//! closed-batch twin, plus the per-window live-bytes high-water curve that
-//! `perfgate` holds flat — the `BENCH_PR9.json` record), and prints a single
-//! line of JSON so successive runs can be collected as `BENCH_<n>.json`
-//! files and diffed:
+//! churn, as events per second), a dormant-chaos and a dormant-econ probe
+//! (small engine runs with a zero-probability fault profile or a price-free
+//! econ section armed, each against its clean twin: a dormant section must
+//! cost nothing), the cost-aware broker decision rate, and sustained
+//! open-system serving (a 24-virtual-hour stream vs its draw-identical
+//! closed-batch twin, plus the per-window live-bytes high-water curve).
+//! Every paired probe is timed one way: interleaved best-of-blocks
+//! ([`best_of_interleaved`]). Prints one line of JSON, which `perfgate`
+//! checks against `BENCH.json`:
 //!
 //! ```text
 //! perfsmoke            print the JSON line to stdout
@@ -28,32 +24,25 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use cloudburst_bench::run_experiment_by_id;
 use cloudburst_chaos::FaultProfile;
 use cloudburst_core::config::EcSiteConfig;
 use cloudburst_core::{
     run_experiment, EngineHarness, ExperimentConfig, SchedulerKind, ServeConfig, ServeHarness,
 };
 use cloudburst_econ::{BrokerPolicy, EconConfig, Money, PriceModel};
-use cloudburst_qrsm::{design::QuadraticDesign, fit, Method, QrsModel};
-use cloudburst_sim::{RngFactory, Sim, SimDuration, SimTime};
-use cloudburst_sla::{oo_series, CompletionRecord, OoConfig, OoSample, WindowConfig};
+use cloudburst_sim::{Sim, SimDuration, SimTime};
+use cloudburst_sla::WindowConfig;
 use cloudburst_testsupport::{high_water_bytes, reset_high_water, CountingAlloc};
-use cloudburst_workload::arrival::training_corpus;
-use cloudburst_workload::{ArrivalConfig, GroundTruth, OpenArrivalConfig, SizeBucket};
+use cloudburst_workload::{ArrivalConfig, OpenArrivalConfig, SizeBucket};
 use serde_json::json;
 
 // The sustained-serving probe reports per-window live-bytes high-water
 // marks, so the whole binary runs under the counting allocator. Its two
 // relaxed atomics cost every probe low single-digit percent at most —
-// far inside the 5x perfgate headroom — and the BENCH_PR9 baseline was
-// recorded under the same allocator.
+// far inside the 5x perfgate headroom — and the `BENCH.json` PR 9 record
+// was measured under the same allocator.
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Experiments that together touch every subsystem: the Fig. 6 sweep
-/// (bucket × scheduler), the burstiness timeline, and the SIBS bound path.
-const REPRO_SUBSET: [&str; 3] = ["fig6", "fig4a", "sibs"];
 
 /// Self-rescheduling cascade: one live chain, `n` sequential fires — the
 /// pure schedule→fire hot path with maximal slot reuse.
@@ -99,196 +88,98 @@ fn kernel_churn(batches: u64, per_batch: u64) -> f64 {
     ops as f64 / secs
 }
 
-/// Legacy vs RLS refit at the engine's default window size (400, the
-/// training-corpus size). Returns `(batch_secs_per_refit,
-/// rls_secs_per_refit)` — the RLS number times a full observe→refit step
-/// (eviction down-date, row up-date, Cholesky solve, residual stats).
-fn qrsm_refit_probe(window: usize, iters: usize) -> (f64, f64) {
-    let rngs = RngFactory::new(1234);
-    let truth = GroundTruth::default();
-    let c = training_corpus(&mut rngs.stream("perfsmoke/qrsm"), &truth, window + iters);
-    let xs: Vec<Vec<f64>> = c.iter().map(|(f, _)| f.regressors()).collect();
-    let ys: Vec<f64> = c.iter().map(|(_, t)| *t).collect();
-    let (wxs, wys) = (&xs[..window], &ys[..window]);
-
-    // Legacy path: every refit re-expands the window and solves cold.
-    let d = QuadraticDesign::new(xs[0].len());
-    let t0 = Instant::now();
-    let mut sink = 0.0;
-    for _ in 0..iters.min(60) {
-        let m = d.design_matrix(wxs);
-        sink += fit::fit(&m, wys, Method::Ols).expect("batch fit")[0];
-    }
-    let batch = t0.elapsed().as_secs_f64() / iters.min(60) as f64;
-
-    let mut m = QrsModel::fit(wxs, wys, Method::Ols)
-        .expect("seed fit")
-        .with_window_capacity(window)
-        .with_refit_every(1);
-    let t0 = Instant::now();
-    for i in 0..iters {
-        m.observe(&xs[window + i], ys[window + i]);
-    }
-    let rls = t0.elapsed().as_secs_f64() / iters as f64;
-    assert!(sink.is_finite() && m.rmse().is_finite());
-    (batch, rls)
-}
-
-/// Streaming vs rescan OO series at repro scale (jobs × a full-horizon
-/// 2-minute sampling grid). Returns `(rescan_secs, streaming_secs)` per
-/// full-series computation.
-fn oo_series_probe(jobs: usize, reps: usize) -> (f64, f64) {
-    let comps: Vec<CompletionRecord> = (0..jobs)
-        .map(|i| CompletionRecord {
-            id: i as u64,
-            at: SimTime::from_secs(((i as u64 * 2_654_435_761) % (jobs as u64 * 60)) + 1),
-            bytes: 1_000_000 + (i as u64 % 100) * 10_000,
-        })
-        .collect();
-    let horizon = SimTime::from_secs(jobs as u64 * 60 + 120);
-    let cfg = OoConfig { tolerance: 4, sample_interval: SimDuration::from_mins(2) };
-
-    let t0 = Instant::now();
-    let mut last: Vec<OoSample> = Vec::new();
-    for _ in 0..reps {
-        last = oo_series_rescan(&comps, jobs, horizon, cfg);
-    }
-    let rescan = t0.elapsed().as_secs_f64() / reps as f64;
-
-    let t0 = Instant::now();
-    let mut stream_last: Vec<OoSample> = Vec::new();
-    for _ in 0..reps {
-        stream_last = oo_series(&comps, jobs, horizon, cfg);
-    }
-    let streaming = t0.elapsed().as_secs_f64() / reps as f64;
-    assert_eq!(last, stream_last, "streaming series must match the rescan");
-    (rescan, streaming)
-}
-
-/// The pre-streaming per-sample rescan (the library's copy is
-/// `#[cfg(test)]`-gated as the equivalence oracle).
-fn oo_series_rescan(
-    completions: &[CompletionRecord],
-    total_jobs: usize,
-    horizon: SimTime,
-    cfg: OoConfig,
-) -> Vec<OoSample> {
-    let mut by_time: Vec<&CompletionRecord> = completions.iter().collect();
-    by_time.sort_by_key(|c| (c.at, c.id));
-    let mut complete = vec![false; total_jobs];
-    let mut bytes = vec![0u64; total_jobs];
-    let mut samples = Vec::new();
-    let mut next = 0usize;
-    let mut m_t: Option<u64> = None;
-    let mut t = SimTime::ZERO + cfg.sample_interval;
-    while t <= horizon {
-        while next < by_time.len() && by_time[next].at <= t {
-            let c = by_time[next];
-            complete[c.id as usize] = true;
-            bytes[c.id as usize] = c.bytes;
-            next += 1;
-        }
-        let mut best: Option<u64> = None;
-        let mut prefix = 0u64;
-        for i in 0..total_jobs as u64 {
-            if complete[i as usize] {
-                prefix += 1;
-                if (i + 1).saturating_sub(cfg.tolerance) <= prefix {
-                    best = Some(i);
-                }
-            }
-        }
-        m_t = best.or(m_t);
-        let o_t = match m_t {
-            None => 0,
-            Some(m) => (0..=m).filter(|&i| complete[i as usize]).map(|i| bytes[i as usize]).sum(),
-        };
-        samples.push(OoSample { at: t, m_t, o_t, completed: prefix as usize });
-        t += cfg.sample_interval;
-    }
-    samples
-}
-
-/// Dormant-chaos overhead: full (small) engine runs with `faults: None` vs
-/// a zero-probability profile armed. A dormant profile compiles to an empty
-/// plan, so both configurations must take the same code path; the gated
-/// throughput key catches any accidental cost creeping into the hot loop
-/// when no faults are scheduled. Returns `(dormant_runs_per_sec,
-/// dormant_over_clean_ratio)`.
-fn chaos_dormant_probe(reps: usize) -> (f64, f64) {
-    let mk = |faults: Option<FaultProfile>| {
-        let mut cfg = ExperimentConfig::paper(
-            SchedulerKind::OrderPreserving,
-            cloudburst_workload::SizeBucket::Uniform,
-            7,
-        );
-        cfg.arrivals.n_batches = 3;
-        cfg.arrivals.jobs_per_batch = 8.0;
-        cfg.n_ic = 2;
-        cfg.training_docs = 150;
-        cfg.faults = faults;
-        cfg
-    };
-    let clean = mk(None);
-    let dormant = mk(Some(FaultProfile::dormant()));
-    run_experiment(&clean); // warm-up
-    run_experiment(&dormant);
-
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_experiment(&clean);
-    }
-    let clean_secs = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        run_experiment(&dormant);
-    }
-    let dormant_secs = t0.elapsed().as_secs_f64();
-    (reps as f64 / dormant_secs, dormant_secs / clean_secs)
-}
-
-/// Dormant-econ overhead: the same small engine runs with `econ: None` vs
-/// a dormant `EconConfig` section armed (no prices anywhere). A dormant
-/// section never builds `EconState`, so both configurations must execute
-/// the literally identical code path (the engine byte-identity test pins
-/// the semantic half of that claim); this probe pins the wall-clock half.
-/// Both sides are timed as the best of `blocks` interleaved blocks of
-/// `reps` runs, so the gated ratio survives noisy CI neighbours. Returns
-/// `(dormant_runs_per_sec, dormant_over_clean_throughput_ratio)`.
-fn econ_dormant_probe(reps: usize, blocks: usize) -> (f64, f64) {
-    let mk = |econ: Option<EconConfig>| {
-        let mut cfg = ExperimentConfig::paper(
-            SchedulerKind::OrderPreserving,
-            cloudburst_workload::SizeBucket::Uniform,
-            7,
-        );
-        cfg.arrivals.n_batches = 3;
-        cfg.arrivals.jobs_per_batch = 8.0;
-        cfg.n_ic = 2;
-        cfg.training_docs = 150;
-        cfg.econ = econ;
-        cfg
-    };
-    let clean = mk(None);
-    let dormant = mk(Some(EconConfig::default()));
-    run_experiment(&clean); // warm-up
-    run_experiment(&dormant);
-
-    let time_block = |cfg: &ExperimentConfig| {
+/// Times two workloads the one way every paired probe here is timed: one
+/// untimed warm-up call of each (first-touch pages, lazy init), then
+/// `blocks` interleaved blocks of `reps` calls per side, the side that
+/// goes first alternating block by block. Returns `(best_a, best_b,
+/// a_over_b)`: each side's best block in seconds, for its rate, and the
+/// median over block pairs of `a`'s time over `b`'s, for the ratio. A
+/// pair runs back to back, so its ratio cancels the host-speed drift that
+/// makes a ratio of two bests swing (0.76–1.06 against 0.98–1.02 for the
+/// median, dormant econ over 16 runs on a shared 2-core VM).
+fn best_of_interleaved(
+    blocks: usize,
+    reps: usize,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64, f64) {
+    a();
+    b();
+    let block = |f: &mut dyn FnMut()| {
         let t0 = Instant::now();
         for _ in 0..reps {
-            run_experiment(cfg);
+            f();
         }
         t0.elapsed().as_secs_f64()
     };
-    let mut clean_best = f64::INFINITY;
-    let mut dormant_best = f64::INFINITY;
-    for _ in 0..blocks {
-        clean_best = clean_best.min(time_block(&clean));
-        dormant_best = dormant_best.min(time_block(&dormant));
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    let mut ratios = Vec::with_capacity(blocks);
+    for i in 0..blocks {
+        let (ta, tb) = if i % 2 == 0 {
+            let ta = block(&mut a);
+            (ta, block(&mut b))
+        } else {
+            let tb = block(&mut b);
+            (block(&mut a), tb)
+        };
+        best_a = best_a.min(ta);
+        best_b = best_b.min(tb);
+        ratios.push(ta / tb);
     }
-    (reps as f64 / dormant_best, clean_best / dormant_best)
+    ratios.sort_by(f64::total_cmp);
+    (best_a, best_b, ratios[blocks / 2])
+}
+
+/// The small paper-testbed run both dormant-section probes time.
+fn small_run() -> ExperimentConfig {
+    let mut cfg = ExperimentConfig::paper(SchedulerKind::OrderPreserving, SizeBucket::Uniform, 7);
+    cfg.arrivals.n_batches = 3;
+    cfg.arrivals.jobs_per_batch = 8.0;
+    cfg.n_ic = 2;
+    cfg.training_docs = 150;
+    cfg
+}
+
+/// Dormant-chaos overhead: `faults: None` vs a zero-probability profile
+/// armed. A dormant profile compiles to an empty plan, so both take the
+/// same code path; the gated throughput key catches any cost creeping into
+/// the hot loop when no faults are scheduled. Returns
+/// `(dormant_runs_per_sec, dormant_over_clean_secs)`.
+fn chaos_dormant_probe(reps: usize, blocks: usize) -> (f64, f64) {
+    let clean = small_run();
+    let dormant = ExperimentConfig { faults: Some(FaultProfile::dormant()), ..small_run() };
+    let (_, dormant_secs, clean_over_dormant) = best_of_interleaved(
+        blocks,
+        reps,
+        || {
+            run_experiment(&clean);
+        },
+        || {
+            run_experiment(&dormant);
+        },
+    );
+    (reps as f64 / dormant_secs, 1.0 / clean_over_dormant)
+}
+
+/// Dormant-econ overhead: `econ: None` vs a dormant `EconConfig` section
+/// armed (no prices anywhere). A dormant section never builds `EconState`,
+/// so both execute the identical code path (the engine byte-identity test
+/// pins the semantic half of that claim); this probe pins the wall-clock
+/// half. Returns `(dormant_runs_per_sec, dormant_over_clean_throughput)`.
+fn econ_dormant_probe(reps: usize, blocks: usize) -> (f64, f64) {
+    let clean = small_run();
+    let dormant = ExperimentConfig { econ: Some(EconConfig::default()), ..small_run() };
+    let (_, dormant_secs, clean_over_dormant) = best_of_interleaved(
+        blocks,
+        reps,
+        || {
+            run_experiment(&clean);
+        },
+        || {
+            run_experiment(&dormant);
+        },
+    );
+    (reps as f64 / dormant_secs, clean_over_dormant)
 }
 
 /// Cost-aware broker decision throughput: one armed world with a priced
@@ -327,11 +218,10 @@ fn econ_broker_probe(n: usize) -> f64 {
 /// Sustained open-system serving vs its closed-batch twin over the
 /// draw-identical workload (flat envelope, no bursts): a 24-simulated-hour
 /// stream on a stable estate, stepped window by window with closed rows
-/// drained as they land. Returns `(sustained_jobs_per_sec,
-/// closed_jobs_per_sec, jobs, live_high_water, mem_curve)` where
-/// `mem_curve` is the post-warm-up per-window live-bytes high-water marks
-/// — the O(live-jobs) memory record `perfgate` holds flat.
-fn serve_sustained_probe() -> (f64, f64, u64, u64, Vec<(u64, usize)>) {
+/// drained as they land. Writes the `serve_*` keys into `doc`, among them
+/// `serve_mem_curve_*`: the post-warm-up per-window live-bytes high-water
+/// marks — the O(live-jobs) memory record `perfgate` holds flat.
+fn serve_sustained_probe(doc: &mut serde_json::Map) {
     const EPOCHS: u32 = 720; // 24h of 2-minute epochs
     const WINDOWS: u64 = 12; // 2h windows
     const WARMUP: u64 = 3;
@@ -376,40 +266,31 @@ fn serve_sustained_probe() -> (f64, f64, u64, u64, Vec<(u64, usize)>) {
         (report, curve)
     };
 
-    // Closed-batch twin: same draws, whole-run accumulation. Both paths
-    // get an untimed warm-up (first-touch pages, lazy init), then the
-    // best of three timed runs each — the ratio of two ~tens-of-ms
-    // sections would otherwise be at the mercy of scheduler noise.
-    const TIMED_RUNS: usize = 3;
-    let closed_cfg = {
-        let mut c = cfg.clone();
-        c.serve = None;
-        c
-    };
-    run_experiment(&closed_cfg); // warm-up
-    serve_pass(&cfg); // warm-up
-    let mut closed_best = f64::INFINITY;
-    let mut closed = run_experiment(&closed_cfg);
-    for _ in 0..TIMED_RUNS {
-        let t0 = Instant::now();
-        closed = run_experiment(&closed_cfg);
-        closed_best = closed_best.min(t0.elapsed().as_secs_f64());
-    }
-    let closed_jps = closed.n_jobs as f64 / closed_best;
-
-    let mut serve_best = f64::INFINITY;
-    let (mut report, mut curve) = serve_pass(&cfg);
-    for _ in 0..TIMED_RUNS {
-        let t0 = Instant::now();
-        (report, curve) = serve_pass(&cfg);
-        serve_best = serve_best.min(t0.elapsed().as_secs_f64());
-    }
-    let sustained_jps = report.jobs_completed as f64 / serve_best;
+    // Closed-batch twin: same draws, whole-run accumulation. Both streams
+    // admit the same jobs, so the throughput ratio is the time ratio.
+    let closed_cfg = ExperimentConfig { serve: None, ..cfg.clone() };
+    let (mut closed, mut served) = (None, None);
+    let (closed_best, serve_best, closed_over_serve) = best_of_interleaved(
+        10,
+        1,
+        || closed = Some(run_experiment(&closed_cfg)),
+        || served = Some(serve_pass(&cfg)),
+    );
+    let closed = closed.expect("the closed twin ran");
+    let (report, curve) = served.expect("the serve pass ran");
     assert_eq!(
         report.jobs_admitted as usize, closed.n_jobs,
         "matching_closed stream must admit the closed run's jobs"
     );
-    (sustained_jps, closed_jps, report.jobs_completed, report.live_high_water, curve)
+    let jobs = report.jobs_completed;
+    doc.insert("serve_sustained_jobs_per_sec".into(), json!(jobs as f64 / serve_best));
+    doc.insert("serve_closed_jobs_per_sec".into(), json!(closed.n_jobs as f64 / closed_best));
+    doc.insert("serve_sustained_over_closed".into(), json!(closed_over_serve));
+    doc.insert("serve_jobs".into(), json!(jobs));
+    doc.insert("serve_live_high_water_jobs".into(), json!(report.live_high_water));
+    for (k, bytes) in &curve {
+        doc.insert(format!("serve_mem_curve_w{k:02}_live_bytes"), json!(bytes));
+    }
 }
 
 fn main() {
@@ -420,58 +301,26 @@ fn main() {
     let cascade_eps = kernel_cascade(200_000);
     let churn_eps = kernel_churn(100, 1_000);
 
-    qrsm_refit_probe(400, 50); // warm-up
-    let (refit_batch, refit_rls) = qrsm_refit_probe(400, 2_000);
-    let (oo_rescan, oo_stream) = oo_series_probe(2_000, 30);
-    let (chaos_dormant_rps, chaos_dormant_ratio) = chaos_dormant_probe(20);
-    let (econ_dormant_rps, econ_dormant_over_clean) = econ_dormant_probe(20, 3);
+    let (chaos_dormant_rps, chaos_dormant_ratio) = chaos_dormant_probe(4, 60);
+    let (econ_dormant_rps, econ_dormant_over_clean) = econ_dormant_probe(4, 60);
     let econ_broker_dps = econ_broker_probe(2_000_000);
-    let (serve_jps, serve_closed_jps, serve_jobs, serve_live_hw, serve_mem_curve) =
-        serve_sustained_probe();
-
-    let mut repro = serde_json::Map::new();
-    let t_all = Instant::now();
-    for id in REPRO_SUBSET {
-        let t0 = Instant::now();
-        run_experiment_by_id(id).expect("known experiment id");
-        repro.insert(format!("repro_{id}_secs"), json!(t0.elapsed().as_secs_f64()));
-    }
-    let repro_total = t_all.elapsed().as_secs_f64();
 
     let mut doc = serde_json::Map::new();
     doc.insert("bench".into(), json!("perfsmoke"));
     doc.insert("kernel_cascade_events_per_sec".into(), json!(cascade_eps));
     doc.insert("kernel_churn_events_per_sec".into(), json!(churn_eps));
-    doc.insert("qrsm_refit_batch_secs".into(), json!(refit_batch));
-    doc.insert("qrsm_refit_rls_secs".into(), json!(refit_rls));
-    doc.insert("qrsm_refit_speedup".into(), json!(refit_batch / refit_rls));
-    doc.insert("oo_series_rescan_secs".into(), json!(oo_rescan));
-    doc.insert("oo_series_streaming_secs".into(), json!(oo_stream));
-    doc.insert("oo_series_speedup".into(), json!(oo_rescan / oo_stream));
     doc.insert("chaos_dormant_runs_per_sec".into(), json!(chaos_dormant_rps));
     doc.insert("chaos_dormant_overhead_ratio".into(), json!(chaos_dormant_ratio));
     doc.insert("econ_dormant_runs_per_sec".into(), json!(econ_dormant_rps));
     doc.insert("econ_dormant_over_clean".into(), json!(econ_dormant_over_clean));
     doc.insert("econ_broker_decisions_per_sec".into(), json!(econ_broker_dps));
-    doc.insert("serve_sustained_jobs_per_sec".into(), json!(serve_jps));
-    doc.insert("serve_closed_jobs_per_sec".into(), json!(serve_closed_jps));
-    doc.insert("serve_sustained_over_closed".into(), json!(serve_jps / serve_closed_jps));
-    doc.insert("serve_jobs".into(), json!(serve_jobs));
-    doc.insert("serve_live_high_water_jobs".into(), json!(serve_live_hw));
-    for (k, bytes) in &serve_mem_curve {
-        doc.insert(format!("serve_mem_curve_w{k:02}_live_bytes"), json!(bytes));
-    }
-    doc.insert("repro_subset_secs".into(), json!(repro_total));
-    // Host metadata, uniform across every BENCH_*.json record: core count
-    // and the shard-worker count unpinned engine runs resolve to (auto =
-    // host cores), so numbers stay interpretable across machines.
+    serve_sustained_probe(&mut doc);
+    // Host metadata, uniform across the records: core count and the
+    // shard-worker count unpinned engine runs resolve to (auto = host
+    // cores), so numbers stay interpretable across machines.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    doc.insert("threads".into(), json!(host_cores));
     doc.insert("host_cores".into(), json!(host_cores));
     doc.insert("default_shard_workers".into(), json!(host_cores));
-    for (k, v) in repro {
-        doc.insert(k, v);
-    }
 
     let line = serde_json::to_string(&serde_json::Value::Object(doc)).expect("serialize");
     println!("{line}");

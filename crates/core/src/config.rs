@@ -199,14 +199,14 @@ pub struct ExperimentConfig {
     /// that [`cloudburst_chaos::FaultProfile::is_dormant`] — leave the run
     /// byte-identical to a fault-free one.
     pub faults: Option<cloudburst_chaos::FaultProfile>,
-    /// Worker threads for the intra-run shard fan-out (the report's two
-    /// sections). `None` or `Some(0)` means auto (the machine's available
-    /// parallelism); `Some(1)` pins the inline serial
-    /// path. `Option` so configs serialized before the knob existed still
-    /// deserialize (missing fields decode as null). Results are
-    /// byte-identical for every value — the epoch-barrier merge makes the
-    /// run a pure function of (config minus this knob, seed) — so the
-    /// knob only trades wall-clock time, never reproducibility.
+    /// Worker threads for the one in-run fan-out: `report()` joins its two
+    /// independent sections through `ShardPool::join`. `None` or `Some(0)`
+    /// means auto (the machine's available parallelism); `Some(1)` pins
+    /// the inline serial path. `Option` so configs serialized before the
+    /// knob existed still deserialize (missing fields decode as null).
+    /// Results are byte-identical for every value — both sections are pure
+    /// reads of the finished run, joined in a fixed order — so the knob
+    /// only trades wall-clock time, never reproducibility.
     pub shard_workers: Option<usize>,
     /// Open-system serving section. `None` (also what configs serialized
     /// before the mode existed decode to) runs the classic closed-batch
