@@ -11,9 +11,9 @@ echo "== tier-1: cargo test -q"
 cargo test -q
 
 # One release pass covers every workspace target — including the chaos
-# golden scenario and the shard byte-identity suites, which previously ran
-# as separate (duplicate) invocations.
-echo "== workspace tests, release (chaos golden + shard composition included)"
+# golden scenario, the engine equivalence proptests and the one
+# `shard_workers` test (the ignored knob reaches no byte of a report).
+echo "== workspace tests, release (chaos goldens, equivalence proptests, shard_workers test included)"
 cargo test -q --release --workspace
 
 echo "== benches compile: cargo bench --no-run"
@@ -39,15 +39,6 @@ echo "== benchmark pinned digests: all four workloads at seed 1"
 for w in closed-op serve-diurnal chaos-econ paper-sweep; do
   cargo run --release -p cloudburst-bench --bin benchmark -- --workload "$w" --seed 1 --seconds 0
 done
-
-# The PR's headline guarantee gets its own named gate: the composition
-# proptest (3 schedulers, with/without an armed chaos plan, workers
-# 1 vs 2/4/8) plus the worker-count invariance goldens. These targeted
-# binaries are seconds of work — unlike the old full-suite duplicate
-# runs, which the single workspace pass above replaced.
-echo "== shard byte-identity: composition proptest (3 schedulers, +/- armed chaos) + worker-count goldens"
-cargo test -q --release -p cloudburst-core --lib equivalence
-cargo test -q --release --test shard_invariance
 
 # Batch admission is linear in the batch: a one-pass Algorithm 2 chunk
 # phase and a tournament-indexed Planner. Both must stay bitwise equal to
@@ -169,16 +160,20 @@ cargo test -q --release --test chaos_golden
 cargo test -q --release --test golden_determinism
 cargo test -q --release -p cloudburst-core --test alloc_free_wake
 
-# Every multi-run fan-out goes through the one thread coordinator,
-# ShardPool: repro maps its ids through the pool and emits each result in
-# id order. A multi-id run must therefore print exactly the single-id runs
-# concatenated; a single-id run uses one worker, so it is serial.
-echo "== repro ordered merge: pooled multi-id stdout equals the single-id runs concatenated"
+# A run is single-threaded; every multi-run fan-out goes through the one
+# parallel map, cloudburst_bench::ShardPool: repro maps its ids through the
+# pool and emits each result in id order. A multi-id run must therefore
+# print exactly the single-id runs concatenated; a single-id run uses one
+# worker, so it is serial. The pool's allocation test pins that a warm
+# inline map allocates nothing and that parallel allocations do not scale
+# with the item count.
+echo "== repro ordered merge: pooled multi-id stdout equals the single-id runs concatenated; pool allocations"
 for id in fig4a fig6 sibs; do
   cargo run -q --release -p cloudburst-bench --bin repro -- "$id"
 done > "$PERF_TMP/repro.serial.txt"
 cargo run -q --release -p cloudburst-bench --bin repro -- fig4a fig6 sibs > "$PERF_TMP/repro.pooled.txt"
 cmp "$PERF_TMP/repro.serial.txt" "$PERF_TMP/repro.pooled.txt"
+cargo test -q --release -p cloudburst-bench --test alloc_free_pool
 
 echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

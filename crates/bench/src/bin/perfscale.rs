@@ -274,6 +274,9 @@ fn stage(t0: Instant, what: &str) {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // Host metadata: every record names the machine's core count, so
+    // recorded numbers stay interpretable across machines.
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // One-shot mode: `perfscale --e2e <jobs>` runs a single
     // order-preserving end-to-end probe at an arbitrary scale and prints
@@ -284,7 +287,6 @@ fn main() {
             .get(pos + 1)
             .and_then(|s| s.parse().ok())
             .expect("usage: perfscale --e2e <jobs>");
-        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let t0 = Instant::now();
         stage(t0, &format!("one-shot e2e op: {jobs} jobs"));
         let (jps, n) = e2e_probe(SchedulerKind::OrderPreserving, jobs, 73);
@@ -313,7 +315,6 @@ fn main() {
             .get(pos + 1)
             .and_then(|s| s.parse().ok())
             .expect("usage: perfscale --serve-scale <jobs>");
-        let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let t0 = Instant::now();
         stage(t0, &format!("one-shot serve-scale: {jobs} jobs"));
         let speed: f64 = args.get(pos + 2).and_then(|s| s.parse().ok()).unwrap_or(100.0);
@@ -358,13 +359,7 @@ fn main() {
     doc.insert("bench".into(), json!("perfscale"));
     doc.insert("reduced".into(), json!(reduced));
     doc.insert("primary_scale_jobs".into(), json!(primary));
-    // Host metadata: every record names the machine's core count and the
-    // worker count the unpinned probes resolve to (`shard_workers: None`
-    // = auto = host cores), so recorded numbers stay interpretable across
-    // machines.
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     doc.insert("host_cores".into(), json!(host_cores));
-    doc.insert("default_shard_workers".into(), json!(host_cores));
 
     // Decision loop at the primary scale (generic keys: the perfgate set).
     stage(t0, "decision probe (primary scale)");

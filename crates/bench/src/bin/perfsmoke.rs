@@ -315,12 +315,10 @@ fn main() {
     doc.insert("econ_dormant_over_clean".into(), json!(econ_dormant_over_clean));
     doc.insert("econ_broker_decisions_per_sec".into(), json!(econ_broker_dps));
     serve_sustained_probe(&mut doc);
-    // Host metadata, uniform across the records: core count and the
-    // shard-worker count unpinned engine runs resolve to (auto = host
-    // cores), so numbers stay interpretable across machines.
+    // Host metadata, uniform across the records: the core count, so
+    // numbers stay interpretable across machines.
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     doc.insert("host_cores".into(), json!(host_cores));
-    doc.insert("default_shard_workers".into(), json!(host_cores));
 
     let line = serde_json::to_string(&serde_json::Value::Object(doc)).expect("serialize");
     println!("{line}");

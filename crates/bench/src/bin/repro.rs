@@ -10,8 +10,7 @@
 
 use std::io::Write as _;
 
-use cloudburst_bench::{all_ids, run_experiment_by_id, ExpOutput};
-use cloudburst_sim::ShardPool;
+use cloudburst_bench::{all_ids, run_experiment_by_id, ExpOutput, ShardPool};
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();

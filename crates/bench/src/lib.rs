@@ -10,6 +10,10 @@
 //! cargo run --release -p cloudburst-bench --bin repro -- all
 //! ```
 //!
+//! Every run is single-threaded; [`ShardPool`] maps independent runs
+//! (replications, `repro` ids) over worker threads and merges them back in
+//! input order.
+//!
 //! Criterion micro-benchmarks for the hot components live in `benches/`.
 
 #![forbid(unsafe_code)]
@@ -19,10 +23,12 @@
 
 pub mod econ_sweep;
 pub mod experiments;
+pub mod pool;
 pub mod runner;
 pub mod svg;
 
 pub use econ_sweep::{econ_sweep_table, price_regimes};
 pub use experiments::{all_ids, run_experiment_by_id, ExpOutput};
+pub use pool::ShardPool;
 pub use runner::{mean_of, run_replications};
 pub use svg::{Chart, Series};

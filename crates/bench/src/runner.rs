@@ -1,15 +1,16 @@
 //! Multi-run drivers: replications of one configuration across seeds, and
 //! the aggregation helper the paper's tables are built from.
 //!
-//! Replications fan out through [`ShardPool::map_ordered_into`], the one
-//! thread coordinator of the workspace: each worker runs an independent
-//! `(config, seed)` experiment and writes its report into that seed's
-//! input slot, so callers always see reports in seed order, byte-identical
-//! to a serial loop.
+//! Replications fan out through [`ShardPool::map_ordered_into`], the
+//! workspace's one parallel map: each worker runs whole, single-threaded
+//! `(config, seed)` experiments and writes each report into that seed's
+//! input slot, so callers always see reports in seed order,
+//! byte-identical to a serial loop.
 
 use cloudburst_core::{run_experiment, ExperimentConfig};
-use cloudburst_sim::ShardPool;
 use cloudburst_sla::RunReport;
+
+use crate::ShardPool;
 
 /// Runs the same configuration across `seeds` on the auto-sized pool,
 /// returning reports in seed order.

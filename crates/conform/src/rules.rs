@@ -9,13 +9,13 @@
 //!   (randomized) hasher; use `FxHashMap`/`FxHashSet` or a `BTreeMap`.
 //! * `determinism/ambient-rng` — `thread_rng`, `rand::random`, `OsRng`,
 //!   `from_entropy`: randomness not derived from the experiment seed.
-//! * `determinism/thread-spawn` — `thread::spawn` or `crossbeam::scope`
-//!   worker orchestration in deterministic crates; real threads belong to
-//!   the orchestration layer and bins. The one coordinator that does fan
-//!   work out, `sim::ShardPool`, lives behind a per-file waiver whose
-//!   justification states the determinism argument (order-invariant
-//!   merge) — a waiver is mandatory per file, never a blanket relaxation
-//!   of the rule.
+//! * `determinism/thread-spawn` — `thread::spawn`, `thread::scope` or
+//!   `crossbeam::scope` worker orchestration in deterministic crates; a
+//!   run is single-threaded, and real threads belong to the orchestration
+//!   layer and bins (the multi-run map, `cloudburst_bench::ShardPool`).
+//!   A deterministic-crate file that must spawn needs a per-file waiver
+//!   whose justification states the determinism argument — never a
+//!   blanket relaxation of the rule.
 //! * `hotpath/unsafe` — `unsafe` anywhere (library, bins, tests) outside
 //!   an explicit waiver.
 //! * `hotpath/unwrap-budget` — `.unwrap()` in library (non-bin, non-test)
@@ -193,6 +193,14 @@ pub fn scan_tokens(info: &FileInfo, toks: &[Tok], lines: &[&str]) -> FileScan {
                         "determinism/thread-spawn",
                         t.line,
                         "thread::spawn outside the orchestration layer",
+                    );
+                    continue;
+                }
+                "scope" if prev(1) == "::" && prev(2) == "thread" => {
+                    push(
+                        "determinism/thread-spawn",
+                        t.line,
+                        "std scoped worker threads outside the orchestration layer",
                     );
                     continue;
                 }

@@ -19,10 +19,11 @@
 //!   leaves named in a waiver. (`debug_assert*` is release-dead and
 //!   exempt by construction — the parser drops its argument tokens.)
 //! * `determinism/taint` — spawning functions in a nondeterministic source
-//!   file (one carrying a `determinism/thread-spawn` waiver: today only
-//!   the shard coordinator) taint every deterministic-crate caller
-//!   that reaches them. A *source* is a fn in such a file whose body
-//!   actually fans out (`crossbeam::scope`, `thread::spawn`, `.spawn(..)`)
+//!   file (one carrying a `determinism/thread-spawn` waiver; today there
+//!   is none, so the analysis finds nothing) taint every deterministic-crate
+//!   caller that reaches them. A *source* is a fn in such a file whose body
+//!   actually fans out (`crossbeam::scope`, `thread::scope`, `thread::spawn`,
+//!   `.spawn(..)`)
 //!   — pure helpers that merely live in the same file do not taint, so
 //!   the waived file can still export innocent config/constructor code. A caller file carrying a `determinism/taint`
 //!   waiver is a *justified boundary*: its finding renders waived and the
@@ -175,7 +176,8 @@ fn hot_path_findings(graph: &Graph, findings: &mut Vec<Finding>) {
 fn spawns(f: &crate::parse::FnItem) -> bool {
     f.calls.iter().any(|c| {
         let n = c.name();
-        (n == "spawn" && !c.in_test) || (n == "scope" && c.qualifier() == Some("crossbeam"))
+        (n == "spawn" && !c.in_test)
+            || (n == "scope" && matches!(c.qualifier(), Some("crossbeam" | "thread")))
     })
 }
 

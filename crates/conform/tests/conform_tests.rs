@@ -84,10 +84,17 @@ fn thread_spawn_fixture_pair() {
 #[test]
 fn crossbeam_scope_fixture_pair() {
     // An unwaived fan-out coordinator in a deterministic crate must fail
-    // the scan exactly like a bare `thread::spawn` — the shard pool's
-    // legitimacy comes from its per-file waiver, not a rule relaxation.
+    // the scan exactly like a bare `thread::spawn`.
     assert_fires("crossbeam_scope_violation.rs", "determinism/thread-spawn");
     assert_clean("crossbeam_scope_clean.rs");
+}
+
+#[test]
+fn thread_scope_fixture_pair() {
+    // `std::thread::scope` workers are OS threads too: the rule must not
+    // read a std scoped fan-out as single-threaded code.
+    assert_fires("thread_scope_violation.rs", "determinism/thread-spawn");
+    assert_clean("thread_scope_clean.rs");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 // Clean: the per-item work runs inline, in input order; parallel fan-out
-// goes through a waived coordinator (e.g. `ShardPool`) instead of ad-hoc
-// scoped threads.
+// across runs lives in the orchestration layer, not in ad-hoc scoped
+// threads.
 pub fn fan_out_inline(items: &[u64], f: impl Fn(u64)) {
     for &it in items {
         f(it);

@@ -199,14 +199,12 @@ pub struct ExperimentConfig {
     /// that [`cloudburst_chaos::FaultProfile::is_dormant`] — leave the run
     /// byte-identical to a fault-free one.
     pub faults: Option<cloudburst_chaos::FaultProfile>,
-    /// Worker threads for the one in-run fan-out: `report()` joins its two
-    /// independent sections through `ShardPool::join`. `None` or `Some(0)`
-    /// means auto (the machine's available parallelism); `Some(1)` pins
-    /// the inline serial path. `Option` so configs serialized before the
-    /// knob existed still deserialize (missing fields decode as null).
-    /// Results are byte-identical for every value — both sections are pure
-    /// reads of the finished run, joined in a fixed order — so the knob
-    /// only trades wall-clock time, never reproducibility.
+    /// Ignored: a run is single-threaded, so no value reaches a byte of
+    /// its report or its wall-clock time. The field stays so configs and
+    /// callers that set it (saved JSON configs, the end-to-end benchmark's
+    /// `Some(1)`) still deserialize and compile; `Option` because configs
+    /// serialized before the knob existed decode the missing field as
+    /// null.
     pub shard_workers: Option<usize>,
     /// Open-system serving section. `None` (also what configs serialized
     /// before the mode existed decode to) runs the classic closed-batch
@@ -330,8 +328,8 @@ mod tests {
 
     #[test]
     fn shard_workers_defaults_for_legacy_configs() {
-        // Configs serialized before the sharding knob existed must still
-        // deserialize (auto worker count).
+        // Configs serialized before the (now ignored) knob existed must
+        // still deserialize.
         let c = ExperimentConfig::default();
         let mut js = serde_json::to_string(&c).unwrap();
         js = js.replace(",\"shard_workers\":null", "");

@@ -38,7 +38,7 @@ use cloudburst_sched::{
     OrderPreservingScheduler, OutstandingSet, Placement, ProcTimeModel, ScheduledJob,
     SibsScheduler,
 };
-use cloudburst_sim::{EventId, FxHashMap, RngFactory, ShardPool, Sim, SimDuration, SimTime};
+use cloudburst_sim::{EventId, FxHashMap, RngFactory, Sim, SimDuration, SimTime};
 use cloudburst_sla::{
     metrics, oo_series, CompletionRecord, FaultMetrics, RunReport, ServeReport, WindowSeries,
     WindowStats,
@@ -511,10 +511,6 @@ pub struct EngineWorld {
     po_queue: Vec<PushOutCandidate>,
     /// Fault-injection bookkeeping; `None` ⇔ no fault can ever realize.
     chaos: Option<ChaosState>,
-    /// Worker policy for the report's two-section join. Results are
-    /// byte-identical for any worker count; `cfg.shard_workers` only
-    /// trades wall-clock time.
-    pool: ShardPool,
     /// Open-system serving state; `None` ⇔ classic closed-batch mode.
     serve: Option<ServeState>,
     /// Economics state; `None` ⇔ no price, penalty, admission commitment
@@ -697,7 +693,6 @@ impl EngineWorld {
 
         let rng_probe = rngs.stream("probe");
         let rng_chunk_truth = rngs.stream("chunk-truth");
-        let pool = ShardPool::new(cfg.shard_workers.unwrap_or(0));
         EngineWorld {
             ic: Cloud::homogeneous("ic", cfg.n_ic, cfg.ic_speed),
             sites,
@@ -733,7 +728,6 @@ impl EngineWorld {
             po_waiting: Vec::new(),
             po_queue: Vec::new(),
             chaos,
-            pool,
             serve: None,
             econ,
         }
@@ -1078,62 +1072,52 @@ impl EngineWorld {
         // Eq. 11/12 use the *decision-time* placements per batch; the
         // timelines' placements can differ after rescheduling moves jobs.
         let (per_batch, overall) = metrics::burst_ratio_batched(&self.batch_decisions);
-        // The two heavy report sections are disjoint pure reads of the
-        // finished run, so they go through the shard pool's join — inline
-        // (same order) at one worker, concurrent otherwise. The closures
-        // capture bound field refs rather than `&self` because the
-        // scheduler box is not `Sync`.
         let jobs = &self.jobs;
-        let ticket_promise = &self.ticket_promise;
         let ct = &completion_times;
-        let oo_cfg = self.cfg.oo;
-        let horizon = SimTime::from_secs_f64(makespan_secs) + oo_cfg.sample_interval;
-        let (oo, (batch_turnaround_secs, sequential, tickets, completion_delays)) =
-            self.pool.join(
-                move || {
-                    let records: Vec<CompletionRecord> = ct
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &at)| CompletionRecord {
-                            id: i as u64,
-                            at,
-                            bytes: jobs[i].output_bytes,
-                        })
-                        .collect();
-                    oo_series(&records, jobs.len().max(1), horizon, oo_cfg)
-                },
-                move || {
-                    let batch_of: Vec<u32> = jobs.iter().map(|j| j.batch).collect();
-                    let n_batches =
-                        batch_of.iter().map(|&b| b as usize + 1).max().unwrap_or(0);
-                    // First-arrival per batch in a single pass over the
-                    // jobs (the old per-batch `find` scan was O(batches·n)).
-                    let mut batch_arrivals = vec![SimTime::ZERO; n_batches];
-                    let mut seen = vec![false; n_batches];
-                    for j in jobs.iter() {
-                        let b = j.batch as usize;
-                        if !seen[b] {
-                            seen[b] = true;
-                            batch_arrivals[b] = j.arrival;
-                        }
-                    }
-                    let batch_turnaround_secs =
-                        metrics::batch_turnarounds(ct, &batch_of, &batch_arrivals);
-                    let sequential: f64 = jobs.iter().map(|j| j.true_service_secs).sum();
-                    let tickets: Vec<cloudburst_sla::TicketOutcome> = ct
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &completed)| cloudburst_sla::TicketOutcome {
-                            id: i as u64,
-                            issued: jobs[i].arrival,
-                            promised: ticket_promise[i],
-                            completed,
-                        })
-                        .collect();
-                    let completion_delays = metrics::completion_delay_series(ct, arrival);
-                    (batch_turnaround_secs, sequential, tickets, completion_delays)
-                },
-            );
+        // Each section's temporaries live in its own block, so the
+        // completion records are freed before the batch section allocates.
+        let oo = {
+            let oo_cfg = self.cfg.oo;
+            let horizon = SimTime::from_secs_f64(makespan_secs) + oo_cfg.sample_interval;
+            let records: Vec<CompletionRecord> = ct
+                .iter()
+                .enumerate()
+                .map(|(i, &at)| CompletionRecord {
+                    id: i as u64,
+                    at,
+                    bytes: jobs[i].output_bytes,
+                })
+                .collect();
+            oo_series(&records, jobs.len().max(1), horizon, oo_cfg)
+        };
+        let batch_turnaround_secs = {
+            let batch_of: Vec<u32> = jobs.iter().map(|j| j.batch).collect();
+            let n_batches = batch_of.iter().map(|&b| b as usize + 1).max().unwrap_or(0);
+            // First-arrival per batch in a single pass over the jobs (the
+            // old per-batch `find` scan was O(batches·n)).
+            let mut batch_arrivals = vec![SimTime::ZERO; n_batches];
+            let mut seen = vec![false; n_batches];
+            for j in jobs.iter() {
+                let b = j.batch as usize;
+                if !seen[b] {
+                    seen[b] = true;
+                    batch_arrivals[b] = j.arrival;
+                }
+            }
+            metrics::batch_turnarounds(ct, &batch_of, &batch_arrivals)
+        };
+        let sequential: f64 = jobs.iter().map(|j| j.true_service_secs).sum();
+        let tickets: Vec<cloudburst_sla::TicketOutcome> = ct
+            .iter()
+            .enumerate()
+            .map(|(i, &completed)| cloudburst_sla::TicketOutcome {
+                id: i as u64,
+                issued: jobs[i].arrival,
+                promised: self.ticket_promise[i],
+                completed,
+            })
+            .collect();
+        let completion_delays = metrics::completion_delay_series(ct, arrival);
         RunReport {
             scheduler: self.scheduler.name().to_string(),
             bucket: self.cfg.arrivals.bucket.label().to_string(),
@@ -3349,48 +3333,6 @@ mod tests {
                 prop_assert_eq!(a.completion_times, b.completion_times);
                 prop_assert_eq!(a.makespan_secs, b.makespan_secs);
                 prop_assert_eq!(a.burst_ratio, b.burst_ratio);
-            }
-
-            /// The tentpole's composition guarantee: the sharded engine's
-            /// report is a pure function of (config, seed) — the
-            /// shard-worker count never reaches a byte of output. Checked
-            /// over every scheduler, with and without an armed chaos
-            /// plan, by comparing the full serialized `RunReport` of the
-            /// pinned serial path against 2/4/8-worker runs.
-            #[test]
-            fn shard_composition_is_byte_identical_across_worker_counts(
-                seed in 0u64..10_000,
-                kind_idx in 0usize..3,
-                jobs_per_batch in 4.0f64..14.0,
-                rescheduling in any::<bool>(),
-                faulty in any::<bool>(),
-            ) {
-                let kind = [
-                    SchedulerKind::Greedy,
-                    SchedulerKind::OrderPreserving,
-                    SchedulerKind::Sibs,
-                ][kind_idx];
-                let mut cfg = small_cfg(kind, seed);
-                cfg.n_ic = 2; // load the IC so bursts (and EC paths) happen
-                cfg.arrivals.jobs_per_batch = jobs_per_batch;
-                cfg.rescheduling = rescheduling;
-                if faulty {
-                    cfg.faults = Some(armed_fault_profile());
-                }
-                cfg.shard_workers = Some(1);
-                let (serial, _) = run_experiment_detailed(&cfg);
-                let reference = serde_json::to_string(&serial).expect("report serializes");
-                for workers in [2usize, 4, 8] {
-                    cfg.shard_workers = Some(workers);
-                    let (sharded, _) = run_experiment_detailed(&cfg);
-                    let got = serde_json::to_string(&sharded).expect("report serializes");
-                    prop_assert_eq!(
-                        &got,
-                        &reference,
-                        "worker count {} leaked into the report bytes",
-                        workers
-                    );
-                }
             }
 
             /// The econ tentpole's degenerate-case guarantee: with equal

@@ -13,9 +13,6 @@
 //!   dynamic downcasting.
 //! * [`rng`] — reproducible per-component random streams derived from a single
 //!   experiment seed, so every figure in the paper regenerates byte-identically.
-//! * [`ShardPool`] — deterministic intra-run fan-out: pure per-item work runs
-//!   on scoped workers and merges back in input order, byte-identical for any
-//!   worker count (the sharded engine's epoch-barrier building block).
 //!
 //! # Example
 //!
@@ -41,11 +38,9 @@ pub mod event;
 pub mod fxhash;
 pub mod process;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use event::{EventId, Sim};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::RngFactory;
-pub use shard::ShardPool;
 pub use time::{SimDuration, SimTime};
