@@ -160,6 +160,22 @@ cargo test -q --release --test chaos_golden
 cargo test -q --release --test golden_determinism
 cargo test -q --release -p cloudburst-core --test alloc_free_wake
 
+# The QRSM is trained once per training key and thread: a one-entry,
+# thread-local memo keyed on every fit input (seed, ground truth by bits,
+# effective corpus size, per-class switch, fit method) hands each engine
+# set-up a clone. The key tests force a miss on every single-field change
+# (one ulp, -0.0 vs 0.0) and a hit on corpus sizes below the floor; a hit
+# must be bitwise a fresh fit, pooled and per-class, and a run on a hit
+# must report the bytes of a cold run. The heap test pins that a miss
+# frees the stale model before training. Debug builds also re-train on
+# every hit anywhere and assert bitwise equality, so both profiles run.
+echo "== training memo equivalence: key fields, bitwise hits, cold-run bytes, drop before train (release and debug)"
+for profile in --release ""; do
+  cargo test -q $profile -p cloudburst-core --lib training::tests
+  cargo test -q $profile -p cloudburst-core --test training_memo_heap
+  cargo test -q $profile -p cloudburst-qrsm --lib same_bits
+done
+
 # A run is single-threaded; every multi-run fan-out goes through the one
 # parallel map, cloudburst_bench::ShardPool: repro maps its ids through the
 # pool and emits each result in id order. A multi-id run must therefore

@@ -192,8 +192,9 @@ fn curve_probe(total_jobs: u64, iters: usize) -> (f64, usize) {
 }
 
 /// End-to-end probe: a full megascale run, reported as jobs per second of
-/// wall clock (workload generation excluded, training included — it is
-/// part of every run).
+/// wall clock (workload generation excluded). The QRSM training fit is
+/// memoised per training key and thread, so only the first run of a key
+/// on a thread pays for it.
 fn e2e_probe(kind: SchedulerKind, total_jobs: u64, seed: u64) -> (f64, usize) {
     let cfg = ExperimentConfig::megascale(kind, total_jobs, seed);
     let rngs = RngFactory::new(cfg.seed);

@@ -163,7 +163,8 @@ pub struct ExperimentConfig {
     pub last_hop_latency: SimDuration,
     /// Ground-truth processing-time law.
     pub truth: GroundTruth,
-    /// Size of the initial QRSM training corpus.
+    /// Size of the initial QRSM training corpus; values below 64 are
+    /// raised to 64.
     pub training_docs: usize,
     /// QRSM fitting method.
     pub fit: FitKind,

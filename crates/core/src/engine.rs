@@ -25,7 +25,6 @@ use cloudburst_econ::{AdmissionPolicy, BrokerPolicy, CostMetrics, Money, Penalty
 use cloudburst_net::link::{CapacityFault, Completion};
 use cloudburst_net::queues::{SibsQueues, SizeClass};
 use cloudburst_net::{Link, SibsBounds, TransferId};
-use cloudburst_qrsm::QrsModel;
 use cloudburst_sched::api::Planner;
 #[cfg(test)]
 use cloudburst_sched::drain::fluid_fill_level;
@@ -35,7 +34,7 @@ use cloudburst_sched::resched::{
 };
 use cloudburst_sched::{
     BurstScheduler, EstimateProvider, FreeTimeIndex, GreedyScheduler, IcOnlyScheduler, LoadModel,
-    OrderPreservingScheduler, OutstandingSet, Placement, ProcTimeModel, ScheduledJob,
+    OrderPreservingScheduler, OutstandingSet, Placement, ScheduledJob,
     SibsScheduler,
 };
 use cloudburst_sim::{EventId, FxHashMap, RngFactory, Sim, SimDuration, SimTime};
@@ -43,7 +42,6 @@ use cloudburst_sla::{
     metrics, oo_series, CompletionRecord, FaultMetrics, RunReport, ServeReport, WindowSeries,
     WindowStats,
 };
-use cloudburst_workload::arrival::training_corpus;
 use cloudburst_workload::{BatchArrivals, Job, JobId, OpenArrivals};
 
 use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind, ServeConfig};
@@ -530,33 +528,9 @@ impl std::fmt::Debug for EngineWorld {
 
 impl EngineWorld {
     fn new(cfg: ExperimentConfig, plan: Option<FaultPlan>) -> EngineWorld {
-        let rngs = RngFactory::new(cfg.seed);
-        // Initial QRSM: trained on the standard production corpus.
-        let mut train_rng = rngs.stream("qrsm/training");
-        let corpus = training_corpus(&mut train_rng, &cfg.truth, cfg.training_docs.max(64));
-        let time_model = if cfg.per_class_qrsm {
-            let samples: Vec<(u64, Vec<f64>, f64)> = corpus
-                .iter()
-                .map(|(f, t)| (f.job_type.code() as u64, f.regressors(), *t))
-                .collect();
-            ProcTimeModel::PerClass(
-                cloudburst_qrsm::ClassedModel::fit(&samples, cfg.fit.to_method(), 60)
-                    .expect("training corpus must support a quadratic fit")
-                    .with_refit_every(1),
-            )
-        } else {
-            // Sliding-window RLS makes refits O(terms³) instead of
-            // O(window·terms²), so the model re-solves on every observation
-            // instead of batching 25 of them — estimate error tracks drift
-            // as tightly as the window allows.
-            let xs: Vec<Vec<f64>> = corpus.iter().map(|(f, _)| f.regressors()).collect();
-            let ys: Vec<f64> = corpus.iter().map(|(_, t)| *t).collect();
-            ProcTimeModel::Pooled(
-                QrsModel::fit(&xs, &ys, cfg.fit.to_method())
-                    .expect("training corpus must support a quadratic fit")
-                    .with_refit_every(1),
-            )
-        };
+        // Initial QRSM: trained on the standard production corpus, once
+        // per training key and thread.
+        let time_model = crate::training::trained_model(&cfg);
 
         // Bandwidth prior: the pre-run calibration pass. Seeded with the
         // true mean so runs start sensibly calibrated; the EWMAs keep
@@ -691,6 +665,7 @@ impl EngineWorld {
             }
         }
 
+        let rngs = RngFactory::new(cfg.seed);
         let rng_probe = rngs.stream("probe");
         let rng_chunk_truth = rngs.stream("chunk-truth");
         EngineWorld {

@@ -25,6 +25,8 @@
 //!   enough to ensure saturation of the download bandwidth", Sec. V-B-4).
 //! * [`multi_ec`] — the multiple-external-clouds extension (Sec. I / VII).
 //! * [`timeline`] — per-job stage timestamps for run auditing.
+//! * `training` — the initial QRSM fit, trained once per seed and thread
+//!   and cloned into every engine set-up that shares its inputs.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -37,6 +39,7 @@ pub mod engine;
 pub mod multi_ec;
 pub mod scaling;
 pub mod timeline;
+mod training;
 
 pub use config::{ExperimentConfig, SchedulerKind, ServeConfig};
 pub use engine::{

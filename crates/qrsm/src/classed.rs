@@ -149,6 +149,21 @@ impl ClassedModel {
     fn model_for(&self, class: u64) -> &QrsModel {
         self.per_class.get(&class).unwrap_or(&self.pooled)
     }
+
+    /// Whether `other` has the same threshold, the same specialized
+    /// classes, and bitwise the same pooled and per-class models (see
+    /// [`QrsModel::same_bits`]). Test and debug builds only.
+    #[cfg(any(test, debug_assertions))]
+    pub fn same_bits(&self, other: &ClassedModel) -> bool {
+        self.min_samples == other.min_samples
+            && self.pooled.same_bits(&other.pooled)
+            && self.per_class.len() == other.per_class.len()
+            && self
+                .per_class
+                .iter()
+                .zip(&other.per_class)
+                .all(|((ca, a), (cb, b))| ca == cb && a.same_bits(b))
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +217,21 @@ mod tests {
             .expect("two-regime corpus is full rank");
         // 1 raw feature → 3 basis terms → floor 6.
         assert_eq!(m.min_samples(), 6);
+    }
+
+    #[test]
+    fn same_bits_covers_the_pooled_model_and_every_class() {
+        let samples = two_regime_samples(40);
+        let fit = |min| ClassedModel::fit(&samples, Method::Ols, min).expect("full rank");
+        let m = fit(8);
+        assert!(m.same_bits(&fit(8)));
+        assert!(!m.same_bits(&fit(60)), "different specializations");
+        let mut class_only = m.clone();
+        class_only.per_class.get_mut(&1).expect("class 1 is specialized").observe(&[7.0], 1.0);
+        assert!(!m.same_bits(&class_only), "a per-class window is compared");
+        let mut pooled_only = m.clone();
+        pooled_only.pooled.observe(&[7.0], 1.0);
+        assert!(!m.same_bits(&pooled_only), "the pooled window is compared");
     }
 
     #[test]

@@ -463,6 +463,46 @@ impl QrsModel {
     }
 }
 
+#[cfg(any(test, debug_assertions))]
+impl QrsModel {
+    /// Whether `other` holds bitwise the same state: basis, method, every
+    /// counter, and every float by bit pattern — coefficients, rmse, the
+    /// window ring and its responses, `(XᵀX, Xᵀy, Σy²)` and the refit
+    /// workspace. The check behind "a reused model is the model a fresh
+    /// fit builds"; test and debug builds only.
+    pub fn same_bits(&self, other: &QrsModel) -> bool {
+        let method_bits = |m: Method| match m {
+            Method::Ols => (0, 0),
+            Method::Ridge(l) => (1, l.to_bits()),
+            Method::Lad => (2, 0),
+        };
+        self.design == other.design
+            && method_bits(self.method) == method_bits(other.method)
+            && (self.head, self.len, self.window_capacity)
+                == (other.head, other.len, other.window_capacity)
+            && (self.downdates, self.since_refit, self.refit_every)
+                == (other.downdates, other.since_refit, other.refit_every)
+            && self.rmse.to_bits() == other.rmse.to_bits()
+            && self.yty.to_bits() == other.yty.to_bits()
+            && bits_eq(&self.coeffs, &other.coeffs)
+            && bits_eq(&self.rows, &other.rows)
+            && bits_eq(&self.ys, &other.ys)
+            && bits_eq(self.gram.as_slice(), other.gram.as_slice())
+            && bits_eq(&self.xty, &other.xty)
+            && bits_eq(self.chol.as_slice(), other.chol.as_slice())
+            && bits_eq(self.work.as_slice(), other.work.as_slice())
+            && bits_eq(&self.solve_buf, &other.solve_buf)
+            && bits_eq(&self.incoming, &other.incoming)
+    }
+}
+
+/// Equal lengths and equal bit patterns, element by element (`-0.0` and
+/// `0.0` differ; NaNs compare by payload).
+#[cfg(any(test, debug_assertions))]
+fn bits_eq(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
 /// Dot products of four consecutive `coeffs.len()`-long rows with
 /// `coeffs`, as four interleaved chains. Each chain adds its row's terms
 /// left to right from `-0.0`, the neutral element `f64`'s `Sum` starts
@@ -552,6 +592,21 @@ mod tests {
             (0..n).map(|i| vec![(i % 17) as f64, ((i * 3) % 11) as f64]).collect();
         let ys = xs.iter().map(|x| truth(x)).collect();
         (xs, ys)
+    }
+
+    #[test]
+    fn same_bits_sees_every_state_change() {
+        let (xs, ys) = dataset(60);
+        let m = QrsModel::fit(&xs, &ys, Method::Ols).expect("full-rank training corpus");
+        assert!(m.same_bits(&m.clone()));
+        assert!(m.same_bits(&QrsModel::fit(&xs, &ys, Method::Ols).expect("same corpus")));
+        let mut observed = m.clone();
+        observed.observe(&[1.0, 2.0], truth(&[1.0, 2.0]));
+        assert!(!m.same_bits(&observed), "an observation changes the window");
+        assert!(!m.same_bits(&m.clone().with_refit_every(1)), "counters are compared");
+        let ridge = |l: f64| QrsModel::fit(&xs, &ys, Method::Ridge(l)).expect("ridge fit");
+        assert!(!ridge(0.0).same_bits(&ridge(-0.0)), "the method compares by bits");
+        assert!(!bits_eq(&[0.0], &[-0.0]) && bits_eq(&[f64::NAN], &[f64::NAN]));
     }
 
     #[test]
