@@ -35,21 +35,45 @@ cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json"
 
 # Every workload of the benchmark must reproduce its pinned report digest
 # (baseline.json, seed 1); the benchmark exits non-zero on a mismatch.
-echo "== benchmark pinned digests: all four workloads at seed 1"
+# Each must also stay under a pinned peak-heap ceiling: 1.05 x the
+# workload's peak_heap_mb when the ceiling was pinned (88.226544,
+# 2.190574, 46.971418 and 0.280128 MB, identical over reruns). The
+# metric is the counting allocator's high-water mark, a pure function of
+# the code and the seed, so it reads the same on every host.
+echo "== benchmark pinned digests and peak-heap ceilings: all four workloads at seed 1"
+declare -A HEAP_CEILING_MB=(
+  [closed-op]=92.638 [serve-diurnal]=2.300 [chaos-econ]=49.320 [paper-sweep]=0.2941
+)
 for w in closed-op serve-diurnal chaos-econ paper-sweep; do
-  cargo run --release -p cloudburst-bench --bin benchmark -- --workload "$w" --seed 1 --seconds 0
+  line="$(cargo run --release -p cloudburst-bench --bin benchmark -- --workload "$w" --seed 1 --seconds 0 | tail -n 1)"
+  echo "$line"
+  peak="$(grep -o '"peak_heap_mb":{"value":[0-9.eE+-]*' <<< "$line" | sed 's/.*://')"
+  ceiling="${HEAP_CEILING_MB[$w]}"
+  if ! awk -v p="$peak" -v c="$ceiling" 'BEGIN { exit !(p != "" && p + 0 <= c + 0) }'; then
+    echo "ci.sh: $w peak_heap_mb '$peak' exceeds its pinned ceiling $ceiling MB" >&2
+    exit 1
+  fi
 done
 
-# Batch admission is linear in the batch: a one-pass Algorithm 2 chunk
-# phase and a tournament-indexed Planner. Both must stay bitwise equal to
-# the quadratic code they replaced, kept as #[cfg(test)] oracles: the
-# splice-loop chunk pass (random batches over every size bucket plus one
-# megascale batch, equal jobs and equal chunk-RNG end state) and the
-# linear-scan planner (interleaved IC/EC commits over ties, zeros, crashed
-# machines and 1-machine pools).
-echo "== admission equivalence: linear chunk pass vs splice oracle, indexed vs linear-scan Planner"
+# Batch admission is linear in the batch and does each job's work once: a
+# one-pass Algorithm 2 chunk phase that draws no RNG and fills one output
+# allocated at its exact length, a tournament-indexed Planner that reads
+# the upload rate once, and one planner commit per admitted job (the
+# scheduler's, carried as est_ct). All of it must stay bitwise equal to the
+# code it replaced, kept as #[cfg(test)] oracles: the splice-loop chunk
+# pass (random batches over every size bucket plus one megascale batch,
+# equal jobs, capacity equal to length), the linear-scan planner on the
+# uncached round trip (interleaved IC/EC commits over ties, zeros, crashed
+# machines and 1-machine pools) and a fresh-planner replay of every
+# scheduler's carried completions. The counting-allocator test pins that a
+# megascale chunk pass allocates a fixed number of times however many jobs
+# split. The engine's unit tests and every debug build also re-plan each
+# ungated batch and assert every carried completion bit for bit.
+echo "== admission equivalence: chunk pass vs splice oracle, indexed vs linear-scan Planner, carried completions, chunk allocations"
 cargo test -q --release -p cloudburst-workload --lib chunk::tests::linear_chunk_pass
+cargo test -q --release -p cloudburst-workload --test chunk_heap
 cargo test -q --release -p cloudburst-sched --lib api::tests::indexed_planner_matches_linear_planner
+cargo test -q --release -p cloudburst-sched --test props every_carried_completion_equals_a_fresh_plan
 
 # An engine wake costs only the work it does: one wake event armed at the
 # earliest component deadline, and a pull-back that refits the QRSM only

@@ -42,7 +42,7 @@ use cloudburst_sla::{
     metrics, oo_series, CompletionRecord, FaultMetrics, RunReport, ServeReport, WindowSeries,
     WindowStats,
 };
-use cloudburst_workload::{BatchArrivals, Job, JobId, OpenArrivals};
+use cloudburst_workload::{BatchArrivals, Job, JobId, JobType, OpenArrivals};
 
 use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind, ServeConfig};
 
@@ -477,7 +477,7 @@ pub struct EngineWorld {
     next_tid: u64,
     /// Transfers pulled back mid-queue; their upload must be ignored.
     rng_probe: rand::rngs::StdRng,
-    /// Ground-truth stream for re-sampling chunk service times.
+    /// Ground-truth stream for sampling chunk service times.
     rng_chunk_truth: rand::rngs::StdRng,
     n_pull_backs: u64,
     n_push_outs: u64,
@@ -551,17 +551,14 @@ impl EngineWorld {
         let scheduler: Box<dyn BurstScheduler> = match cfg.scheduler {
             SchedulerKind::IcOnly => Box::new(IcOnlyScheduler::new()),
             SchedulerKind::Greedy => Box::new(GreedyScheduler::new()),
-            SchedulerKind::OrderPreserving => Box::new(OrderPreservingScheduler::new(
-                cfg.chunk_policy.clone(),
-                cfg.seed ^ 0xc4a2,
-            )),
-            SchedulerKind::OrderPreservingNoChunk => Box::new(
-                OrderPreservingScheduler::new(cfg.chunk_policy.clone(), cfg.seed ^ 0xc4a2)
-                    .without_chunking(),
-            ),
+            SchedulerKind::OrderPreserving => {
+                Box::new(OrderPreservingScheduler::new(cfg.chunk_policy.clone()))
+            }
+            SchedulerKind::OrderPreservingNoChunk => {
+                Box::new(OrderPreservingScheduler::new(cfg.chunk_policy.clone()).without_chunking())
+            }
             SchedulerKind::Sibs => Box::new(SibsScheduler::new(OrderPreservingScheduler::new(
                 cfg.chunk_policy.clone(),
-                cfg.seed ^ 0xc4a2,
             ))),
         };
 
@@ -1364,8 +1361,8 @@ fn qrsm_barrier(w: &mut W) {
 /// A batch arrival is an epoch barrier: every component has been advanced
 /// to `now` (completed transfers and executions exchanged) and the QRSM
 /// observations queued during the epoch are refit in exactly once. The
-/// scheduler predicts each job once; admission replays its placements
-/// from those carried estimates.
+/// scheduler predicts and plans each job once; admission records the
+/// estimate and the completion it carries.
 fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     let now = sim.now();
     // Process anything that completed up to now first.
@@ -1391,20 +1388,20 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         w.sites[site].sibs_bounds = Some(b);
     }
 
-    // Re-index into the global FCFS id space and record estimates by
-    // replaying the scheduler's own planner commitments, in two phases.
+    // Re-index into the global FCFS id space and record the scheduler's
+    // estimates, in two phases.
     //
-    // Phase 1: chunk ground-truth resampling on the one shared RNG stream
-    // (call order preserved exactly). The scheduler fabricates a pro-rata
-    // service time when it splits a job; the engine is the authority on
-    // ground truth, so chunk times are re-sampled from the truth law on
-    // the chunk's own features (documents are embarrassingly parallel)
-    // plus the split/merge overhead. Without this, chunks would secretly
-    // carry their parent's superlinear cost and every QRSM estimate of a
-    // chunk would be biased low. The carried estimates stay valid: they
-    // read only the features. Global ids materialize in phase 2, after
-    // the admission gate — a rejected job must not consume an id (the
-    // spine slot would leak).
+    // Phase 1: chunk ground-truth sampling on the one shared RNG stream
+    // (call order preserved exactly). A chunk leaves the scheduler with a
+    // pro-rata placeholder service time; the engine is the authority on
+    // ground truth, so chunk times are sampled from the truth law on the
+    // chunk's own features (documents are embarrassingly parallel) plus
+    // the split/merge overhead. Without this, chunks would secretly carry
+    // their parent's superlinear cost and every QRSM estimate of a chunk
+    // would be biased low. The carried estimates stay valid: they read
+    // only the features. Global ids materialize in phase 2, after the
+    // admission gate — a rejected job must not consume an id (the spine
+    // slot would leak).
     let mut admitted = schedule.jobs;
     let base = w.jobs.len() as u64;
     let mut fresh = 0u64;
@@ -1423,35 +1420,64 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         }
     }
 
-    // Phase 2: the admission gate, planner commitments, dispatch pushes,
-    // and ticket quotes, in id order.
-    let mut planner = Planner::new(&load, &w.est);
+    // Phase 2: the admission gate, the per-job columns, dispatch pushes
+    // and ticket quotes, in id order. A job's estimated completion is the
+    // one the scheduler's plan committed (`est_ct`): the scheduler planned
+    // the batch over this snapshot, in this order, so it is the value a
+    // second plan of the admitted jobs would give.
+    //
+    // The ticket quote's k-RMSE confidence margin (also the admission
+    // gate's safety margin), once per job class.
+    let k = w.cfg.ticket_margin_k.max(0.0);
+    let mut margins = [SimDuration::ZERO; JobType::ALL.len()];
+    for t in JobType::ALL {
+        margins[t.code() as usize] =
+            SimDuration::from_secs_f64(k * w.est.qrsm.rmse_for(t.code() as u64));
+    }
+    // Under commit-or-reject the broker either commits to a job's Eq. 1
+    // deadline (arrival + turnaround budget) or turns the job away before
+    // it consumes an id, a commitment, or a ticket. A rejected job leaves
+    // no commitment, so after the first rejection the scheduler's plan no
+    // longer describes the admitted jobs: the gate plans them itself,
+    // committing only the jobs it admits, and records its own completions.
+    let mut gate = match &w.econ {
+        Some(EconState { admission: AdmissionPolicy::CommitOrReject { max_turnaround_secs }, .. }) => {
+            Some((Planner::new(&load, &w.est), SimDuration::from_secs_f64(*max_turnaround_secs)))
+        }
+        _ => None,
+    };
+    // Test and debug builds re-plan the batch and check every carried
+    // completion against it, bit for bit.
+    #[cfg(any(test, debug_assertions))]
+    let mut shadow = gate.is_none().then(|| Planner::new(&load, &w.est));
     let mut decisions = Vec::with_capacity(admitted.len());
-    for ScheduledJob { mut job, placement, est_secs } in admitted {
-        // The ticket quote's k-RMSE confidence margin (also the admission
-        // gate's safety margin below).
-        let rmse_secs = w.est.qrsm.rmse_for(job.features.job_type.code() as u64);
-        let margin = cloudburst_sim::SimDuration::from_secs_f64(
-            w.cfg.ticket_margin_k.max(0.0) * rmse_secs,
-        );
-        // Admission gate: under commit-or-reject the broker either commits
-        // to the job's Eq. 1 deadline (arrival + turnaround budget) or
-        // turns the job away before it consumes an id, a planner
-        // commitment, or a ticket. The feasibility probe reads the planner
-        // without mutating it, so rejected jobs leave no trace.
-        if let Some(econ) = &mut w.econ {
-            if let AdmissionPolicy::CommitOrReject { max_turnaround_secs } = econ.admission {
+    for ScheduledJob { mut job, placement, est_secs, est_ct } in admitted {
+        let margin = margins[job.features.job_type.code() as usize];
+        let est_ct = match (&mut gate, &mut w.econ) {
+            (Some((planner, max_turnaround)), Some(econ)) => {
+                // The feasibility probe reads the planner without mutating
+                // it, so rejected jobs leave no trace.
                 let est_finish = match placement {
                     Placement::Internal => planner.ft_ic(est_secs),
                     Placement::External => planner.ft_ec(&job, est_secs),
                 };
-                let deadline = job.arrival + SimDuration::from_secs_f64(max_turnaround_secs);
-                if est_finish + margin > deadline {
+                if est_finish + margin > job.arrival + *max_turnaround {
                     econ.metrics.jobs_rejected += 1;
                     continue;
                 }
                 econ.metrics.jobs_committed += 1;
+                planner.commit(&job, est_secs, placement)
             }
+            _ => est_ct,
+        };
+        #[cfg(any(test, debug_assertions))]
+        if let Some(shadow) = &mut shadow {
+            assert_eq!(
+                shadow.commit(&job, est_secs, placement),
+                est_ct,
+                "{} carried a completion its own plan does not give",
+                w.scheduler.name()
+            );
         }
         // Serving recycles the slot of a completed job (LIFO); closed mode
         // has no free list, so every id is fresh — `base + k` exactly as
@@ -1466,7 +1492,6 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         };
         let id = job.id;
         let idx = id.0 as usize;
-        let est_ct = planner.commit(&job, est_secs, placement);
         decisions.push(placement == Placement::External);
         // The ticket quote: estimate plus the confidence margin.
         let promise = est_ct + margin;

@@ -86,8 +86,14 @@ impl BandwidthEstimator {
     /// Predicted seconds to move `bytes` at time `t` with `threads` parallel
     /// streams under the saturation law with constant `kappa`.
     pub fn predict_transfer_secs(&self, t: SimTime, bytes: u64, threads: u32, kappa: f64) -> f64 {
-        let rate = crate::link::Link::effective_rate(self.predict(t), threads.max(1), kappa);
-        bytes as f64 / rate.max(1.0)
+        bytes as f64 / self.predict_transfer_rate(t, threads, kappa)
+    }
+
+    /// The divisor of [`BandwidthEstimator::predict_transfer_secs`]: the
+    /// predicted effective rate (bytes/sec, at least 1) at time `t`. A
+    /// caller that moves many sizes at one instant reads it once.
+    pub fn predict_transfer_rate(&self, t: SimTime, threads: u32, kappa: f64) -> f64 {
+        crate::link::Link::effective_rate(self.predict(t), threads.max(1), kappa).max(1.0)
     }
 
     /// Number of measurements ingested so far.

@@ -113,6 +113,11 @@ pub struct ScheduledJob {
     /// bounds and the engine's admission all read this value instead of
     /// predicting the job again.
     pub est_secs: f64,
+    /// The job's estimated completion instant: what the scheduler's own
+    /// [`Planner::commit`] returned for it, over the batch's snapshot and
+    /// every earlier job of the batch. The engine records it (the `T_i`
+    /// pool, the ticket quote) instead of planning the job again.
+    pub est_ct: SimTime,
 }
 
 /// The outcome of scheduling one batch.
@@ -157,11 +162,15 @@ pub trait BurstScheduler {
 ///
 /// Wraps a [`LoadModel`] and *commits* each placement as it is decided, so
 /// job `i+1`'s estimates see job `i`'s load — the recursive structure of
-/// Algorithms 1 and 2.
+/// Algorithms 1 and 2. A commit's return is the job's estimated completion,
+/// which the scheduler hands on in [`ScheduledJob::est_ct`]; each admitted
+/// job is planned once per batch.
 ///
 /// Every read takes the job's standard-machine execution estimate
 /// (`est_secs`, [`EstimateProvider::exec_secs`]) from the caller, so a job
-/// is predicted once however many times it is planned.
+/// is predicted once however many times it is planned. The decision
+/// instant is fixed for the planner's life, so the upload rate at it is
+/// read once, at construction.
 ///
 /// The planned per-machine free-times live in two [`FreeTimeIndex`]
 /// tournament trees, so the earliest-free read behind `ft_ic`/`ft_ec` is
@@ -177,6 +186,8 @@ pub struct Planner<'a> {
     now: SimTime,
     ic_free: FreeTimeIndex,
     ec_free: FreeTimeIndex,
+    /// [`EstimateProvider::upload_rate`] at `now`.
+    upload_rate: f64,
     upload_backlog_secs: f64,
     /// Eq. 1's slack anchor: `max` estimated completion over everything
     /// scheduled and unfinished, including commitments made through this
@@ -194,11 +205,8 @@ impl<'a> Planner<'a> {
     /// not per decision, so building them is off the steady-state hot
     /// path.
     pub fn new(load: &LoadModel<'_>, est: &'a EstimateProvider) -> Planner<'a> {
-        let upload_backlog_secs = if load.upload_backlog_bytes > 0 {
-            est.upload_secs(load.now, load.upload_backlog_bytes)
-        } else {
-            0.0
-        };
+        let upload_rate = est.upload_rate(load.now);
+        let upload_backlog_secs = initial_upload_backlog_secs(load, upload_rate);
         let mut ic_free = FreeTimeIndex::new();
         ic_free.reset_from(load.ic_free_secs);
         let mut ec_free = FreeTimeIndex::new();
@@ -208,6 +216,7 @@ impl<'a> Planner<'a> {
             now: load.now,
             ic_free,
             ec_free,
+            upload_rate,
             upload_backlog_secs,
             slack_anchor: load.outstanding_est_completions.iter().copied().max(),
         }
@@ -241,7 +250,13 @@ impl<'a> Planner<'a> {
     /// The EC round-trip *duration* components for a burst starting now,
     /// `(upload_wait, upload, exec, download)` — inputs to Eq. 2.
     pub fn round_trip_parts(&self, job: &Job, est_secs: f64) -> (f64, f64, f64, f64) {
-        self.est.round_trip_parts(self.now, job, est_secs, self.upload_backlog_secs)
+        self.est.round_trip_parts_at_rate(
+            self.now,
+            job,
+            est_secs,
+            self.upload_backlog_secs,
+            self.upload_rate,
+        )
     }
 
     /// Eq. 1: the slack anchor — max estimated completion of all work ahead
@@ -285,6 +300,17 @@ impl<'a> Planner<'a> {
     /// Current planned upload backlog in seconds.
     pub fn upload_backlog_secs(&self) -> f64 {
         self.upload_backlog_secs
+    }
+}
+
+/// The snapshot's upload backlog in seconds at `upload_rate`
+/// ([`EstimateProvider::upload_rate`] at `load.now`): the wait ahead of a
+/// batch's first burst.
+pub(crate) fn initial_upload_backlog_secs(load: &LoadModel<'_>, upload_rate: f64) -> f64 {
+    if load.upload_backlog_bytes > 0 {
+        load.upload_backlog_bytes as f64 / upload_rate
+    } else {
+        0.0
     }
 }
 
@@ -486,21 +512,28 @@ mod tests {
         /// Interleaved IC/EC commits: every read and every commit agrees
         /// bitwise with the linear planner, and so do both free-time
         /// arrays after every step — over exact ties, zeros, crashed
-        /// machines, and 1-machine pools.
+        /// machines, and 1-machine pools. The bandwidth estimators hold a
+        /// different rate in every hour, so an upload rate cached at the
+        /// wrong instant would show.
         #[test]
         fn indexed_planner_matches_linear_planner(
             ic in prop::collection::vec((0usize..6, 0.0f64..3_000.0), 1..9),
             ec in prop::collection::vec((0usize..6, 0.0f64..3_000.0), 1..5),
             ops in prop::collection::vec((any::<bool>(), 0usize..6), 1..60),
-            (backlog, anchor) in (0u64..2, 0u64..4_000),
+            (backlog, anchor, now) in (0u64..2, 0u64..4_000, 0u64..86_400),
         ) {
-            let (est, jobs) = provider_and_jobs(&[1, 12, 60, 150, 240, 300]);
+            let (mut est, jobs) = provider_and_jobs(&[1, 12, 60, 150, 240, 300]);
+            for h in 0..24u64 {
+                let t = SimTime::from_secs(h * 3_600);
+                est.up.observe(t, 150_000.0 + 20_000.0 * h as f64);
+                est.down.observe(t, 400_000.0 - 10_000.0 * h as f64);
+            }
             let buf = LoadModelBuf {
                 ic_free_secs: pool(&ic),
                 ec_free_secs: pool(&ec),
                 upload_backlog_bytes: backlog * 40_000_000,
                 outstanding_est_completions: vec![SimTime::from_secs(anchor)],
-                ..LoadModelBuf::idle(SimTime::from_secs(30), 0, 0)
+                ..LoadModelBuf::idle(SimTime::from_secs(now), 0, 0)
             };
             let load = buf.as_model();
             let mut fast = Planner::new(&load, &est);

@@ -174,6 +174,12 @@ impl EstimateProvider {
         self.up.predict_transfer_secs(t, bytes, threads, self.kappa)
     }
 
+    /// The upload rate behind [`EstimateProvider::upload_secs`] at `t`:
+    /// `upload_secs(t, b)` is `b as f64 / upload_rate(t)` bit for bit.
+    pub fn upload_rate(&self, t: SimTime) -> f64 {
+        self.up.predict_transfer_rate(t, self.up_tuner.current_best(t), self.kappa)
+    }
+
     /// Estimated seconds to download `bytes` starting around `t`
     /// (`o_i / l(t_i + t')` of Eq. 2).
     pub fn download_secs(&self, t: SimTime, bytes: u64) -> f64 {
@@ -192,7 +198,22 @@ impl EstimateProvider {
         est_secs: f64,
         upload_backlog_secs: f64,
     ) -> (f64, f64, f64, f64) {
-        let up = self.upload_secs(t, job.input_bytes());
+        self.round_trip_parts_at_rate(t, job, est_secs, upload_backlog_secs, self.upload_rate(t))
+    }
+
+    /// As [`EstimateProvider::round_trip_parts`], with the upload rate at
+    /// `t` ([`EstimateProvider::upload_rate`]) read once by the caller:
+    /// the planner fixes `t` for a whole batch, so it divides by the same
+    /// rate for every job.
+    pub fn round_trip_parts_at_rate(
+        &self,
+        t: SimTime,
+        job: &Job,
+        est_secs: f64,
+        upload_backlog_secs: f64,
+        upload_rate: f64,
+    ) -> (f64, f64, f64, f64) {
+        let up = job.input_bytes() as f64 / upload_rate;
         let exec = est_secs / self.ec_speed;
         // Download is predicted at the time it will plausibly start.
         let dl_at = t + cloudburst_sim::SimDuration::from_secs_f64(upload_backlog_secs + up + exec);
@@ -291,6 +312,16 @@ mod tests {
         assert!(up > 0.0 && exec > 0.0 && down > 0.0);
         // Download of half the bytes at equal rates is about half the upload.
         assert!((down / up - 0.5).abs() < 0.1, "up={up} down={down}");
+    }
+
+    #[test]
+    fn upload_secs_divides_by_upload_rate() {
+        let p = provider();
+        for (t, bytes) in [(0u64, 0u64), (0, 1), (3_599, 10_000_000), (40_000, 123_456_789)] {
+            let t = SimTime::from_secs(t);
+            let want = p.upload_secs(t, bytes);
+            assert_eq!((bytes as f64 / p.upload_rate(t)).to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ impl BurstScheduler for GreedyScheduler {
             let t_ec = planner.ft_ec(&job, est_secs);
             // Line 4: t_ic ≤ t_ec → IC, else EC.
             let placement = if t_ic <= t_ec { Placement::Internal } else { Placement::External };
-            planner.commit(&job, est_secs, placement);
-            jobs.push(ScheduledJob { job, placement, est_secs });
+            let est_ct = planner.commit(&job, est_secs, placement);
+            jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
         }
         BatchSchedule { jobs, sibs: None }
     }

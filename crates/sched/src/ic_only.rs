@@ -3,7 +3,7 @@
 
 use cloudburst_workload::Job;
 
-use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, ScheduledJob};
+use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, Planner, ScheduledJob};
 use crate::estimates::EstimateProvider;
 
 /// Baseline scheduler: every job runs in the internal cloud.
@@ -25,17 +25,18 @@ impl BurstScheduler for IcOnlyScheduler {
     fn schedule_batch(
         &mut self,
         batch: Vec<Job>,
-        _load: &LoadModel<'_>,
+        load: &LoadModel<'_>,
         est: &EstimateProvider,
     ) -> BatchSchedule {
-        // No decision reads the estimate here, but admission records it:
-        // one prediction per job.
+        // No decision reads the estimate or the plan here, but admission
+        // records both: one prediction and one commit per job.
+        let mut planner = Planner::new(load, est);
         let jobs = batch
             .into_iter()
-            .map(|job| ScheduledJob {
-                est_secs: est.exec_secs(&job),
-                job,
-                placement: Placement::Internal,
+            .map(|job| {
+                let est_secs = est.exec_secs(&job);
+                let est_ct = planner.commit(&job, est_secs, Placement::Internal);
+                ScheduledJob { job, placement: Placement::Internal, est_secs, est_ct }
             })
             .collect();
         BatchSchedule { jobs, sibs: None }

@@ -14,8 +14,6 @@
 
 use cloudburst_workload::chunk::{chunk_batch, ChunkPolicy};
 use cloudburst_workload::Job;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Placement, Planner, ScheduledJob};
 use crate::estimates::EstimateProvider;
@@ -29,25 +27,19 @@ pub struct OrderPreservingScheduler {
     pub tau_secs: f64,
     /// Set `false` to disable chunking (the `ablate-chunk` experiment).
     pub chunking_enabled: bool,
-    /// Deterministic stream for chunk service-time noise.
-    chunk_rng: StdRng,
+}
+
+impl Default for OrderPreservingScheduler {
+    /// Paper-default policy.
+    fn default() -> OrderPreservingScheduler {
+        OrderPreservingScheduler::new(ChunkPolicy::default())
+    }
 }
 
 impl OrderPreservingScheduler {
-    /// Creates the scheduler with the given chunking policy and a seed for
-    /// its (tiny) chunk-overhead noise stream.
-    pub fn new(chunk_policy: ChunkPolicy, seed: u64) -> OrderPreservingScheduler {
-        OrderPreservingScheduler {
-            chunk_policy,
-            tau_secs: 0.0,
-            chunking_enabled: true,
-            chunk_rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Paper-default policy.
-    pub fn default_with_seed(seed: u64) -> OrderPreservingScheduler {
-        OrderPreservingScheduler::new(ChunkPolicy::default(), seed)
+    /// Creates the scheduler with the given chunking policy.
+    pub fn new(chunk_policy: ChunkPolicy) -> OrderPreservingScheduler {
+        OrderPreservingScheduler { chunk_policy, tau_secs: 0.0, chunking_enabled: true }
     }
 
     /// Disables the chunking phase (ablation).
@@ -58,11 +50,11 @@ impl OrderPreservingScheduler {
 
     /// Algorithm 2 lines 3–10 over the batch ([`chunk_batch`]), unless
     /// chunking is ablated.
-    fn chunk_phase(&mut self, jobs: Vec<Job>) -> Vec<Job> {
+    fn chunk_phase(&self, jobs: Vec<Job>) -> Vec<Job> {
         if !self.chunking_enabled {
             return jobs;
         }
-        chunk_batch(jobs, &self.chunk_policy, &mut self.chunk_rng)
+        chunk_batch(jobs, &self.chunk_policy)
     }
 }
 
@@ -101,8 +93,8 @@ impl BurstScheduler for OrderPreservingScheduler {
                 // Head of an empty system: no cushion, run locally.
                 None => Placement::Internal,
             };
-            planner.commit(&job, est_secs, placement);
-            jobs.push(ScheduledJob { job, placement, est_secs });
+            let est_ct = planner.commit(&job, est_secs, placement);
+            jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
         }
         BatchSchedule { jobs, sibs: None }
     }
@@ -116,7 +108,7 @@ mod tests {
     use cloudburst_sim::SimTime;
 
     fn op() -> OrderPreservingScheduler {
-        OrderPreservingScheduler::default_with_seed(7)
+        OrderPreservingScheduler::default()
     }
 
     #[test]

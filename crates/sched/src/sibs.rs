@@ -12,12 +12,12 @@ use cloudburst_net::queues::SibsCandidate;
 use cloudburst_net::sibs_bounds;
 use cloudburst_workload::Job;
 
-use crate::api::{BatchSchedule, BurstScheduler, LoadModel, Planner};
+use crate::api::{initial_upload_backlog_secs, BatchSchedule, BurstScheduler, LoadModel};
 use crate::estimates::EstimateProvider;
 use crate::order_preserving::OrderPreservingScheduler;
 
 /// Algorithm 3: Op placements plus size-interval upload bounds.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SibsScheduler {
     inner: OrderPreservingScheduler,
     /// Bytes currently queued in the (small, medium, large) upload queues —
@@ -30,11 +30,6 @@ impl SibsScheduler {
     /// Wraps an Order-Preserving scheduler.
     pub fn new(inner: OrderPreservingScheduler) -> SibsScheduler {
         SibsScheduler { inner, queued_bytes: (0, 0, 0) }
-    }
-
-    /// Paper-default configuration.
-    pub fn default_with_seed(seed: u64) -> SibsScheduler {
-        SibsScheduler::new(OrderPreservingScheduler::default_with_seed(seed))
     }
 
     /// Engine hook: the current `s_up/m_up/l_up` byte backlogs (Algorithm 3
@@ -61,13 +56,22 @@ impl BurstScheduler for SibsScheduler {
     ) -> BatchSchedule {
         let mut schedule = self.inner.schedule_batch(batch, load, est);
         // Algorithm 3 on the (chunk-expanded) batch: estimates under no
-        // contention, IC initial load and processor count from the snapshot.
-        let planner = Planner::new(load, est);
+        // contention (a fresh plan's round trips: the snapshot's instant,
+        // upload rate and backlog), IC initial load and processor count
+        // from the snapshot.
+        let upload_rate = est.upload_rate(load.now);
+        let backlog_secs = initial_upload_backlog_secs(load, upload_rate);
         let candidates: Vec<SibsCandidate> = schedule
             .jobs
             .iter()
             .map(|s| {
-                let (_wait, up, exec, down) = planner.round_trip_parts(&s.job, s.est_secs);
+                let (_wait, up, exec, down) = est.round_trip_parts_at_rate(
+                    load.now,
+                    &s.job,
+                    s.est_secs,
+                    backlog_secs,
+                    upload_rate,
+                );
                 SibsCandidate {
                     size: s.job.input_bytes(),
                     t_up: up,
@@ -107,8 +111,8 @@ mod tests {
         let est = provider();
         let batch: Vec<_> = (0..8).map(|i| job_with_id(i, 20 + (i % 4) * 60)).collect();
         let load = loaded_model();
-        let mut sibs = SibsScheduler::default_with_seed(3);
-        let mut op = crate::order_preserving::OrderPreservingScheduler::default_with_seed(3);
+        let mut sibs = SibsScheduler::default();
+        let mut op = crate::order_preserving::OrderPreservingScheduler::default();
         let a = sibs.schedule_batch(batch.clone(), &load.as_model(), &est);
         let b = op.schedule_batch(batch, &load.as_model(), &est);
         let pa: Vec<Placement> = a.jobs.iter().map(|s| s.placement).collect();
@@ -121,7 +125,7 @@ mod tests {
         let est = provider();
         let batch: Vec<_> = (0..9).map(|i| job_with_id(i, 10 + i * 30)).collect();
         let load = loaded_model();
-        let mut sibs = SibsScheduler::default_with_seed(3);
+        let mut sibs = SibsScheduler::default();
         let s = sibs.schedule_batch(batch, &load.as_model(), &est);
         let bounds = s.sibs.expect("deep backlog yields burst candidates");
         assert!(bounds.s_bound <= bounds.m_bound);
@@ -140,7 +144,7 @@ mod tests {
         let batch: Vec<_> = (0..3).map(|i| job_with_id(i, 30)).collect();
         // Idle system: EC completion never beats an empty IC → no candidates.
         let load = LoadModelBuf::idle(SimTime::ZERO, 8, 2);
-        let mut sibs = SibsScheduler::default_with_seed(3);
+        let mut sibs = SibsScheduler::default();
         let s = sibs.schedule_batch(batch, &load.as_model(), &est);
         assert!(s.sibs.is_none(), "defaults to a single interval");
         assert_eq!(sibs.name(), "op+sibs");
@@ -151,9 +155,9 @@ mod tests {
         let est = provider();
         let batch: Vec<_> = (0..9).map(|i| job_with_id(i, 10 + i * 30)).collect();
         let load = loaded_model();
-        let mut balanced = SibsScheduler::default_with_seed(3);
+        let mut balanced = SibsScheduler::default();
         let b1 = balanced.schedule_batch(batch.clone(), &load.as_model(), &est).sibs.unwrap();
-        let mut stuffed = SibsScheduler::default_with_seed(3);
+        let mut stuffed = SibsScheduler::default();
         stuffed.set_queued_bytes((500_000_000, 0, 0));
         let b2 = stuffed.schedule_batch(batch, &load.as_model(), &est).sibs.unwrap();
         assert!(b2.s_bound <= b1.s_bound, "a full small queue shrinks its share");

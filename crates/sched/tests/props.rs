@@ -66,8 +66,8 @@ proptest! {
         let mut scheds: Vec<Box<dyn BurstScheduler>> = vec![
             Box::new(IcOnlyScheduler::new()),
             Box::new(GreedyScheduler::new()),
-            Box::new(OrderPreservingScheduler::default_with_seed(1)),
-            Box::new(SibsScheduler::default_with_seed(1)),
+            Box::new(OrderPreservingScheduler::default()),
+            Box::new(SibsScheduler::default()),
         ];
         for s in &mut scheds {
             let out = s.schedule_batch(batch.clone(), &load.as_model(), &est);
@@ -87,6 +87,36 @@ proptest! {
                 .filter(|id| originals.contains(id))
                 .collect();
             prop_assert_eq!(originals, expected, "{} reordered the batch", s.name());
+        }
+    }
+
+    /// Every scheduler hands on the completion its own plan committed:
+    /// replaying the schedule through a fresh planner over the same
+    /// snapshot gives each job's `est_ct` bit for bit — chunked batches,
+    /// a queued upload backlog and off-zero decision instants included.
+    #[test]
+    fn every_carried_completion_equals_a_fresh_plan(
+        seed in any::<u64>(),
+        (now, backlog, upload_mb) in (0u64..90_000, 0.0f64..6_000.0, 0u64..400),
+        bucket_idx in 0usize..3,
+    ) {
+        let est = provider();
+        let batch = batch_for(seed, 12.0, SizeBucket::ALL[bucket_idx]);
+        let mut load = load_for(now, backlog, 4, 2);
+        load.upload_backlog_bytes = upload_mb * 1_000_000;
+        let mut scheds: Vec<Box<dyn BurstScheduler>> = vec![
+            Box::new(IcOnlyScheduler::new()),
+            Box::new(GreedyScheduler::new()),
+            Box::new(OrderPreservingScheduler::default()),
+            Box::new(SibsScheduler::default()),
+        ];
+        for s in &mut scheds {
+            let out = s.schedule_batch(batch.clone(), &load.as_model(), &est);
+            let mut replay = Planner::new(&load.as_model(), &est);
+            for (k, sj) in out.jobs.iter().enumerate() {
+                let want = replay.commit(&sj.job, sj.est_secs, sj.placement);
+                prop_assert_eq!(sj.est_ct, want, "{} job {}", s.name(), k);
+            }
         }
     }
 
@@ -120,7 +150,7 @@ proptest! {
         let est = provider();
         let batch = batch_for(seed, 8.0, SizeBucket::LargeBiased);
         let load = load_for(0, backlog, 4, 2);
-        let out = OrderPreservingScheduler::default_with_seed(2)
+        let out = OrderPreservingScheduler::default()
             .schedule_batch(batch, &load.as_model(), &est);
         let mut planner = Planner::new(&load.as_model(), &est);
         for s in &out.jobs {
@@ -201,8 +231,8 @@ proptest! {
         let est = provider();
         let batch = batch_for(seed, 8.0, SizeBucket::Uniform);
         let load = load_for(0, backlog, 4, 2);
-        let a = SibsScheduler::default_with_seed(3).schedule_batch(batch.clone(), &load.as_model(), &est);
-        let b = OrderPreservingScheduler::default_with_seed(3)
+        let a = SibsScheduler::default().schedule_batch(batch.clone(), &load.as_model(), &est);
+        let b = OrderPreservingScheduler::default()
             .schedule_batch(batch, &load.as_model(), &est);
         let pa: Vec<Placement> = a.jobs.iter().map(|s| s.placement).collect();
         let pb: Vec<Placement> = b.jobs.iter().map(|s| s.placement).collect();

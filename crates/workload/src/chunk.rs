@@ -12,7 +12,6 @@
 //! (spool + merge cost — chunking is not free, which is why the policy only
 //! fires on high variance).
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::document::DocumentFeatures;
@@ -99,25 +98,32 @@ impl ChunkPolicy {
 /// * chunk input sizes sum exactly to the parent's input size;
 /// * chunk output sizes sum exactly to the parent's output size;
 /// * every chunk records `parent == Some(job.id)` (when actually split);
-/// * total chunk service time ≈ parent service time + n × overhead
-///   (modulo per-chunk noise).
-pub fn chunk_job<R: Rng + ?Sized>(job: &Job, policy: &ChunkPolicy, rng: &mut R) -> Vec<Job> {
-    chunk_job_at(job, policy, 0.0, rng)
+/// * total chunk service time = parent service time + n × overhead (up to
+///   float rounding).
+pub fn chunk_job(job: &Job, policy: &ChunkPolicy) -> Vec<Job> {
+    chunk_job_at(job, policy, 0.0)
 }
 
 /// As [`chunk_job`], for a job at queue-position fraction `pos_frac` —
 /// the non-uniform chunking extension (larger `pos_frac` ⇒ coarser chunks
 /// when the policy's `position_gamma` is positive).
-pub fn chunk_job_at<R: Rng + ?Sized>(
-    job: &Job,
-    policy: &ChunkPolicy,
-    pos_frac: f64,
-    rng: &mut R,
-) -> Vec<Job> {
+pub fn chunk_job_at(job: &Job, policy: &ChunkPolicy, pos_frac: f64) -> Vec<Job> {
     let n = policy.n_chunks_at(job.size_mb(), pos_frac);
     if n <= 1 {
         return vec![job.clone()];
     }
+    let mut out = Vec::with_capacity(n);
+    push_chunks(job, policy, n, &mut out);
+    out
+}
+
+/// Appends the `n ≥ 2` chunks of `job` to `out`.
+///
+/// A chunk's service time is its pro-rata share of the parent's plus the
+/// fixed split/merge overhead. It is a placeholder: the engine is the
+/// authority on ground truth and re-samples every admitted chunk's time
+/// from the truth law on the chunk's own features.
+fn push_chunks(job: &Job, policy: &ChunkPolicy, n: usize, out: &mut Vec<Job>) {
     let n64 = n as u64;
     let in_base = job.features.size_bytes / n64;
     let in_rem = job.features.size_bytes % n64;
@@ -128,29 +134,23 @@ pub fn chunk_job_at<R: Rng + ?Sized>(
     let images_base = job.features.images / n as u32;
     let images_rem = job.features.images % n as u32;
 
-    (0..n)
-        .map(|k| {
-            let k64 = k as u64;
-            let in_bytes = in_base + u64::from(k64 < in_rem);
-            let out_bytes = out_base + u64::from(k64 < out_rem);
-            let pages = pages_base + u32::from((k as u32) < pages_rem);
-            let images = images_base + u32::from((k as u32) < images_rem);
-            let share = in_bytes as f64 / job.features.size_bytes as f64;
-            // Pro-rata share of the parent's true service time plus the
-            // fixed split/merge overhead, with mild noise on the overhead.
-            let service = job.true_service_secs * share
-                + policy.per_chunk_overhead_secs * stats::noise_factor(rng, 0.10);
-            Job {
-                id: job.id, // provisional; the engine re-indexes on insert
-                batch: job.batch,
-                arrival: job.arrival,
-                features: DocumentFeatures { size_bytes: in_bytes, pages, images, ..job.features },
-                true_service_secs: service,
-                output_bytes: out_bytes,
-                parent: Some(job.id),
-            }
-        })
-        .collect()
+    out.extend((0..n).map(|k| {
+        let k64 = k as u64;
+        let in_bytes = in_base + u64::from(k64 < in_rem);
+        let out_bytes = out_base + u64::from(k64 < out_rem);
+        let pages = pages_base + u32::from((k as u32) < pages_rem);
+        let images = images_base + u32::from((k as u32) < images_rem);
+        let share = in_bytes as f64 / job.features.size_bytes as f64;
+        Job {
+            id: job.id, // provisional; the engine re-indexes on insert
+            batch: job.batch,
+            arrival: job.arrival,
+            features: DocumentFeatures { size_bytes: in_bytes, pages, images, ..job.features },
+            true_service_secs: job.true_service_secs * share + policy.per_chunk_overhead_secs,
+            output_bytes: out_bytes,
+            parent: Some(job.id),
+        }
+    }));
 }
 
 /// Applies Algorithm 2 lines 3–10 to a whole batch: walks the job list with
@@ -162,26 +162,38 @@ pub fn chunk_job_at<R: Rng + ?Sized>(
 /// [`ChunkPolicy::position_gamma`]) — measured against the *original*
 /// batch, so inserted chunks never shift a later job's position.
 ///
-/// One linear pass. The paper's loop splices chunks into the list and then
-/// skips past them, so every index at or after the cursor is a
-/// not-yet-visited original: the window `σ(i..i+x)` over the growing list
-/// is always `σ` over the next `x` originals. The originals' sizes are
-/// therefore read once, and chunks are appended rather than spliced —
-/// the same σ values, the same chunk RNG draws in the same order, and the
-/// same output as the splice loop (kept as the `#[cfg(test)]` oracle).
-pub fn chunk_batch<R: Rng + ?Sized>(jobs: Vec<Job>, policy: &ChunkPolicy, rng: &mut R) -> Vec<Job> {
-    let sizes: Vec<f64> = jobs.iter().map(Job::size_mb).collect();
+/// Linear, with the output allocated once at its exact length. The
+/// paper's loop splices chunks into the list and then skips past them, so
+/// every index at or after the cursor is a not-yet-visited original: the
+/// window `σ(i..i+x)` over the growing list is always `σ` over the next
+/// `x` originals. So a counting pre-pass over the originals' sizes decides
+/// every job's chunk count, and a second pass appends each job or its
+/// chunks in place — the same σ values and the same output as the splice
+/// loop (kept as the `#[cfg(test)]` oracle).
+pub fn chunk_batch(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
     let denom = jobs.len().max(1) as f64;
-    let mut out = Vec::with_capacity(jobs.len());
-    for (k, job) in jobs.into_iter().enumerate() {
-        let pos_frac = k as f64 / denom;
-        let sigma = stats::window_stddev(&sizes, k, policy.window);
-        if policy.should_chunk_at(sigma, sizes[k], pos_frac) {
-            out.extend(chunk_job_at(&job, policy, pos_frac, rng));
+    let sizes: Vec<f64> = jobs.iter().map(Job::size_mb).collect();
+    // Pre-pass: each original's chunk count (1 = kept whole).
+    let counts: Vec<usize> = (0..jobs.len())
+        .map(|k| {
+            let pos_frac = k as f64 / denom;
+            let sigma = stats::window_stddev(&sizes, k, policy.window);
+            if policy.should_chunk_at(sigma, sizes[k], pos_frac) {
+                policy.n_chunks_at(sizes[k], pos_frac)
+            } else {
+                1
+            }
+        })
+        .collect();
+    let mut out = Vec::with_capacity(counts.iter().sum());
+    for (job, &n) in jobs.into_iter().zip(&counts) {
+        if n > 1 {
+            push_chunks(&job, policy, n, &mut out);
         } else {
             out.push(job);
         }
     }
+    debug_assert_eq!(out.len(), out.capacity(), "the pre-pass counts every output job");
     out
 }
 
@@ -218,9 +230,8 @@ mod tests {
 
     #[test]
     fn small_jobs_pass_through() {
-        let mut rng = StdRng::seed_from_u64(1);
         let j = job(0, 40);
-        let out = chunk_job(&j, &ChunkPolicy::default(), &mut rng);
+        let out = chunk_job(&j, &ChunkPolicy::default());
         assert_eq!(out.len(), 1);
         assert!(out[0].parent.is_none());
         assert_eq!(out[0].true_service_secs, j.true_service_secs);
@@ -228,9 +239,8 @@ mod tests {
 
     #[test]
     fn split_conserves_sizes() {
-        let mut rng = StdRng::seed_from_u64(2);
         let j = job(3, 295);
-        let chunks = chunk_job(&j, &ChunkPolicy::default(), &mut rng);
+        let chunks = chunk_job(&j, &ChunkPolicy::default());
         assert_eq!(chunks.len(), 4, "ceil(295/80) = 4");
         assert_eq!(chunks.iter().map(|c| c.features.size_bytes).sum::<u64>(), j.features.size_bytes);
         assert_eq!(chunks.iter().map(|c| c.output_bytes).sum::<u64>(), j.output_bytes);
@@ -245,13 +255,12 @@ mod tests {
 
     #[test]
     fn split_service_time_is_pro_rata_plus_overhead() {
-        let mut rng = StdRng::seed_from_u64(3);
         let policy = ChunkPolicy::default();
         let j = job(0, 240);
-        let chunks = chunk_job(&j, &policy, &mut rng);
+        let chunks = chunk_job(&j, &policy);
         let total: f64 = chunks.iter().map(|c| c.true_service_secs).sum();
         let expected = j.true_service_secs + chunks.len() as f64 * policy.per_chunk_overhead_secs;
-        assert!((total - expected).abs() < expected * 0.1, "total={total} expected≈{expected}");
+        assert!((total - expected).abs() < 1e-9, "total={total} expected={expected}");
     }
 
     #[test]
@@ -264,14 +273,13 @@ mod tests {
 
     #[test]
     fn chunk_batch_expands_only_under_high_variance() {
-        let mut rng = StdRng::seed_from_u64(4);
         let p = ChunkPolicy::default();
         // Homogeneous batch: low σ, nothing chunks.
         let homo: Vec<Job> = (0..6).map(|i| job(i, 100)).collect();
-        assert_eq!(chunk_batch(homo, &p, &mut rng).len(), 6);
+        assert_eq!(chunk_batch(homo, &p).len(), 6);
         // Mixed batch: 290 MB next to 5 MB jobs triggers chunking.
         let mixed = vec![job(0, 5), job(1, 290), job(2, 8), job(3, 290), job(4, 5)];
-        let out = chunk_batch(mixed.clone(), &p, &mut rng);
+        let out = chunk_batch(mixed.clone(), &p);
         assert!(out.len() > mixed.len(), "large jobs should have been split");
         assert_eq!(
             out.iter().map(|c| c.features.size_bytes).sum::<u64>(),
@@ -281,10 +289,9 @@ mod tests {
 
     #[test]
     fn chunk_batch_preserves_order() {
-        let mut rng = StdRng::seed_from_u64(5);
         let p = ChunkPolicy::default();
         let mixed = vec![job(0, 5), job(1, 290), job(2, 8)];
-        let out = chunk_batch(mixed, &p, &mut rng);
+        let out = chunk_batch(mixed, &p);
         // Prefix before the split job, then its chunks, then the suffix.
         assert_eq!(out[0].id, JobId(0));
         assert!(out[1..out.len() - 1].iter().all(|c| c.parent == Some(JobId(1))));
@@ -307,11 +314,10 @@ mod tests {
 
     #[test]
     fn chunk_job_at_respects_position() {
-        let mut rng = StdRng::seed_from_u64(9);
         let p = ChunkPolicy { position_gamma: 2.0, ..ChunkPolicy::default() };
         let j = job(0, 290);
-        let head = chunk_job_at(&j, &p, 0.0, &mut rng);
-        let tail = chunk_job_at(&j, &p, 1.0, &mut rng);
+        let head = chunk_job_at(&j, &p, 0.0);
+        let tail = chunk_job_at(&j, &p, 1.0);
         assert!(head.len() > tail.len(), "{} vs {}", head.len(), tail.len());
         assert_eq!(
             tail.iter().map(|c| c.features.size_bytes).sum::<u64>(),
@@ -331,8 +337,8 @@ mod tests {
     /// The paper's loop as first written: rebuild the size list of the
     /// whole growing queue every step, splice chunks in at the cursor and
     /// skip past them. Quadratic in the batch; [`chunk_batch`] must match
-    /// it job for job and draw for draw.
-    fn splice_oracle<R: Rng + ?Sized>(jobs: Vec<Job>, policy: &ChunkPolicy, rng: &mut R) -> Vec<Job> {
+    /// it job for job.
+    fn splice_oracle(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
         let denom = jobs.len().max(1) as f64;
         let mut list = jobs;
         let mut originals_seen = 0usize;
@@ -342,7 +348,7 @@ mod tests {
             let sizes: Vec<f64> = list.iter().map(|j| j.size_mb()).collect();
             let sigma = stats::window_stddev(&sizes, i, policy.window);
             if policy.should_chunk_at(sigma, list[i].size_mb(), pos_frac) {
-                let chunks = chunk_job_at(&list[i], policy, pos_frac, rng);
+                let chunks = chunk_job_at(&list[i], policy, pos_frac);
                 let added = chunks.len();
                 list.splice(i..=i, chunks);
                 i += added;
@@ -354,19 +360,17 @@ mod tests {
         list
     }
 
-    /// Runs both passes from the same RNG state and asserts identical
-    /// output (every field, f64s by their `Debug` round-trip text, which
-    /// is exact) and identical RNG end states.
-    fn assert_linear_matches_oracle(jobs: Vec<Job>, policy: &ChunkPolicy, seed: u64) -> usize {
-        let mut rng_lin = StdRng::seed_from_u64(seed);
-        let mut rng_ora = StdRng::seed_from_u64(seed);
-        let lin = chunk_batch(jobs.clone(), policy, &mut rng_lin);
-        let ora = splice_oracle(jobs, policy, &mut rng_ora);
+    /// Runs both passes and asserts identical output (every field, f64s by
+    /// their `Debug` round-trip text, which is exact) and an output
+    /// allocated at exactly its length.
+    fn assert_linear_matches_oracle(jobs: Vec<Job>, policy: &ChunkPolicy) -> usize {
+        let lin = chunk_batch(jobs.clone(), policy);
+        let ora = splice_oracle(jobs, policy);
         assert_eq!(lin.len(), ora.len(), "expanded lengths differ");
+        assert_eq!(lin.capacity(), lin.len(), "the output is allocated at its exact length");
         for (k, (a, b)) in lin.iter().zip(&ora).enumerate() {
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "job {k} differs");
         }
-        assert_eq!(rng_lin.gen::<u64>(), rng_ora.gen::<u64>(), "chunk RNG diverged");
         lin.len()
     }
 
@@ -411,7 +415,7 @@ mod tests {
                 ..ChunkPolicy::default()
             };
             let jobs = random_batch(seed, n, crate::SizeBucket::ALL[bucket_ix]);
-            let out = assert_linear_matches_oracle(jobs, &policy, seed ^ 0x5eed);
+            let out = assert_linear_matches_oracle(jobs, &policy);
             prop_assert!(out >= n);
         }
     }
@@ -431,7 +435,7 @@ mod tests {
         assert!(jobs.len() >= 10_000, "megascale batch has {} docs", jobs.len());
         let n = jobs.len();
         let policy = ChunkPolicy { position_gamma: 1.0, ..ChunkPolicy::default() };
-        let out = assert_linear_matches_oracle(jobs, &policy, 23);
+        let out = assert_linear_matches_oracle(jobs, &policy);
         assert!(out > n, "a 1–300 MB batch must chunk somewhere");
     }
 }

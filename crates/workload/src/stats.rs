@@ -138,7 +138,13 @@ pub fn window_stddev(sizes: &[f64], start: usize, width: usize) -> f64 {
     if start >= end {
         return 0.0;
     }
-    Summary::of(&sizes[start..end]).sd
+    // `Summary::of(..).sd` without the min/max folds: the same sums in the
+    // same order, so the same bits.
+    let xs = &sizes[start..end];
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+    var.sqrt()
 }
 
 #[cfg(test)]
@@ -235,6 +241,19 @@ mod tests {
         assert_eq!(s.n, 0);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.cov(), 0.0);
+    }
+
+    #[test]
+    fn window_stddev_is_the_summary_sd_bit_for_bit() {
+        let mut r = rng();
+        let sizes: Vec<f64> = (0..200).map(|_| lognormal(&mut r, 3.0, 1.2)).collect();
+        for start in 0..=sizes.len() + 1 {
+            for width in [0, 1, 2, 5, 9, 300] {
+                let end = (start + width).min(sizes.len());
+                let want = if start >= end { 0.0 } else { Summary::of(&sizes[start..end]).sd };
+                assert_eq!(window_stddev(&sizes, start, width).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,6 @@ proptest! {
     /// Batch chunking conserves total bytes and only ever grows the list.
     #[test]
     fn chunk_batch_conserves(seed in any::<u64>(), th in 10.0f64..200.0, target in 30.0f64..150.0) {
-        use rand::SeedableRng;
         let gen = BatchArrivals::new(ArrivalConfig {
             n_batches: 1,
             bucket: SizeBucket::LargeBiased,
@@ -70,8 +69,7 @@ proptest! {
             target_chunk_mb: target,
             ..ChunkPolicy::default()
         };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 1);
-        let out = chunk_batch(jobs.clone(), &policy, &mut rng);
+        let out = chunk_batch(jobs.clone(), &policy);
         prop_assert!(out.len() >= jobs.len());
         prop_assert_eq!(
             out.iter().map(|j| j.features.size_bytes).sum::<u64>(),

@@ -67,8 +67,7 @@ proptest! {
         let output = (size as f64 * out_frac) as u64;
         let job = job_of(size, output, 600.0);
         let policy = ChunkPolicy { target_chunk_mb: target, ..ChunkPolicy::default() };
-        let mut rng = rand::rngs::mock::StepRng::new(7, 11);
-        let chunks = chunk_job(&job, &policy, &mut rng);
+        let chunks = chunk_job(&job, &policy);
         prop_assert!(!chunks.is_empty());
         prop_assert_eq!(chunks.iter().map(|c| c.features.size_bytes).sum::<u64>(), size);
         prop_assert_eq!(chunks.iter().map(|c| c.output_bytes).sum::<u64>(), output);
