@@ -173,8 +173,6 @@ pub struct ExperimentConfig {
     pub per_class_qrsm: bool,
     /// Chunking policy for the Op/SIBS schedulers.
     pub chunk_policy: ChunkPolicy,
-    /// Slack safety margin τ, seconds.
-    pub tau_secs: f64,
     /// Ticket quoting margin: the completion promise issued at admission is
     /// the scheduler's estimate plus `k` training-RMSEs of the QRSM
     /// (`k ≈ 1` ⇒ roughly 84 % single-job coverage under normal residuals).
@@ -238,7 +236,6 @@ impl Default for ExperimentConfig {
             fit: FitKind::Ols,
             per_class_qrsm: false,
             chunk_policy: ChunkPolicy::default(),
-            tau_secs: 0.0,
             ticket_margin_k: 1.0,
             oo: OoConfig::default(),
             ewma_alpha: 0.3,
@@ -337,6 +334,15 @@ mod tests {
         assert!(!js.contains("shard_workers"), "field should be stripped for the test");
         let back: ExperimentConfig = serde_json::from_str(&js).unwrap();
         assert_eq!(back.shard_workers, None);
+        // Configs saved while the slack margin `tau_secs` existed carry a
+        // key the struct no longer has; unknown keys are skipped.
+        let js = serde_json::to_string(&c)
+            .unwrap()
+            .replace(",\"ticket_margin_k\":", ",\"tau_secs\":5.0,\"ticket_margin_k\":");
+        assert!(js.contains("\"tau_secs\":5.0"), "field should be present for the test");
+        let back: ExperimentConfig = serde_json::from_str(&js).unwrap();
+        assert_eq!(back.seed, c.seed);
+        assert_eq!(back.ticket_margin_k, c.ticket_margin_k);
     }
 
     #[test]

@@ -1356,6 +1356,22 @@ fn qrsm_barrier(w: &mut W) {
     w.est.flush_refits();
 }
 
+/// Queues job `id` (true service `svc` standard seconds) on `pool`, whose
+/// machines run at `speed`, weighted by the job's estimated drain cost
+/// there. Every submission and resubmission of a job goes through here.
+/// Takes the pool and the estimate column rather than the world, so the
+/// admission loop can submit while its planners borrow the estimates.
+fn submit_for_exec(
+    pool: &mut Cloud<JobId>,
+    est_exec: &[f64],
+    speed: f64,
+    id: JobId,
+    svc: f64,
+    now: SimTime,
+) {
+    pool.submit_weighted(now, id, svc, drain_cost_ticks(est_exec, id, speed));
+}
+
 /// Applies one batch arrival: snapshot → schedule → re-index → dispatch.
 ///
 /// A batch arrival is an epoch barrier: every component has been advanced
@@ -1523,8 +1539,8 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         }
         match placement {
             Placement::Internal => {
-                let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-                w.ic.submit_weighted(now, id, job.true_service_secs, ticks);
+                let svc = job.true_service_secs;
+                submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
             }
             Placement::External => {
                 let class = w.classify(site, job.input_bytes());
@@ -1662,8 +1678,7 @@ fn on_upload_done(w: &mut W, site: usize, c: Completion) {
             }
             w.timelines[id.0 as usize].upload_done = Some(c.at);
             let svc = w.jobs[id.0 as usize].true_service_secs;
-            let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ec_speed);
-            w.sites[site].cloud.submit_weighted(c.at, id, svc, ticks);
+            submit_for_exec(&mut w.sites[site].cloud, &w.est_exec, w.cfg.ec_speed, id, svc, c.at);
         }
         Payload::Probe => {}
     }
@@ -1849,16 +1864,11 @@ fn chaos_exec_failed(
     ch.metrics.exec_failures += 1;
     ch.metrics.fault_delay_secs += (c.at - c.started).as_secs_f64();
     let svc = w.jobs[idx].true_service_secs;
-    match site {
-        None => {
-            let ticks = drain_cost_ticks(&w.est_exec, c.key, w.cfg.ic_speed);
-            w.ic.submit_weighted(now, c.key, svc, ticks);
-        }
-        Some(s) => {
-            let ticks = drain_cost_ticks(&w.est_exec, c.key, w.cfg.ec_speed);
-            w.sites[s].cloud.submit_weighted(now, c.key, svc, ticks);
-        }
-    }
+    let (pool, speed) = match site {
+        None => (&mut w.ic, w.cfg.ic_speed),
+        Some(s) => (&mut w.sites[s].cloud, w.cfg.ec_speed),
+    };
+    submit_for_exec(pool, &w.est_exec, speed, c.key, svc, now);
     true
 }
 
@@ -1909,8 +1919,7 @@ fn redispatch_to_ic(w: &mut W, id: JobId, now: SimTime) {
     let idx = id.0 as usize;
     w.timelines[idx].placement = Placement::Internal;
     let svc = w.jobs[idx].true_service_secs;
-    let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-    w.ic.submit_weighted(now, id, svc, ticks);
+    submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
     reinstate_estimate(w, id, now, w.cfg.ic_speed);
     let ch = w.chaos.as_mut().expect("re-dispatch implies chaos state");
     ch.metrics.redispatches += 1;
@@ -2018,18 +2027,12 @@ fn on_machine_down(w: &mut W, sim: &mut Sim<W>, pool: Pool, machine: u32) {
     }
     if let Some((id, _)) = aborted {
         let svc = w.jobs[id.0 as usize].true_service_secs;
-        match pool {
-            Pool::Ic => {
-                let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-                w.ic.submit_weighted(now, id, svc, ticks);
-                reinstate_estimate(w, id, now, w.cfg.ic_speed);
-            }
-            Pool::Ec(s) => {
-                let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ec_speed);
-                w.sites[s as usize].cloud.submit_weighted(now, id, svc, ticks);
-                reinstate_estimate(w, id, now, w.cfg.ec_speed);
-            }
-        }
+        let (cloud, speed) = match pool {
+            Pool::Ic => (&mut w.ic, w.cfg.ic_speed),
+            Pool::Ec(s) => (&mut w.sites[s as usize].cloud, w.cfg.ec_speed),
+        };
+        submit_for_exec(cloud, &w.est_exec, speed, id, svc, now);
+        reinstate_estimate(w, id, now, speed);
         let ch = w.chaos.as_mut().expect("chaos state");
         ch.metrics.redispatches += 1;
     }
@@ -2104,8 +2107,7 @@ fn try_pull_back(w: &mut W, now: SimTime) {
         debug_assert_eq!(got, id);
         w.timelines[id.0 as usize].placement = Placement::Internal;
         let svc = w.jobs[id.0 as usize].true_service_secs;
-        let ticks = drain_cost_ticks(&w.est_exec, id, w.cfg.ic_speed);
-        w.ic.submit_weighted(now, id, svc, ticks);
+        submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
         w.n_pull_backs += 1;
     }
 }

@@ -232,11 +232,6 @@ impl Link {
         self.active.iter().map(|t| t.remaining.ceil() as u64).sum()
     }
 
-    /// Ids of the in-flight transfers.
-    pub fn active_ids(&self) -> impl Iterator<Item = TransferId> + '_ {
-        self.active.iter().map(|t| t.id)
-    }
-
     /// Total threads currently contending on the link.
     pub fn active_threads(&self) -> u32 {
         self.active.iter().map(|t| t.threads).sum()

@@ -65,11 +65,6 @@ pub enum BandwidthModel {
 }
 
 impl BandwidthModel {
-    /// The paper's baseline: ≈ 250 KB/s constant.
-    pub fn paper_default() -> BandwidthModel {
-        BandwidthModel::Constant(DEFAULT_MEAN_BPS)
-    }
-
     /// A "high network variation" pipe (Fig. 9): diurnal swing plus ±40 %
     /// jitter resampled every 2 minutes.
     pub fn high_variation(seed: u64) -> BandwidthModel {

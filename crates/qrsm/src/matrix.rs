@@ -62,11 +62,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Builds a column vector.
-    pub fn col_vector(v: &[f64]) -> Matrix {
-        Matrix { rows: v.len(), cols: 1, data: v.to_vec() }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

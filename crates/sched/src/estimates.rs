@@ -30,22 +30,12 @@ impl ProcTimeModel {
         }
     }
 
-    /// Routes an observed `(class, features, seconds)` into the model(s).
-    pub fn observe(&mut self, class: u64, x: &[f64], y: f64) {
-        match self {
-            ProcTimeModel::Pooled(m) => {
-                m.observe(x, y);
-            }
-            ProcTimeModel::PerClass(m) => m.observe(class, x, y),
-        }
-    }
-
-    /// Routes an observation like [`ProcTimeModel::observe`] but defers the
-    /// coefficient refit to the next [`ProcTimeModel::flush_refits`]. The
-    /// sliding-window rank-1 update lands immediately; the `O(terms³)`
-    /// solve runs once at the barrier where predictions are next read,
-    /// bitwise identical to eager per-observation refits at that point
-    /// (see `QrsModel::observe_queued`).
+    /// Routes an observed `(class, features, seconds)` into the model(s),
+    /// deferring the coefficient refit to the next
+    /// [`ProcTimeModel::flush_refits`]. The sliding-window rank-1 update
+    /// lands immediately; the `O(terms³)` solve runs once at the barrier
+    /// where predictions are next read, bitwise identical to eager
+    /// per-observation refits at that point (see `QrsModel::observe_queued`).
     pub fn observe_queued(&mut self, class: u64, x: &[f64], y: f64) {
         match self {
             ProcTimeModel::Pooled(m) => m.observe_queued(x, y),
@@ -67,14 +57,6 @@ impl ProcTimeModel {
         match self {
             ProcTimeModel::Pooled(m) => m.rmse(),
             ProcTimeModel::PerClass(m) => m.rmse_for(class),
-        }
-    }
-
-    /// Pooled-level training RMSE.
-    pub fn rmse(&self) -> f64 {
-        match self {
-            ProcTimeModel::Pooled(m) => m.rmse(),
-            ProcTimeModel::PerClass(m) => m.pooled().rmse(),
         }
     }
 }
@@ -108,11 +90,6 @@ impl EstimateProvider {
     /// defaults.
     pub fn new(qrsm: QrsModel) -> EstimateProvider {
         Self::with_model(ProcTimeModel::Pooled(qrsm))
-    }
-
-    /// Builds a provider around a per-class model (multi-class extension).
-    pub fn with_classed(model: ClassedModel) -> EstimateProvider {
-        Self::with_model(ProcTimeModel::PerClass(model))
     }
 
     /// Builds a provider around any processing-time model.

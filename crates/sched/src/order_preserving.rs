@@ -23,8 +23,6 @@ use crate::estimates::EstimateProvider;
 pub struct OrderPreservingScheduler {
     /// Chunking policy (window `x`, threshold `th`, target chunk size).
     pub chunk_policy: ChunkPolicy,
-    /// Safety margin τ subtracted from the slack deadline (Sec. IV).
-    pub tau_secs: f64,
     /// Set `false` to disable chunking (the `ablate-chunk` experiment).
     pub chunking_enabled: bool,
 }
@@ -39,7 +37,7 @@ impl Default for OrderPreservingScheduler {
 impl OrderPreservingScheduler {
     /// Creates the scheduler with the given chunking policy.
     pub fn new(chunk_policy: ChunkPolicy) -> OrderPreservingScheduler {
-        OrderPreservingScheduler { chunk_policy, tau_secs: 0.0, chunking_enabled: true }
+        OrderPreservingScheduler { chunk_policy, chunking_enabled: true }
     }
 
     /// Disables the chunking phase (ablation).
@@ -78,20 +76,12 @@ impl BurstScheduler for OrderPreservingScheduler {
         let mut jobs = Vec::with_capacity(expanded.len());
         for job in expanded {
             let est_secs = est.exec_secs(&job);
-            // Line 11–12: burst iff t_ec ≤ slack(J, i) (with margin τ).
+            // Line 11–12: burst iff t_ec ≤ slack(J, i).
             let placement = match planner.slack() {
-                Some(slack) => {
-                    let t_ec = planner.ft_ec(&job, est_secs);
-                    let deadline =
-                        slack - cloudburst_sim::SimDuration::from_secs_f64(self.tau_secs);
-                    if t_ec <= deadline {
-                        Placement::External
-                    } else {
-                        Placement::Internal
-                    }
-                }
-                // Head of an empty system: no cushion, run locally.
-                None => Placement::Internal,
+                Some(slack) if planner.ft_ec(&job, est_secs) <= slack => Placement::External,
+                // No cushion (head of an empty system), or a round trip
+                // that would outlast it: run locally.
+                _ => Placement::Internal,
             };
             let est_ct = planner.commit(&job, est_secs, placement);
             jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
@@ -181,21 +171,5 @@ mod tests {
         assert_eq!(sched.name(), "op-nochunk");
         let s = sched.schedule_batch(batch, &buf.as_model(), &est);
         assert_eq!(s.jobs.len(), 3);
-    }
-
-    #[test]
-    fn tau_margin_suppresses_marginal_bursts() {
-        let est = provider();
-        let batch: Vec<_> = (0..8).map(|i| job_with_id(i, 60)).collect();
-        let mut buf = LoadModelBuf::idle(SimTime::ZERO, 2, 2);
-        buf.ic_free_secs = vec![2_000.0, 2_000.0];
-        buf.outstanding_est_completions = vec![SimTime::from_secs(2_000)];
-        let mut relaxed = op();
-        let burst_relaxed = relaxed.schedule_batch(batch.clone(), &buf.as_model(), &est).n_bursted();
-        let mut strict = op();
-        strict.tau_secs = 1e9;
-        let burst_strict = strict.schedule_batch(batch, &buf.as_model(), &est).n_bursted();
-        assert_eq!(burst_strict, 0, "infinite τ forbids bursting");
-        assert!(burst_relaxed >= burst_strict);
     }
 }

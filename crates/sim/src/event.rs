@@ -158,11 +158,6 @@ impl<W> Sim<W> {
         self.now
     }
 
-    /// Number of events fired so far (diagnostics).
-    pub fn events_fired(&self) -> u64 {
-        self.fired
-    }
-
     /// Number of live (scheduled, not cancelled) events.
     pub fn pending(&self) -> usize {
         self.live

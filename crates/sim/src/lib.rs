@@ -36,7 +36,6 @@
 
 pub mod event;
 pub mod fxhash;
-pub mod process;
 pub mod rng;
 pub mod time;
 

@@ -5,7 +5,6 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use cloudburst_sim::process::Ticker;
 use cloudburst_sim::{EventId, RngFactory, Sim, SimDuration, SimTime};
 
 proptest! {
@@ -79,24 +78,6 @@ proptest! {
         sim.run(&mut seen);
         prop_assert!(seen[before..].iter().all(|&t| t > cut));
         prop_assert_eq!(seen.len(), times.len());
-    }
-
-    /// Ticker fires ⌊horizon / period⌋ times at exact multiples.
-    #[test]
-    fn ticker_count_matches_horizon(period in 1u64..50, horizon in 1u64..2_000) {
-        let mut sim: Sim<Vec<u64>> = Sim::new();
-        Ticker::start(
-            &mut sim,
-            SimDuration::from_micros(period),
-            Some(SimTime::from_micros(horizon)),
-            |w: &mut Vec<u64>, sim, _| w.push(sim.now().as_micros()),
-        );
-        let mut seen = Vec::new();
-        sim.run(&mut seen);
-        prop_assert_eq!(seen.len() as u64, horizon / period);
-        for (i, &t) in seen.iter().enumerate() {
-            prop_assert_eq!(t, (i as u64 + 1) * period);
-        }
     }
 
     /// Interleaved schedule/cancel/step with slab slot reuse: a cancelled

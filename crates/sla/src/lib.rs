@@ -1,9 +1,8 @@
-//! `cloudburst-sla` — service-level-agreement metrics and constraints.
+//! `cloudburst-sla` — service-level-agreement metrics.
 //!
-//! Implements Sec. II of the paper:
+//! Implements the metrics of Sec. II of the paper (the slackness constraint,
+//! Eq. 1–2, is a scheduling decision and lives in `cloudburst-sched`):
 //!
-//! * [`slack`] — the slackness constraint (Eq. 1–2): the time cushion a job
-//!   has for an EC round trip before its in-order turn for local processing.
 //! * [`ooo`] — the Out-of-Order metric (Eq. 3–6): how much *ordered* output
 //!   is available to the downstream consumer at each sampling instant, under
 //!   a tolerance limit.
@@ -29,7 +28,6 @@ pub mod faults;
 pub mod metrics;
 pub mod ooo;
 pub mod report;
-pub mod slack;
 pub mod ticket;
 pub mod window;
 
@@ -39,4 +37,3 @@ pub use ooo::{oo_series, CompletionRecord, OoConfig, OoSample};
 pub use report::RunReport;
 pub use window::{ServeReport, WindowConfig, WindowSeries, WindowStats};
 pub use ticket::{ticket_report, TicketOutcome, TicketReport};
-pub use slack::{slack_time, SlackCheck};

@@ -1,11 +1,11 @@
-//! Property tests for the SLA layer: OO metric bounds, slack arithmetic,
-//! metric identities and ticket/guarantee consistency.
+//! Property tests for the SLA layer: OO metric bounds, metric identities,
+//! and ticket/guarantee consistency.
 
 use proptest::prelude::*;
 
 use cloudburst_sim::{SimDuration, SimTime};
 use cloudburst_sla::ticket::{check_guarantee, guaranteeable_target, TicketOutcome};
-use cloudburst_sla::{metrics, oo_series, slack, ticket_report, CompletionRecord, OoConfig};
+use cloudburst_sla::{metrics, oo_series, ticket_report, CompletionRecord, OoConfig};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
@@ -61,38 +61,6 @@ proptest! {
             }
             prop_assert_eq!(sample.o_t, expect);
         }
-    }
-
-    /// Slack time is the max of its inputs; the slack check is monotone in
-    /// the deadline and anti-monotone in the round-trip legs.
-    #[test]
-    fn slack_check_monotonicity(
-        ahead in prop::collection::vec(0u64..10_000, 1..20),
-        up in 0.0f64..5_000.0,
-        exec in 0.0f64..5_000.0,
-        down in 0.0f64..5_000.0,
-    ) {
-        let anchors: Vec<SimTime> = ahead.iter().map(|&s| SimTime::from_secs(s)).collect();
-        let s = slack::slack_time(&anchors).unwrap();
-        prop_assert_eq!(s, SimTime::from_secs(*ahead.iter().max().unwrap()));
-        let check = slack::SlackCheck {
-            slack: s,
-            upload_start: SimTime::ZERO,
-            upload_secs: up,
-            exec_secs: exec,
-            download_secs: down,
-            tau_secs: 0.0,
-        };
-        // Exact definition.
-        let fits = up + exec + down <= s.as_secs_f64();
-        prop_assert_eq!(check.satisfied(), fits);
-        // Shrinking a leg never flips satisfied → violated.
-        let smaller = slack::SlackCheck { upload_secs: up * 0.5, ..check };
-        if check.satisfied() {
-            prop_assert!(smaller.satisfied());
-        }
-        // headroom sign agrees with satisfied.
-        prop_assert_eq!(check.headroom_secs() >= 0.0, check.satisfied());
     }
 
     /// Makespan/delay identities: makespan equals the max delay prefix sum

@@ -6,7 +6,6 @@
 //! each batch is Poisson(15); job sizes drawn from the bucket; secondary
 //! document features sampled per job class.
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -14,8 +13,8 @@ use cloudburst_sim::{RngFactory, SimDuration, SimTime};
 
 use crate::bucket::SizeBucket;
 use crate::document::DocumentFeatures;
-use crate::job::{Job, JobId};
-use crate::stats;
+use crate::job::Job;
+use crate::open::JobSampler;
 use crate::truth::GroundTruth;
 
 /// Configuration of the arrival process.
@@ -132,36 +131,15 @@ impl BatchArrivals {
     /// sizes, features, batch counts and ground-truth service times all come
     /// from streams derived from the experiment seed.
     pub fn generate(&self, rngs: &RngFactory, truth: &GroundTruth) -> Vec<Batch> {
-        let mut size_rng: StdRng = rngs.stream("workload/sizes");
-        let mut feat_rng: StdRng = rngs.stream("workload/features");
-        let mut count_rng: StdRng = rngs.stream("workload/counts");
-        let mut truth_rng: StdRng = rngs.stream("workload/truth");
-
+        let mut sampler = JobSampler::new(rngs);
         let mut next_id: u64 = 0;
         let mut batches = Vec::with_capacity(self.config.n_batches as usize);
         for b in 0..self.config.n_batches {
             let arrival = SimTime::ZERO + self.config.batch_interval * b as u64;
-            // Guarantee at least one job so every batch exercises the
-            // schedulers (a Poisson(15) zero is astronomically rare anyway).
-            let count = stats::poisson(&mut count_rng, self.config.rate_for_batch(b)).max(1);
-            let mut jobs = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let size = self.config.bucket.sample_bytes(&mut size_rng);
-                let features = DocumentFeatures::sample_any_type(&mut feat_rng, size);
-                let true_service_secs = truth.sample_secs(&mut truth_rng, &features);
-                let output_bytes = truth.sample_output_bytes(&mut truth_rng, &features);
-                jobs.push(Job {
-                    id: JobId(next_id),
-                    batch: b,
-                    arrival,
-                    features,
-                    true_service_secs,
-                    output_bytes,
-                    parent: None,
-                });
-                next_id += 1;
-            }
-            batches.push(Batch { index: b, arrival, jobs });
+            let rate = self.config.rate_for_batch(b);
+            let batch = sampler.batch(self.config.bucket, truth, rate, b, arrival, next_id);
+            next_id += batch.jobs.len() as u64;
+            batches.push(batch);
         }
         batches
     }
@@ -194,6 +172,7 @@ pub fn training_corpus<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobId;
     use rand::SeedableRng;
 
     #[test]

@@ -11,10 +11,11 @@
 //! cloud-bursting literature motivates.
 //!
 //! Determinism: all randomness flows from the same four `workload/*` RNG
-//! streams the closed generator uses, consumed in epoch order. With a
-//! [`RateEnvelope::Flat`] envelope and no burst model, the stream is
-//! **draw-for-draw identical** to [`crate::arrival::BatchArrivals`] — the
-//! closed-vs-open equivalence goldens rest on exactly this property.
+//! streams the closed generator uses, consumed in epoch order, and each
+//! batch is drawn by the same sampler. With a [`RateEnvelope::Flat`]
+//! envelope and no burst model, the stream is **draw-for-draw identical** to
+//! [`crate::arrival::BatchArrivals`] — the closed-vs-open equivalence
+//! goldens rest on exactly this property.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -154,10 +155,18 @@ impl OpenArrivalConfig {
 
     /// The open config whose stream is draw-for-draw identical to the given
     /// closed config's: same epoch spacing, baseline rate and bucket, flat
-    /// envelope, no bursts. A seasonal `rate_profile` is folded in via the
-    /// envelope-free path (`rate_for_batch`) by the generator, so closed
-    /// configs with profiles are equivalent too.
+    /// envelope, no bursts. The open generator reads no seasonal profile —
+    /// its epoch rate is `jobs_per_epoch × envelope` — so a closed config
+    /// with a `rate_profile` has no matching open config.
+    ///
+    /// # Panics
+    ///
+    /// If `closed.rate_profile` is set.
     pub fn matching_closed(closed: &ArrivalConfig) -> OpenArrivalConfig {
+        assert!(
+            closed.rate_profile.is_none(),
+            "a seasonal rate_profile has no open-stream equivalent"
+        );
         OpenArrivalConfig {
             epoch: closed.batch_interval,
             jobs_per_epoch: closed.jobs_per_batch,
@@ -174,6 +183,66 @@ impl OpenArrivalConfig {
     }
 }
 
+/// The per-job draws both arrival generators share: the four `workload/*`
+/// streams and the draw group per job (size, features, true service time,
+/// output bytes). [`OpenArrivals`] and [`crate::arrival::BatchArrivals`]
+/// both draw each batch through [`JobSampler::batch`], so a flat open
+/// stream is draw-for-draw the closed one by construction.
+#[derive(Clone, Debug)]
+pub(crate) struct JobSampler {
+    size_rng: StdRng,
+    feat_rng: StdRng,
+    /// The batch-count stream; the open generator also draws its
+    /// flash-crowd multiplier from it, ahead of the count.
+    pub(crate) count_rng: StdRng,
+    truth_rng: StdRng,
+}
+
+impl JobSampler {
+    /// The four streams derived from the experiment seed.
+    pub(crate) fn new(rngs: &RngFactory) -> JobSampler {
+        JobSampler {
+            size_rng: rngs.stream("workload/sizes"),
+            feat_rng: rngs.stream("workload/features"),
+            count_rng: rngs.stream("workload/counts"),
+            truth_rng: rngs.stream("workload/truth"),
+        }
+    }
+
+    /// Draws batch `index`: a Poisson(`rate`) job count, at least one so
+    /// every batch exercises the schedulers (a Poisson(15) zero is
+    /// astronomically rare anyway), then one draw group per job. Job ids
+    /// are provisional, `first_id` onwards in generation order.
+    pub(crate) fn batch(
+        &mut self,
+        bucket: SizeBucket,
+        truth: &GroundTruth,
+        rate: f64,
+        index: u32,
+        arrival: SimTime,
+        first_id: u64,
+    ) -> Batch {
+        let count = stats::poisson(&mut self.count_rng, rate).max(1);
+        let mut jobs = Vec::with_capacity(count as usize);
+        for id in first_id..first_id + count {
+            let size = bucket.sample_bytes(&mut self.size_rng);
+            let features = DocumentFeatures::sample_any_type(&mut self.feat_rng, size);
+            let true_service_secs = truth.sample_secs(&mut self.truth_rng, &features);
+            let output_bytes = truth.sample_output_bytes(&mut self.truth_rng, &features);
+            jobs.push(Job {
+                id: JobId(id),
+                batch: index,
+                arrival,
+                features,
+                true_service_secs,
+                output_bytes,
+                parent: None,
+            });
+        }
+        Batch { index, arrival, jobs }
+    }
+}
+
 /// Lazy, unbounded batch generator: call [`OpenArrivals::next_batch`] once
 /// per epoch. Holds only the RNG stream cursors and counters — state is
 /// O(1) in the number of epochs generated.
@@ -181,10 +250,7 @@ impl OpenArrivalConfig {
 pub struct OpenArrivals {
     config: OpenArrivalConfig,
     truth: GroundTruth,
-    size_rng: StdRng,
-    feat_rng: StdRng,
-    count_rng: StdRng,
-    truth_rng: StdRng,
+    sampler: JobSampler,
     next_epoch: u64,
     jobs_generated: u64,
 }
@@ -196,10 +262,7 @@ impl OpenArrivals {
         OpenArrivals {
             config,
             truth,
-            size_rng: rngs.stream("workload/sizes"),
-            feat_rng: rngs.stream("workload/features"),
-            count_rng: rngs.stream("workload/counts"),
-            truth_rng: rngs.stream("workload/truth"),
+            sampler: JobSampler::new(rngs),
             next_epoch: 0,
             jobs_generated: 0,
         }
@@ -238,33 +301,24 @@ impl OpenArrivals {
         let arrival = self.next_arrival();
         let burst_factor = match &self.config.burst {
             None => 1.0,
-            Some(b) => b.sample_factor(&mut self.count_rng),
+            Some(b) => b.sample_factor(&mut self.sampler.count_rng),
         };
         let rate = self.config.mean_rate_at(arrival) * burst_factor;
-        let count = stats::poisson(&mut self.count_rng, rate).max(1);
-        let mut jobs = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let size = self.config.bucket.sample_bytes(&mut self.size_rng);
-            let features = DocumentFeatures::sample_any_type(&mut self.feat_rng, size);
-            let true_service_secs = self.truth.sample_secs(&mut self.truth_rng, &features);
-            let output_bytes = self.truth.sample_output_bytes(&mut self.truth_rng, &features);
-            jobs.push(Job {
-                // Provisional generation-order id; the engine re-indexes
-                // (and, in serve mode, recycles) at admission.
-                id: JobId(self.jobs_generated),
-                // Epoch index; wraps at 2^32 epochs (≈ 24k virtual years at
-                // 3-minute epochs) — far beyond any configured horizon.
-                batch: e as u32,
-                arrival,
-                features,
-                true_service_secs,
-                output_bytes,
-                parent: None,
-            });
-            self.jobs_generated += 1;
-        }
+        // The epoch index is the batch index; it wraps at 2^32 epochs
+        // (≈ 24k virtual years at 3-minute epochs) — far beyond any
+        // configured horizon. Ids are provisional; the engine re-indexes
+        // (and, in serve mode, recycles) at admission.
+        let batch = self.sampler.batch(
+            self.config.bucket,
+            &self.truth,
+            rate,
+            e as u32,
+            arrival,
+            self.jobs_generated,
+        );
+        self.jobs_generated += batch.jobs.len() as u64;
         self.next_epoch = e + 1;
-        Batch { index: e as u32, arrival, jobs }
+        batch
     }
 }
 
@@ -301,6 +355,13 @@ mod tests {
                 assert_eq!(a.output_bytes, b.output_bytes);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no open-stream equivalent")]
+    fn matching_closed_rejects_a_seasonal_profile() {
+        let seasonal = ArrivalConfig::default().with_seasonal_cycle(4, 2.0);
+        OpenArrivalConfig::matching_closed(&seasonal);
     }
 
     #[test]
