@@ -70,6 +70,22 @@ cargo test -q -p cloudburst-core --lib training::tests
 cargo test -q -p cloudburst-core --test training_memo_heap
 cargo test -q -p cloudburst-qrsm --lib same_bits
 
+# Exact floors for Eq. 2 checks and the bucketed OO series: OP and greedy
+# test a download-free lower bound before the full EC round trip,
+# push-out tests the upload leg alone before a job's round trip, and
+# oo_series groups completions by sample with a counting pass instead of a
+# sort. Each is held bit for bit to a floor-free or sort-based oracle. The
+# release pass above runs these tests too; the debug profile adds overflow
+# checks on the bucket arithmetic and the debug_asserts (unique queue keys
+# in Cloud::cancel_queued, ids in range in oo_series) that release
+# compiles out.
+echo "== exact Eq. 2 floors and bucketed OO series, debug profile: floor proptest, push-out oracle, oo_series oracles"
+cargo test -q -p cloudburst-sched --lib ec_floor_is_exact_and_changes_no_decision
+cargo test -q -p cloudburst-sched --lib resched::tests
+cargo test -q -p cloudburst-core --lib deep_queue_hybrid_drain_is_oracle_checked
+cargo test -q -p cloudburst-cluster --lib cancelling_a_tail_key_of_a_deep_queue
+cargo test -q -p cloudburst-sla --lib ooo::tests
+
 # A run is single-threaded; every multi-run fan-out goes through the one
 # parallel map, cloudburst_bench::ShardPool: repro maps its ids through the
 # pool and emits each result in id order. A multi-id run must therefore

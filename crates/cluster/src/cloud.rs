@@ -322,8 +322,17 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
 
     /// Removes a queued (not yet running) job; used by rescheduling
     /// extensions. Returns the remaining standard seconds if found.
+    ///
+    /// Keys are unique in the queue (a caller queues a job at most once),
+    /// so the search runs from the back: push-out cancels jobs from the
+    /// queue's tail window, and a front-first scan would walk the whole
+    /// deep prefix to reach them.
     pub fn cancel_queued(&mut self, key: K) -> Option<f64> {
-        let idx = self.queue.iter().position(|q| q.key == key)?;
+        debug_assert!(
+            self.queue.iter().filter(|q| q.key == key).count() <= 1,
+            "queued keys are unique"
+        );
+        let idx = self.queue.iter().rposition(|q| q.key == key)?;
         self.queue.remove(idx).map(|q| {
             self.queued_cost_ticks -= q.cost_ticks;
             q.standard_secs
@@ -532,6 +541,30 @@ mod tests {
         assert_eq!(c.cancel_queued(1), None, "running job cannot be cancelled");
         assert_eq!(c.pop_back_queued(), Some((3, 30.0)));
         assert_eq!(c.queued(), 0);
+    }
+
+    #[test]
+    fn cancelling_a_tail_key_of_a_deep_queue_keeps_fcfs_order_and_cost() {
+        let mut c: Cloud<u32> = Cloud::homogeneous("ic", 2, 1.0);
+        for k in 0..2_000u32 {
+            c.submit_weighted(SimTime::ZERO, k, 1.0 + k as f64, 3 + 7 * k as u64);
+        }
+        // Keys 0 and 1 run; 2..2000 wait. Cancel from the tail window,
+        // the last key, and one key near the front.
+        for key in [1_990, 1_999, 1_500, 3] {
+            assert_eq!(c.cancel_queued(key), Some(1.0 + key as f64));
+            assert_eq!(c.cancel_queued(key), None, "a cancelled key is gone");
+        }
+        let want: Vec<u32> = (2..2_000).filter(|k| ![1_990, 1_999, 1_500, 3].contains(k)).collect();
+        assert_eq!(c.queued_keys().collect::<Vec<_>>(), want, "FCFS order of the rest");
+        let rescan: u64 = c.queued_detail().map(|(_, t)| t).sum();
+        let closed_form: u64 = want.iter().map(|&k| 3 + 7 * k as u64).sum();
+        assert_eq!(c.queued_cost_ticks(), rescan);
+        assert_eq!(c.queued_cost_ticks(), closed_form);
+        // Dispatch still pops the FCFS head.
+        let done = c.advance(SimTime::from_secs(2));
+        assert_eq!(done.iter().map(|d| d.key).collect::<Vec<_>>(), vec![0, 1]);
+        assert_eq!(c.queued_keys().take(2).collect::<Vec<_>>(), vec![5, 6], "2 and 4 started");
     }
 
     #[test]

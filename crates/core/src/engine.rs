@@ -30,7 +30,7 @@ use cloudburst_sched::api::Planner;
 use cloudburst_sched::drain::fluid_fill_level;
 use cloudburst_sched::drain::{FluidScratch, DRAIN_WINDOW};
 use cloudburst_sched::resched::{
-    eq1_slack, pull_back_candidate, push_out_candidate, PullBackCandidate, PushOutCandidate,
+    eq1_slack, pull_back_candidate, push_out_candidate, PullBackCandidate,
 };
 use cloudburst_sched::{
     BurstScheduler, EstimateProvider, FreeTimeIndex, GreedyScheduler, IcOnlyScheduler, LoadModel,
@@ -503,10 +503,10 @@ pub struct EngineWorld {
     /// a per-iteration double-collect.
     pb_cands: Vec<PullBackCandidate>,
     pb_meta: Vec<(usize, SizeClass, JobId)>,
-    /// Push-out scratch: the IC wait queue snapshot and its Eq. 1/2
-    /// candidate view.
+    /// Push-out scratch: the IC wait queue snapshot and each job's Eq. 1
+    /// slack anchor.
     po_waiting: Vec<JobId>,
-    po_queue: Vec<PushOutCandidate>,
+    po_slack: Vec<Option<SimTime>>,
     /// Fault-injection bookkeeping; `None` ⇔ no fault can ever realize.
     chaos: Option<ChaosState>,
     /// Open-system serving state; `None` ⇔ classic closed-batch mode.
@@ -698,7 +698,7 @@ impl EngineWorld {
             pb_cands: Vec::new(),
             pb_meta: Vec::new(),
             po_waiting: Vec::new(),
-            po_queue: Vec::new(),
+            po_slack: Vec::new(),
             chaos,
             serve: None,
             econ,
@@ -2164,26 +2164,35 @@ fn try_push_out(w: &mut W, now: SimTime) {
     }
     w.ft_index.reset_from(&w.ic_free_buf);
     let mut ahead_max: f64 = live_max(&w.ic_free_buf);
-    w.po_queue.clear();
+    w.po_slack.clear();
     for i in 0..w.po_waiting.len() {
-        let id = w.po_waiting[i];
-        let slack = eq1_slack(now, ahead_max);
-        let job = &w.jobs[id.0 as usize];
-        let up = w.est.upload_secs(now, job.input_bytes());
-        let exec = w.est.exec_secs_ec(job);
-        let down = w.est.download_secs(now, w.est.output_bytes(job));
+        w.po_slack.push(eq1_slack(now, ahead_max));
         // Commit this job onto the planned drain for its successors.
-        let est = est_exec_or_default(&w.est_exec, id);
+        let est = est_exec_or_default(&w.est_exec, w.po_waiting[i]);
         let idx = w.ft_index.fcfs_commit(est / speed);
         let committed = w.ft_index.value(idx);
         if committed < DEAD_FREE_SECS {
             ahead_max = ahead_max.max(committed);
         }
-        w.po_queue.push(PushOutCandidate { slack, round_trip_secs: up + exec + down });
     }
+    // Tail-first scan. The upload rate at `now` is read once
+    // (`upload_secs(now, b)` is `b / upload_rate(now)` bit for bit), and a
+    // job's execution and download estimates only when its upload leg
+    // alone fits its slack (the exact floor of `push_out_candidate`).
+    let rate = w.est.upload_rate(now);
+    let job_at = |i: usize| &w.jobs[w.po_waiting[i].0 as usize];
+    let pick = push_out_candidate(
+        now,
+        &w.po_slack,
+        |i| job_at(i).input_bytes() as f64 / rate,
+        |i, up| {
+            let job = job_at(i);
+            up + w.est.exec_secs_ec(job) + w.est.download_secs(now, w.est.output_bytes(job))
+        },
+    );
     #[cfg(test)]
-    assert_push_out_queue_matches_oracle(w, now, speed);
-    let Some(k) = push_out_candidate(now, &w.po_queue) else {
+    assert_push_out_queue_matches_oracle(w, now, speed, pick);
+    let Some(k) = pick else {
         return;
     };
     let id = w.po_waiting[k];
@@ -2198,14 +2207,16 @@ fn try_push_out(w: &mut W, now: SimTime) {
     pump_uploads(w, site, now);
 }
 
-/// Rescan oracle for the indexed push-out drain: re-derives the hybrid
-/// candidate pool (full queue at or below [`DRAIN_WINDOW`] or with a dead
-/// estate, tail window over an independently recomputed fluid prefix
-/// above it) and the per-job linear min-scan, then asserts the indexed
-/// path produced the identical pool and bitwise-identical slacks, round
-/// trips, and drain state.
+/// Rescan oracle for the indexed push-out drain and its floored pick:
+/// re-derives the hybrid candidate pool (full queue at or below
+/// [`DRAIN_WINDOW`] or with a dead estate, tail window over an
+/// independently recomputed fluid prefix above it) and the per-job linear
+/// min-scan, then asserts the indexed path produced the identical pool,
+/// bitwise-identical slacks and drain state, and — from every job's full
+/// round trip — (a) the pick of a plain tail-first scan and (b) no job
+/// whose upload floor misses its slack while its round trip fits.
 #[cfg(test)]
-fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64) {
+fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64, pick: Option<usize>) {
     let mut free = w.est_running_free_secs(&w.ic, speed, now);
     let q = w.ic.queued();
     let mut expected: Vec<JobId> = Vec::new();
@@ -2227,12 +2238,14 @@ fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64) {
     }
     assert_eq!(w.po_waiting, expected, "push-out candidate pool diverged from rescan");
     let mut ahead_max: f64 = live_max(&free);
+    let mut full: Vec<(Option<SimTime>, f64, f64)> = Vec::new();
     for (i, id) in w.po_waiting.iter().enumerate() {
         let slack = eq1_slack(now, ahead_max);
         let job = &w.jobs[id.0 as usize];
         let up = w.est.upload_secs(now, job.input_bytes());
         let exec = w.est.exec_secs_ec(job);
         let down = w.est.download_secs(now, w.est.output_bytes(job));
+        full.push((slack, up, up + exec + down));
         let est = est_exec_or_default(&w.est_exec, *id);
         let (idx, _) = free
             .iter()
@@ -2243,15 +2256,20 @@ fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64) {
         if free[idx] < DEAD_FREE_SECS {
             ahead_max = ahead_max.max(free[idx]);
         }
-        let got = &w.po_queue[i];
-        assert_eq!(got.slack, slack, "push-out slack diverged at queue pos {i}");
-        assert_eq!(
-            got.round_trip_secs.to_bits(),
-            (up + exec + down).to_bits(),
-            "push-out round trip diverged at queue pos {i}"
-        );
+        assert_eq!(w.po_slack[i], slack, "push-out slack diverged at queue pos {i}");
     }
     assert_eq!(w.ft_index.values(), &free[..], "indexed push-out drain diverged from rescan");
+    let fits = |slack: Option<SimTime>, secs: f64| {
+        slack.is_some_and(|s| now + SimDuration::from_secs_f64(secs) <= s)
+    };
+    let rescan_pick = full.iter().rposition(|&(slack, _, round_trip)| fits(slack, round_trip));
+    assert_eq!(pick, rescan_pick, "floored push-out pick diverged from the full tail scan");
+    for (i, &(slack, up, round_trip)) in full.iter().enumerate() {
+        assert!(
+            fits(slack, up) || !fits(slack, round_trip),
+            "queue pos {i}: the upload floor misses its slack but the round trip fits"
+        );
+    }
 }
 
 /// Autonomic probe: a 1 MB transfer each way, then self-reschedule.

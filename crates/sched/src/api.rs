@@ -235,6 +235,22 @@ impl<'a> Planner<'a> {
         self.ec_finish(self.round_trip_parts(job, est_secs))
     }
 
+    /// An exact lower bound on [`Planner::ft_ec`] that skips the download
+    /// leg: `ec_floor(job, e) ≤ ft_ec(job, e)` bit for bit.
+    ///
+    /// `ft_ec` sums left to right, `ec_done_secs + down`; the floor is
+    /// `ec_done_secs` over the same operands. The download estimate it
+    /// leaves out is `bytes / rate` with `rate ≥ 1`, so it is `≥ 0` and
+    /// never NaN, and both IEEE addition of a non-negative term and
+    /// `SimDuration::from_secs_f64` are monotone. A check of the form
+    /// `ft_ec ≤ bound` therefore fails whenever `ec_floor > bound`, and the
+    /// download prediction (the costliest leg) is read only when the floor
+    /// fits.
+    pub fn ec_floor(&self, job: &Job, est_secs: f64) -> SimTime {
+        let (up, exec) = self.est.upload_exec_at_rate(job, est_secs, self.upload_rate);
+        self.now + SimDuration::from_secs_f64(self.ec_done_secs(self.upload_backlog_secs, up, exec))
+    }
+
     /// IC completion of `exec` seconds started on the earliest-free
     /// machine (+∞ free-time, hence a saturated instant, on an empty pool).
     fn ic_finish(&self, exec: f64) -> SimTime {
@@ -243,8 +259,15 @@ impl<'a> Planner<'a> {
 
     /// EC completion of a round trip with the given parts.
     fn ec_finish(&self, (wait, up, exec, down): (f64, f64, f64, f64)) -> SimTime {
-        let start_ec = (wait + up).max(self.ec_free.min_value());
-        self.now + SimDuration::from_secs_f64(start_ec + exec + down)
+        self.now + SimDuration::from_secs_f64(self.ec_done_secs(wait, up, exec) + down)
+    }
+
+    /// Seconds from now until the EC finishes executing a burst: its
+    /// upload lands (`wait + up`) or the earliest EC machine frees, then
+    /// `exec`. The shared prefix of [`Planner::ft_ec`] and
+    /// [`Planner::ec_floor`].
+    fn ec_done_secs(&self, wait: f64, up: f64, exec: f64) -> f64 {
+        (wait + up).max(self.ec_free.min_value()) + exec
     }
 
     /// The EC round-trip *duration* components for a burst starting now,
@@ -550,6 +573,98 @@ mod tests {
                 prop_assert_eq!(fast.upload_backlog_secs.to_bits(), slow.upload_backlog_secs.to_bits());
                 prop_assert_eq!(fast.slack(), slow.slack_anchor);
             }
+        }
+    }
+
+    /// `(placement, est_secs, est_ct)` of every scheduled job, bitwise.
+    fn decisions(s: &BatchSchedule) -> Vec<(u64, Placement, u64, SimTime)> {
+        s.jobs.iter().map(|s| (s.job.id.0, s.placement, s.est_secs.to_bits(), s.est_ct)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        /// The Eq. 2 floor is exact: `ec_floor ≤ ft_ec` for every job at
+        /// every step of a random commit sequence, and OP's and
+        /// greedy's floored loops place every job and quote every `est_ct`
+        /// exactly as their floor-free references. Covers empty and
+        /// saturated EC pools, zero and huge upload backlogs, 1 B to 300 MB
+        /// jobs, random decision instants and a different estimator rate in
+        /// every hour (so the download leg, read at a later instant than
+        /// the upload, differs from it).
+        #[test]
+        fn ec_floor_is_exact_and_changes_no_decision(
+            ic in prop::collection::vec((0usize..6, 0.0f64..30_000.0), 1..6),
+            ec in prop::collection::vec((0usize..6, 0.0f64..30_000.0), 0..4),
+            ec_saturated in any::<bool>(),
+            (backlog_kind, backlog_x) in (0usize..3, 0u64..1_000_000_000_000),
+            (has_anchor, anchor) in (any::<bool>(), 0u64..200_000),
+            now_us in 0u64..172_800_000_000,
+            sizes in prop::collection::vec((0usize..3, 0u64..300_000_000), 1..24),
+            rates in prop::collection::vec((1_000.0f64..2_000_000.0, 1_000.0f64..2_000_000.0), 24),
+            ops in prop::collection::vec(any::<bool>(), 24),
+        ) {
+            let mut est = crate::estimates::tests_support::provider();
+            for (h, &(up, down)) in rates.iter().enumerate() {
+                let t = SimTime::from_secs(h as u64 * 3_600);
+                est.up.observe(t, up);
+                est.down.observe(t, down);
+            }
+            // 1 B to 1 kB, to 1 MB, to 300 MB: the upload leg from
+            // negligible to hours.
+            let jobs: Vec<Job> = sizes
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, x))| {
+                    let bytes = match kind {
+                        0 => 1 + x % 1_000,
+                        1 => 1_000 + x % 999_000,
+                        _ => 1_000_000 + x % 299_000_001,
+                    };
+                    crate::estimates::tests_support::job_with_bytes(i as u64, bytes)
+                })
+                .collect();
+            // No backlog, a few bytes, or 1 GB to 1 TB queued ahead.
+            let backlog = match backlog_kind {
+                0 => 0,
+                1 => 1 + backlog_x % 1_000,
+                _ => 1_000_000_000 + backlog_x,
+            };
+            let ec_free_secs =
+                if ec_saturated { vec![DEAD_FREE_SECS; ec.len()] } else { pool(&ec) };
+            let buf = LoadModelBuf {
+                ic_free_secs: pool(&ic),
+                ec_free_secs,
+                upload_backlog_bytes: backlog,
+                outstanding_est_completions: if has_anchor {
+                    vec![SimTime::from_secs(anchor)]
+                } else {
+                    Vec::new()
+                },
+                ..LoadModelBuf::idle(SimTime::from_micros(now_us), 0, 0)
+            };
+            let load = buf.as_model();
+
+            let mut planner = Planner::new(&load, &est);
+            for (job, &external) in jobs.iter().zip(&ops) {
+                let e = est.exec_secs(job);
+                prop_assert!(planner.ec_floor(job, e) <= planner.ft_ec(job, e), "job {:?}", job.id);
+                let placement = if external && !load.ec_free_secs.is_empty() {
+                    Placement::External
+                } else {
+                    Placement::Internal
+                };
+                planner.commit(job, e, placement);
+            }
+
+            let op = crate::order_preserving::OrderPreservingScheduler::default();
+            let floored = op.clone().schedule_batch(jobs.clone(), &load, &est);
+            let reference = op.schedule_batch_floor_free(jobs.clone(), &load, &est);
+            prop_assert_eq!(decisions(&floored), decisions(&reference), "op");
+
+            let floored = crate::greedy::GreedyScheduler::new().schedule_batch(jobs.clone(), &load, &est);
+            let reference = crate::greedy::schedule_batch_floor_free(jobs, &load, &est);
+            prop_assert_eq!(decisions(&floored), decisions(&reference), "greedy");
         }
     }
 

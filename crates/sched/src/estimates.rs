@@ -190,12 +190,18 @@ impl EstimateProvider {
         upload_backlog_secs: f64,
         upload_rate: f64,
     ) -> (f64, f64, f64, f64) {
-        let up = job.input_bytes() as f64 / upload_rate;
-        let exec = est_secs / self.ec_speed;
+        let (up, exec) = self.upload_exec_at_rate(job, est_secs, upload_rate);
         // Download is predicted at the time it will plausibly start.
         let dl_at = t + cloudburst_sim::SimDuration::from_secs_f64(upload_backlog_secs + up + exec);
         let down = self.download_secs(dl_at, self.output_bytes(job));
         (upload_backlog_secs, up, exec, down)
+    }
+
+    /// The upload and EC execution legs of
+    /// [`EstimateProvider::round_trip_parts_at_rate`], bit for bit: the
+    /// part of a round trip that needs no download prediction.
+    pub(crate) fn upload_exec_at_rate(&self, job: &Job, est_secs: f64, upload_rate: f64) -> (f64, f64) {
+        (job.input_bytes() as f64 / upload_rate, est_secs / self.ec_speed)
     }
 }
 
@@ -227,16 +233,21 @@ pub(crate) mod tests_support {
 
     /// As [`job`], with an explicit id.
     pub(crate) fn job_with_id(id: u64, size_mb: u64) -> Job {
+        job_with_bytes(id, size_mb * 1_000_000)
+    }
+
+    /// A deterministic job of exactly `bytes` input bytes.
+    pub(crate) fn job_with_bytes(id: u64, bytes: u64) -> Job {
         let rngs = RngFactory::new(5 + id);
         let mut rng = rngs.stream("j");
-        let f = DocumentFeatures::sample_any_type(&mut rng, size_mb * 1_000_000);
+        let f = DocumentFeatures::sample_any_type(&mut rng, bytes);
         Job {
             id: JobId(id),
             batch: 0,
             arrival: SimTime::ZERO,
             features: f,
             true_service_secs: GroundTruth::noiseless().mean_secs(&f),
-            output_bytes: size_mb * 500_000,
+            output_bytes: bytes / 2,
             parent: None,
         }
     }

@@ -38,14 +38,42 @@ impl BurstScheduler for GreedyScheduler {
         for job in batch {
             let est_secs = est.exec_secs(&job);
             let t_ic = planner.ft_ic(est_secs);
-            let t_ec = planner.ft_ec(&job, est_secs);
-            // Line 4: t_ic ≤ t_ec → IC, else EC.
-            let placement = if t_ic <= t_ec { Placement::Internal } else { Placement::External };
+            // Line 4: t_ic ≤ t_ec → IC, else EC. `t_ic ≤ ec_floor ≤ t_ec`
+            // decides IC without the download estimate behind `t_ec`.
+            let placement = if t_ic <= planner.ec_floor(&job, est_secs)
+                || t_ic <= planner.ft_ec(&job, est_secs)
+            {
+                Placement::Internal
+            } else {
+                Placement::External
+            };
             let est_ct = planner.commit(&job, est_secs, placement);
             jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
         }
         BatchSchedule { jobs, sibs: None }
     }
+}
+
+/// [`BurstScheduler::schedule_batch`] without the `ec_floor` short cut:
+/// every job reads the full `ft_ec`. The oracle the floored loop is held
+/// to.
+#[cfg(test)]
+pub(crate) fn schedule_batch_floor_free(
+    batch: Vec<Job>,
+    load: &LoadModel<'_>,
+    est: &EstimateProvider,
+) -> BatchSchedule {
+    let mut planner = Planner::new(load, est);
+    let mut jobs = Vec::new();
+    for job in batch {
+        let est_secs = est.exec_secs(&job);
+        let t_ic = planner.ft_ic(est_secs);
+        let t_ec = planner.ft_ec(&job, est_secs);
+        let placement = if t_ic <= t_ec { Placement::Internal } else { Placement::External };
+        let est_ct = planner.commit(&job, est_secs, placement);
+        jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
+    }
+    BatchSchedule { jobs, sibs: None }
 }
 
 #[cfg(test)]

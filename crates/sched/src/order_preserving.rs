@@ -76,11 +76,44 @@ impl BurstScheduler for OrderPreservingScheduler {
         let mut jobs = Vec::with_capacity(expanded.len());
         for job in expanded {
             let est_secs = est.exec_secs(&job);
-            // Line 11–12: burst iff t_ec ≤ slack(J, i).
+            // Line 11–12: burst iff t_ec ≤ slack(J, i). The exact floor
+            // `ec_floor ≤ ft_ec` settles most jobs without a download
+            // estimate: a floor past the slack is a round trip past it.
             let placement = match planner.slack() {
-                Some(slack) if planner.ft_ec(&job, est_secs) <= slack => Placement::External,
+                Some(slack)
+                    if planner.ec_floor(&job, est_secs) <= slack
+                        && planner.ft_ec(&job, est_secs) <= slack =>
+                {
+                    Placement::External
+                }
                 // No cushion (head of an empty system), or a round trip
                 // that would outlast it: run locally.
+                _ => Placement::Internal,
+            };
+            let est_ct = planner.commit(&job, est_secs, placement);
+            jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
+        }
+        BatchSchedule { jobs, sibs: None }
+    }
+}
+
+#[cfg(test)]
+impl OrderPreservingScheduler {
+    /// [`BurstScheduler::schedule_batch`] without the `ec_floor`
+    /// pre-check: every slack test reads the full `ft_ec`. The oracle the
+    /// floored loop is held to.
+    pub(crate) fn schedule_batch_floor_free(
+        &self,
+        batch: Vec<Job>,
+        load: &LoadModel<'_>,
+        est: &EstimateProvider,
+    ) -> BatchSchedule {
+        let mut planner = Planner::new(load, est);
+        let mut jobs = Vec::new();
+        for job in self.chunk_phase(batch) {
+            let est_secs = est.exec_secs(&job);
+            let placement = match planner.slack() {
+                Some(slack) if planner.ft_ec(&job, est_secs) <= slack => Placement::External,
                 _ => Placement::Internal,
             };
             let est_ct = planner.commit(&job, est_secs, placement);

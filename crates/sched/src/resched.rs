@@ -52,29 +52,34 @@ pub fn pull_back_candidate(candidates: &[PullBackCandidate]) -> Option<usize> {
         .position(|c| c.not_yet_running && c.est_remaining_ec_secs > c.est_ic_reexec_secs)
 }
 
-/// One IC-queued job, as the push-out check sees it.
-#[derive(Clone, Copy, Debug)]
-pub struct PushOutCandidate {
-    /// Eq. 1 slack anchor for this job (max estimated completion of work
-    /// ahead of it); `None` for the queue head.
-    pub slack: Option<SimTime>,
-    /// Estimated EC round-trip duration (upload + exec + download), seconds.
-    pub round_trip_secs: f64,
-}
-
 /// Picks the job to push out when the upload pipe idles: scanning the IC
 /// wait queue **from the tail**, the first job satisfying the slack
 /// criterion (Eq. 2) at time `now`. Returns its index in the wait queue.
-pub fn push_out_candidate(now: SimTime, queue: &[PushOutCandidate]) -> Option<usize> {
-    for (i, c) in queue.iter().enumerate().rev() {
-        if let Some(slack) = c.slack {
-            let eta = now + cloudburst_sim::SimDuration::from_secs_f64(c.round_trip_secs);
-            if eta <= slack {
-                return Some(i);
-            }
+///
+/// `slacks[i]` is job `i`'s Eq. 1 slack anchor ([`eq1_slack`]; `None` for
+/// the queue head). Its estimated EC round trip is
+/// `round_trip_secs(i, up_secs(i))`: the caller adds the remaining legs to
+/// the upload leg it is handed, and every leg is non-negative, so the
+/// round trip is never below `up_secs(i)`. The upload leg alone is thus an
+/// exact floor: when `now + up` already misses the slack, the full round
+/// trip misses it too, and `round_trip_secs` — the execution and download
+/// estimates — is never evaluated for that job. The pick is the one the
+/// scan over every full round trip makes, and the scan stops at it.
+pub fn push_out_candidate(
+    now: SimTime,
+    slacks: &[Option<SimTime>],
+    mut up_secs: impl FnMut(usize) -> f64,
+    mut round_trip_secs: impl FnMut(usize, f64) -> f64,
+) -> Option<usize> {
+    slacks.iter().enumerate().rev().find_map(|(i, slack)| {
+        let slack = (*slack)?;
+        let up = up_secs(i);
+        if now + SimDuration::from_secs_f64(up) > slack {
+            return None;
         }
-    }
-    None
+        let eta = now + SimDuration::from_secs_f64(round_trip_secs(i, up));
+        (eta <= slack).then_some(i)
+    })
 }
 
 #[cfg(test)]
@@ -110,35 +115,54 @@ mod tests {
         assert_eq!(pull_back_candidate(&[]), None);
     }
 
+    /// Full round trips for [`push_out_candidate`]: job `i`'s round trip
+    /// is `up + rest[i]`, and the upload leg is `up[i]`.
+    fn pick(now: SimTime, slacks: &[Option<SimTime>], up: &[f64], rest: &[f64]) -> Option<usize> {
+        push_out_candidate(now, slacks, |i| up[i], |i, u| u + rest[i])
+    }
+
     #[test]
     fn push_out_scans_from_tail() {
-        let t = |s| SimTime::from_secs(s);
-        let queue = [
-            PushOutCandidate { slack: None, round_trip_secs: 100.0 },
-            PushOutCandidate { slack: Some(t(1_000)), round_trip_secs: 100.0 },
-            PushOutCandidate { slack: Some(t(2_000)), round_trip_secs: 100.0 },
-        ];
+        let t = |s| Some(SimTime::from_secs(s));
+        let slacks = [None, t(1_000), t(2_000)];
         // Both 1 and 2 qualify at now = 0; the tail scan returns 2.
-        assert_eq!(push_out_candidate(SimTime::ZERO, &queue), Some(2));
+        assert_eq!(pick(SimTime::ZERO, &slacks, &[40.0; 3], &[60.0; 3]), Some(2));
     }
 
     #[test]
     fn push_out_respects_slack_deadline() {
-        let t = |s| SimTime::from_secs(s);
-        let queue = [
-            PushOutCandidate { slack: Some(t(50)), round_trip_secs: 100.0 },
-            PushOutCandidate { slack: Some(t(90)), round_trip_secs: 100.0 },
-        ];
-        assert_eq!(push_out_candidate(SimTime::ZERO, &queue), None);
+        let t = |s| Some(SimTime::from_secs(s));
+        let up = [40.0, 40.0];
+        let rest = [60.0, 60.0];
+        assert_eq!(pick(SimTime::ZERO, &[t(50), t(90)], &up, &rest), None);
         // Later slack qualifies once the round trip fits.
-        let queue2 = [PushOutCandidate { slack: Some(t(150)), round_trip_secs: 100.0 }];
-        assert_eq!(push_out_candidate(SimTime::ZERO, &queue2), Some(0));
-        assert_eq!(push_out_candidate(t(60), &queue2), None, "too late now");
+        assert_eq!(pick(SimTime::ZERO, &[t(150)], &up, &rest), Some(0));
+        assert_eq!(pick(SimTime::from_secs(60), &[t(150)], &up, &rest), None, "too late now");
     }
 
     #[test]
     fn head_job_never_pushes_out() {
-        let queue = [PushOutCandidate { slack: None, round_trip_secs: 1.0 }];
-        assert_eq!(push_out_candidate(SimTime::ZERO, &queue), None);
+        assert_eq!(pick(SimTime::ZERO, &[None], &[0.5], &[0.5]), None);
+    }
+
+    #[test]
+    fn a_failed_upload_floor_skips_the_round_trip_and_the_scan_stops_at_the_pick() {
+        let t = |s| Some(SimTime::from_secs(s));
+        // From the tail: job 3's upload alone misses its slack, job 2's
+        // floor fits but its round trip does not, job 1 fits.
+        let slacks = [t(10_000), t(500), t(150), t(100)];
+        let up = [10.0, 20.0, 100.0, 101.0];
+        let mut asked = Vec::new();
+        let got = push_out_candidate(
+            SimTime::ZERO,
+            &slacks,
+            |i| up[i],
+            |i, u| {
+                asked.push(i);
+                u + 100.0
+            },
+        );
+        assert_eq!(got, Some(1));
+        assert_eq!(asked, vec![2, 1], "no round trip for job 3, none past the pick");
     }
 }

@@ -87,7 +87,129 @@ pub struct OoSample {
 /// validated in debug builds, out-of-range ids abort either way via the
 /// bounds check). Completions may be passed in any order. Jobs absent from
 /// `completions` are treated as never finishing within the horizon.
+///
+/// Completions are grouped by the sample that first sees them in one
+/// counting pass, not sorted. With unique ids, the order in which one
+/// sample ingests its completions changes none of the streaming state:
+/// each ingestion is a commutative update below a frontier that moves
+/// only between samples. A duplicate id makes the order matter (the
+/// later record's bytes win), so that case keeps the full stable
+/// `(at, id)` sort.
 pub fn oo_series(
+    completions: &[CompletionRecord],
+    total_jobs: usize,
+    horizon: SimTime,
+    cfg: OoConfig,
+) -> Vec<OoSample> {
+    assert!(!cfg.sample_interval.is_zero(), "sampling interval must be positive");
+    // Sample k (0-based) is taken at (k + 1) · interval while that is
+    // within the horizon. A completion at `at` is first seen by sample
+    // ⌈at / interval⌉ − 1 (sample 0 for `at` = 0), and by none when that
+    // index is past the last sample.
+    let interval_us = cfg.sample_interval.as_micros();
+    let n_samples = (horizon.as_micros() / interval_us) as usize;
+    let sample_of =
+        |c: &CompletionRecord| (c.at.as_micros().saturating_sub(1) / interval_us) as usize;
+
+    // Counting pass: each sample's `completed` field counts its bucket,
+    // and `complete` marks the ids seen, to find a duplicate.
+    let mut samples =
+        vec![OoSample { at: SimTime::ZERO, m_t: None, o_t: 0, completed: 0 }; n_samples];
+    let mut complete = vec![false; total_jobs];
+    let mut duplicate = false;
+    for c in completions {
+        let k = sample_of(c);
+        if k < n_samples {
+            debug_assert!((c.id as usize) < total_jobs, "id {} out of range {total_jobs}", c.id);
+            duplicate |= std::mem::replace(&mut complete[c.id as usize], true);
+            samples[k].completed += 1;
+        }
+    }
+    complete.fill(false);
+    // Counts become bucket starts, then (one increment per record) bucket
+    // ends: sample k ingests `by_time[end(k − 1)..end(k)]`.
+    let mut start = 0usize;
+    for s in samples.iter_mut() {
+        let n = s.completed;
+        s.completed = start;
+        start += n;
+    }
+    let mut by_time = vec![0usize; if duplicate { completions.len() } else { start }];
+    for (i, c) in completions.iter().enumerate() {
+        let k = sample_of(c);
+        if k < n_samples {
+            if !duplicate {
+                by_time[samples[k].completed] = i;
+            }
+            samples[k].completed += 1;
+        }
+    }
+    if duplicate {
+        for (i, slot) in by_time.iter_mut().enumerate() {
+            *slot = i;
+        }
+        by_time.sort_by_key(|&i| (completions[i].at, completions[i].id));
+    }
+
+    let mut bytes = vec![0u64; total_jobs];
+    let mut next = 0usize; // next completion (by time) to ingest
+    let mut completed = 0usize; // |C_t|
+    // Streaming frontier state (see the module docs for the invariants).
+    let mut frontier = 0usize;
+    let mut missing = 0u64;
+    let mut m_t: Option<u64> = None;
+    let mut o_t = 0u64;
+    let mut t = SimTime::ZERO;
+    for sample in samples.iter_mut() {
+        t += cfg.sample_interval;
+        while next < sample.completed {
+            let c = &completions[by_time[next]];
+            next += 1;
+            let i = c.id as usize;
+            if complete[i] {
+                // Duplicate record: keep the latest bytes value, adjusting
+                // o_t if this id is already counted (complete below the
+                // frontier implies id ≤ m_t).
+                if i < frontier {
+                    o_t = o_t - bytes[i] + c.bytes;
+                }
+                bytes[i] = c.bytes;
+                continue;
+            }
+            complete[i] = true;
+            bytes[i] = c.bytes;
+            completed += 1;
+            if i < frontier {
+                // A straggler below the frontier: one fewer gap, and its
+                // bytes become orderable immediately.
+                missing -= 1;
+                o_t += c.bytes;
+                m_t = Some(m_t.map_or(c.id, |m| m.max(c.id)));
+            }
+        }
+        // Advance the frontier while the gap budget holds. Each id is
+        // crossed exactly once over the whole run.
+        while frontier < total_jobs {
+            if complete[frontier] {
+                m_t = Some(frontier as u64);
+                o_t += bytes[frontier];
+            } else if missing < cfg.tolerance {
+                missing += 1;
+            } else {
+                break;
+            }
+            frontier += 1;
+        }
+        *sample = OoSample { at: t, m_t, o_t, completed };
+    }
+    samples
+}
+
+/// The streaming pass as it was before the counting pass: a full stable
+/// `(at, id)` sort of the completions, then sample-by-sample ingestion.
+/// Retained verbatim as the oracle for [`oo_series`]'s bucketed order.
+#[cfg(test)]
+fn oo_series_sorted(
     completions: &[CompletionRecord],
     total_jobs: usize,
     horizon: SimTime,
@@ -335,8 +457,102 @@ mod tests {
         }
     }
 
+    /// `oo_series` against both oracles, the pre-bucketing sorted pass
+    /// and the per-sample rescan.
+    fn assert_matches_oracles(comps: &[CompletionRecord], n: usize, horizon: SimTime, c: OoConfig) {
+        let got = oo_series(comps, n, horizon, c);
+        assert_eq!(got, oo_series_sorted(comps, n, horizon, c), "sorted oracle: {comps:?}");
+        assert_eq!(got, oo_series_rescan(comps, n, horizon, c), "rescan oracle: {comps:?}");
+    }
+
+    #[test]
+    fn bucketed_pass_matches_sorted_and_rescan_oracles_on_edge_cases() {
+        let us = |id: u64, micros: u64, bytes: u64| CompletionRecord {
+            id,
+            at: SimTime::from_micros(micros),
+            bytes,
+        };
+        let s = 1_000_000;
+        let cases: Vec<(Vec<CompletionRecord>, usize, u64, OoConfig)> = vec![
+            // Records at t = 0, alone and with a later one.
+            (vec![us(0, 0, 5)], 1, 10 * s, cfg(0, 10)),
+            (vec![us(1, 0, 5), us(0, 3 * s, 7)], 2, 10 * s, cfg(0, 5)),
+            // Exactly on sample instants, and one microsecond either side.
+            (
+                vec![
+                    us(2, 10 * s, 1),
+                    us(0, 10 * s - 1, 2),
+                    us(1, 10 * s + 1, 3),
+                    us(3, 20 * s, 4),
+                ],
+                4,
+                30 * s,
+                cfg(0, 10),
+            ),
+            (vec![us(0, 30 * s, 9), us(1, 30 * s, 8)], 2, 30 * s, cfg(1, 10)),
+            // Past the horizon: never ingested, even on the next instant.
+            (vec![us(0, 31 * s, 9), us(1, 40 * s, 8), us(2, 5 * s, 1)], 3, 30 * s, cfg(0, 10)),
+            // Duplicate ids: at different instants, at one instant, and one
+            // copy past the horizon.
+            (vec![us(1, 12 * s, 4), us(0, 2 * s, 1), us(1, 3 * s, 9)], 2, 20 * s, cfg(0, 10)),
+            (vec![us(1, 8 * s, 4), us(0, 2 * s, 1), us(1, 3 * s, 9)], 2, 20 * s, cfg(0, 10)),
+            (vec![us(0, 5 * s, 1), us(0, 5 * s, 2), us(0, 5 * s, 3)], 1, 10 * s, cfg(0, 10)),
+            (vec![us(0, 5 * s, 1), us(1, 6 * s, 2), us(0, 50 * s, 3)], 2, 20 * s, cfg(0, 10)),
+            // Empty input, with and without samples.
+            (vec![], 3, 30 * s, cfg(0, 10)),
+            (vec![], 1, 5 * s, cfg(0, 10)),
+            // A single bucket: every record lands in the one sample.
+            (vec![us(2, 10 * s, 3), us(0, 0, 1), us(1, 7 * s, 2)], 3, 10 * s, cfg(0, 10)),
+            (vec![us(2, 10 * s, 3), us(0, 0, 1), us(1, 7 * s, 2)], 3, 19 * s, cfg(0, 10)),
+            // A horizon before the first sample: no series at all.
+            (vec![us(0, 1, 1)], 1, 9 * s, cfg(0, 10)),
+        ];
+        for (comps, n, horizon_us, c) in cases {
+            assert_matches_oracles(&comps, n, SimTime::from_micros(horizon_us), c);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The counting pass is identical to the sorted pass it replaced
+        /// (and to the rescan) on unique ids in arbitrary input order and
+        /// on inputs with duplicates: records at 0, on sample instants,
+        /// one microsecond off them and past the horizon.
+        #[test]
+        fn bucketed_pass_is_identical_to_sorted_pass(
+            total_jobs in 1usize..40,
+            tolerance in 0u64..4,
+            interval_s in 1u64..60,
+            horizon_s in 0u64..400,
+            unique in any::<bool>(),
+            raw in proptest::collection::vec((0u64..40, 0u64..500, 0u8..4, 0u64..10_000), 0..60),
+        ) {
+            let interval_us = interval_s * 1_000_000;
+            let mut seen = vec![false; total_jobs];
+            let comps: Vec<CompletionRecord> = raw
+                .into_iter()
+                .filter_map(|(id, secs, snap, bytes)| {
+                    let id = id % total_jobs as u64;
+                    if unique && std::mem::replace(&mut seen[id as usize], true) {
+                        return None;
+                    }
+                    let on = (secs / interval_s) * interval_us;
+                    let micros = match snap {
+                        0 => 0,
+                        1 => on,
+                        2 => on + 1,
+                        _ => secs * 1_000_000 + secs % 7,
+                    };
+                    Some(CompletionRecord { id, at: SimTime::from_micros(micros), bytes })
+                })
+                .collect();
+            let c = cfg(tolerance, interval_s);
+            let horizon = SimTime::from_secs(horizon_s);
+            let got = oo_series(&comps, total_jobs, horizon, c);
+            prop_assert_eq!(&got, &oo_series_sorted(&comps, total_jobs, horizon, c));
+            prop_assert_eq!(&got, &oo_series_rescan(&comps, total_jobs, horizon, c));
+        }
 
         /// The streaming series is PartialEq-identical to the retained
         /// rescan reference on arbitrary completion sets (including
