@@ -24,7 +24,7 @@ use cloudburst_cluster::{Cloud, ExecCompletion, MachineId};
 use cloudburst_econ::{AdmissionPolicy, BrokerPolicy, CostMetrics, Money, PenaltySchedule, PriceModel};
 use cloudburst_net::link::{CapacityFault, Completion};
 use cloudburst_net::queues::{SibsQueues, SizeClass};
-use cloudburst_net::{Link, SibsBounds, TransferId};
+use cloudburst_net::{BandwidthModel, Link, SibsBounds, TransferId};
 use cloudburst_sched::api::Planner;
 #[cfg(test)]
 use cloudburst_sched::drain::fluid_fill_level;
@@ -44,7 +44,7 @@ use cloudburst_sla::{
 };
 use cloudburst_workload::{BatchArrivals, Job, JobId, JobType, OpenArrivals};
 
-use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind, ServeConfig};
+use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind};
 
 /// Size of the autonomic probe transfers (Sec. III-A-2: "periodic test
 /// uploads/downloads of size 1MB").
@@ -175,95 +175,101 @@ enum Payload {
     Probe,
 }
 
+/// One transfer direction of an EC site: its link, queues, slots and
+/// in-flight transfers. Uploads queue by size class behind one slot per
+/// class under SIBS routing; otherwise every job queues as `Small` behind
+/// a single `Large` slot (which serves all classes), i.e. one FIFO pipe.
+/// Downloads always use the FIFO layout.
+struct Pipe {
+    link: Link,
+    queues: SibsQueues<JobId>,
+    slots: Vec<(SizeClass, Option<TransferId>)>,
+    /// Transfer bookkeeping: id → payload and thread count. Ids are dense
+    /// trusted integers, so the map uses the fast in-tree Fx hasher.
+    in_flight: FxHashMap<TransferId, (Payload, u32)>,
+    /// Job payload bytes this pipe has carried (probes excluded).
+    moved_bytes: u64,
+}
+
+impl Pipe {
+    fn new(link: Link, classes: &[SizeClass]) -> Pipe {
+        Pipe {
+            link,
+            queues: SibsQueues::new(),
+            slots: classes.iter().map(|&c| (c, None)).collect(),
+            in_flight: FxHashMap::default(),
+            moved_bytes: 0,
+        }
+    }
+
+    /// Estimated backlog in bytes: queued plus in-flight remainder. Reads
+    /// the link through its epoch-boundary snapshot.
+    fn backlog_bytes(&self) -> u64 {
+        let (s, m, l) = self.queues.queued_bytes();
+        s + m + l + self.link.boundary().remaining_bytes
+    }
+
+    /// Jobs queued or in flight on this pipe.
+    fn jobs(&self) -> usize {
+        self.queues.len()
+            + self.in_flight.values().filter(|(p, _)| matches!(p, Payload::Job(_))).count()
+    }
+
+    /// Frees the slot that carried transfer `tid`.
+    fn free_slot(&mut self, tid: TransferId) {
+        if let Some(slot) = self.slots.iter_mut().find(|(_, t)| *t == Some(tid)) {
+            slot.1 = None;
+        }
+    }
+}
+
 /// One external-cloud site: compute pool plus its own pipes and queues.
 struct EcSite {
     cloud: Cloud<JobId>,
-    up_link: Link,
-    down_link: Link,
-    /// Pending uploads in the three size-interval queues. Non-SIBS runs
-    /// push everything as `Small` and drain through a single `Large` slot
-    /// (which serves all classes), i.e. one FIFO pipe.
-    up_queues: SibsQueues<JobId>,
-    /// One upload slot per size class when SIBS routing is on, else one.
-    up_slots: Vec<(SizeClass, Option<TransferId>)>,
-    /// FIFO download queue of finished EC jobs awaiting result transfer.
-    down_queue: std::collections::VecDeque<(JobId, u64)>,
-    /// Maintained byte total of `down_queue` — O(1) backlog reads for the
-    /// load model instead of an O(queue) sum (oracle-checked in tests).
-    down_queue_bytes: u64,
-    down_active: Option<TransferId>,
-    /// Transfer bookkeeping: id → payload and thread count. Ids are dense
-    /// trusted integers, so the maps use the fast in-tree Fx hasher.
-    up_map: FxHashMap<TransferId, (Payload, u32)>,
-    down_map: FxHashMap<TransferId, (Payload, u32)>,
+    up: Pipe,
+    down: Pipe,
     sibs_bounds: Option<SibsBounds>,
-    uploaded_bytes: u64,
-    downloaded_bytes: u64,
 }
 
 impl EcSite {
     fn new(cfg: &ExperimentConfig, site_cfg: &EcSiteConfig, sibs: bool, name: String) -> EcSite {
-        let up_slots = if sibs {
-            vec![(SizeClass::Small, None), (SizeClass::Medium, None), (SizeClass::Large, None)]
-        } else {
-            vec![(SizeClass::Large, None)]
+        let link = |model: &BandwidthModel| {
+            Link::new(model.clone(), cfg.kappa, cfg.link_slot).with_latency(cfg.last_hop_latency)
         };
+        let fifo = [SizeClass::Large];
         EcSite {
             cloud: Cloud::homogeneous(name, site_cfg.n_machines.max(1), site_cfg.speed),
-            up_link: Link::new(site_cfg.upload_model.clone(), cfg.kappa, cfg.link_slot)
-                .with_latency(cfg.last_hop_latency),
-            down_link: Link::new(site_cfg.download_model.clone(), cfg.kappa, cfg.link_slot)
-                .with_latency(cfg.last_hop_latency),
-            up_queues: SibsQueues::new(),
-            up_slots,
-            down_queue: std::collections::VecDeque::new(),
-            down_queue_bytes: 0,
-            down_active: None,
-            up_map: FxHashMap::default(),
-            down_map: FxHashMap::default(),
+            up: Pipe::new(link(&site_cfg.upload_model), if sibs { &SizeClass::ALL } else { &fifo }),
+            down: Pipe::new(link(&site_cfg.download_model), &fifo),
             sibs_bounds: None,
-            uploaded_bytes: 0,
-            downloaded_bytes: 0,
         }
     }
 
-    /// Estimated upload backlog in bytes: queued plus in-flight remainder.
-    /// Reads the pipe through its epoch-boundary snapshot.
-    fn upload_backlog_bytes(&self) -> u64 {
-        let (s, m, l) = self.up_queues.queued_bytes();
-        s + m + l + self.up_link.boundary().remaining_bytes
-    }
-
-    /// Bytes awaiting or undergoing download.
-    fn download_backlog_bytes(&self) -> u64 {
-        self.down_queue_bytes + self.down_link.boundary().remaining_bytes
+    fn pipe(&mut self, upload: bool) -> &mut Pipe {
+        if upload {
+            &mut self.up
+        } else {
+            &mut self.down
+        }
     }
 
     /// Jobs anywhere in this site's pipeline (upload queue/flight, EC
     /// queue/exec, download queue/flight).
     fn pipeline_jobs(&self) -> usize {
         let pool = self.cloud.boundary();
-        self.up_queues.len()
-            + self.up_map.values().filter(|(p, _)| matches!(p, Payload::Job(_))).count()
-            + pool.queued
-            + pool.running
-            + self.down_queue.len()
-            + self.down_map.values().filter(|(p, _)| matches!(p, Payload::Job(_))).count()
+        self.up.jobs() + pool.queued + pool.running + self.down.jobs()
     }
 }
 
 /// A pending chaos-recovery timer, fired by `process_chaos_timers` in
 /// (deadline, seq) order at the first wake that reaches the deadline.
+/// `upload` picks the site's pipe.
 #[derive(Clone, Copy, Debug)]
 enum ChaosTimer {
-    /// An in-flight upload's recovery deadline.
-    UpTimeout { site: usize, tid: TransferId, started: SimTime },
-    /// An in-flight download's recovery deadline.
-    DownTimeout { site: usize, tid: TransferId, started: SimTime },
-    /// Backoff expiry: re-queue the job's upload at the head of its class.
-    UpRetry { site: usize, id: JobId },
-    /// Backoff expiry: re-queue the job's result download at the head.
-    DownRetry { site: usize, id: JobId },
+    /// An in-flight transfer's recovery deadline.
+    Timeout { site: usize, upload: bool, tid: TransferId, started: SimTime },
+    /// Backoff expiry: re-queue the job's transfer at the head of its queue.
+    Retry { site: usize, upload: bool, id: JobId },
 }
 
 /// A heap entry for the pending-timer queue. `Ord` is reversed on
@@ -346,15 +352,17 @@ impl ChaosState {
 
     /// Pops the earliest matured timer, in (deadline, seq) order.
     fn pop_matured(&mut self, now: SimTime) -> Option<ChaosTimer> {
-        if self.timers.peek().is_none_or(|e| e.at > now) {
-            #[cfg(test)]
-            assert!(
-                !self.timers_oracle.iter().any(|&(t, _, _)| t <= now),
-                "heap says no matured timer but the rescan oracle found one"
-            );
-            return None;
-        }
-        let e = self.timers.pop().expect("peeked above");
+        let e = match self.timers.peek_mut() {
+            Some(top) if top.at <= now => std::collections::binary_heap::PeekMut::pop(top),
+            _ => {
+                #[cfg(test)]
+                assert!(
+                    !self.timers_oracle.iter().any(|&(t, _, _)| t <= now),
+                    "heap says no matured timer but the rescan oracle found one"
+                );
+                return None;
+            }
+        };
         #[cfg(test)]
         {
             let i = self
@@ -475,7 +483,7 @@ pub struct EngineWorld {
     batches_total: u32,
     batches_seen: u32,
     next_tid: u64,
-    /// Transfers pulled back mid-queue; their upload must be ignored.
+    /// Stream the autonomic probe draws its site from.
     rng_probe: rand::rngs::StdRng,
     /// Ground-truth stream for sampling chunk service times.
     rng_chunk_truth: rand::rngs::StdRng,
@@ -656,8 +664,8 @@ impl EngineWorld {
                     })
                     .collect();
                 if !windows.is_empty() {
-                    site.up_link.set_faults(windows.clone());
-                    site.down_link.set_faults(windows);
+                    site.up.link.set_faults(windows.clone());
+                    site.down.link.set_faults(windows);
                 }
             }
         }
@@ -884,8 +892,8 @@ impl EngineWorld {
             now,
             ic_free_secs: &self.ic_free_buf,
             ec_free_secs: &self.ec_free_buf,
-            upload_backlog_bytes: s.upload_backlog_bytes(),
-            download_backlog_bytes: s.download_backlog_bytes(),
+            upload_backlog_bytes: s.up.backlog_bytes(),
+            download_backlog_bytes: s.down.backlog_bytes(),
             outstanding_est_completions: self.outstanding.values(),
         }
     }
@@ -945,11 +953,6 @@ impl EngineWorld {
                 tick_rescan(&s.cloud, self.cfg.ec_speed),
                 "maintained EC queue-cost ticks diverged from rescan (site {i})"
             );
-            assert_eq!(
-                s.down_queue_bytes,
-                s.down_queue.iter().map(|(_, b)| *b).sum::<u64>(),
-                "maintained download-queue bytes diverged from rescan (site {i})"
-            );
         }
     }
 
@@ -959,7 +962,7 @@ impl EngineWorld {
         self.sites
             .iter()
             .enumerate()
-            .min_by_key(|(i, s)| (s.upload_backlog_bytes() + s.cloud.boundary().queued as u64, *i))
+            .min_by_key(|(i, s)| (s.up.backlog_bytes() + s.cloud.boundary().queued as u64, *i))
             .map(|(i, _)| i)
             .expect("at least one EC site")
     }
@@ -999,16 +1002,16 @@ impl EngineWorld {
         let at_micros = (now - SimTime::ZERO).as_micros();
         let mut best: Option<((Money, u64, usize), usize)> = None;
         for (i, (s, price)) in self.sites.iter().zip(&econ.prices).enumerate() {
-            let legacy = s.upload_backlog_bytes() + s.cloud.boundary().queued as u64;
+            let legacy = s.up.backlog_bytes() + s.cloud.boundary().queued as u64;
             let score = match price {
                 None => {
                     // A free site still exposes deadline risk through its
                     // backlog delay.
-                    let wait = self.est.upload_secs(now, s.upload_backlog_bytes());
+                    let wait = self.est.upload_secs(now, s.up.backlog_bytes());
                     econ.penalty.charge(SimDuration::from_secs_f64(wait).as_micros())
                 }
                 Some(p) => {
-                    let wait = self.est.upload_secs(now, s.upload_backlog_bytes());
+                    let wait = self.est.upload_secs(now, s.up.backlog_bytes());
                     p.hourly_rate_at(at_micros)
                         + p.transfer_rate()
                         + econ.penalty.charge(SimDuration::from_secs_f64(wait).as_micros())
@@ -1120,8 +1123,8 @@ impl EngineWorld {
             completion_delays,
             completion_times,
             oo_series: oo,
-            uploaded_bytes: self.sites.iter().map(|s| s.uploaded_bytes).sum(),
-            downloaded_bytes: self.sites.iter().map(|s| s.downloaded_bytes).sum(),
+            uploaded_bytes: self.sites.iter().map(|s| s.up.moved_bytes).sum(),
+            downloaded_bytes: self.sites.iter().map(|s| s.down.moved_bytes).sum(),
             tickets,
             faults: self.chaos.as_ref().map(|c| c.metrics.clone()).unwrap_or_default(),
             econ: self.econ.as_ref().map(|e| e.metrics.clone()),
@@ -1248,7 +1251,7 @@ fn resync(w: &mut W, sim: &mut Sim<W>) {
         sim.cancel(id);
     }
     let sites = w.sites.iter().flat_map(|s| {
-        [s.cloud.next_wake(), s.up_link.next_wake(), s.down_link.next_wake()]
+        [s.cloud.next_wake(), s.up.link.next_wake(), s.down.link.next_wake()]
     });
     let chaos = w.chaos.as_ref().and_then(ChaosState::next_deadline);
     let next = std::iter::once(w.ic.next_wake()).chain(sites).chain([chaos]).flatten().min();
@@ -1276,10 +1279,10 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
         execs.clear();
         w.ic.advance_into(now, &mut execs);
         for c in &execs {
-            if chaos_exec_failed(w, c, now, None) {
+            if chaos_exec_failed(w, c, now, Pool::Ic) {
                 continue;
             }
-            finish_exec(w, c.key, c.at, c.started, true);
+            finish_exec(w, c.key, c.at, c.started, Pool::Ic);
             // IC result goes straight to the result queue.
             record_completion(w, c.key, c.at);
         }
@@ -1293,10 +1296,10 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
         for i in 0..w.sites.len() {
             // Upload completions.
             transfers.clear();
-            w.sites[i].up_link.advance_into(now, &mut transfers);
+            w.sites[i].up.link.advance_into(now, &mut transfers);
             for &c in &transfers {
                 any = true;
-                on_upload_done(w, i, c);
+                on_transfer_done(w, i, true, c);
             }
             // EC executions.
             execs.clear();
@@ -1307,20 +1310,21 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
                 // on metered capacity. (A crash-aborted attempt never
                 // completes, so it never reaches this loop — unbilled.)
                 econ_bill_exec(w, i, &c);
-                if chaos_exec_failed(w, &c, now, Some(i)) {
+                let pool = Pool::Ec(i as u32);
+                if chaos_exec_failed(w, &c, now, pool) {
                     continue;
                 }
-                finish_exec(w, c.key, c.at, c.started, false);
+                finish_exec(w, c.key, c.at, c.started, pool);
+                // The download pipe is FIFO: every result queues as `Small`.
                 let out = w.jobs[c.key.0 as usize].output_bytes;
-                w.sites[i].down_queue.push_back((c.key, out));
-                w.sites[i].down_queue_bytes += out;
+                w.sites[i].down.queues.push(SizeClass::Small, c.key, out);
             }
             // Download completions.
             transfers.clear();
-            w.sites[i].down_link.advance_into(now, &mut transfers);
+            w.sites[i].down.link.advance_into(now, &mut transfers);
             for &c in &transfers {
                 any = true;
-                on_download_done(w, i, c);
+                on_transfer_done(w, i, false, c);
             }
         }
         if !any {
@@ -1336,8 +1340,8 @@ fn on_wake(w: &mut W, sim: &mut Sim<W>) {
     }
     // Refill transfer slots.
     for i in 0..w.sites.len() {
-        pump_uploads(w, i, now);
-        pump_downloads(w, i, now);
+        pump(w, i, true, now);
+        pump(w, i, false, now);
     }
     if w.cfg.rescheduling {
         try_push_out(w, now);
@@ -1388,15 +1392,15 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     qrsm_barrier(w);
 
     let site = w.refresh_load_model(now);
-    w.scheduler.set_upload_queue_state(w.sites[site].up_queues.queued_bytes());
+    w.scheduler.set_upload_queue_state(w.sites[site].up.queues.queued_bytes());
     // Built from direct field borrows (not `load_view`) so the borrow
     // checker sees the snapshot and `w.scheduler`/`w.est` as disjoint.
     let load = LoadModel {
         now,
         ic_free_secs: &w.ic_free_buf,
         ec_free_secs: &w.ec_free_buf,
-        upload_backlog_bytes: w.sites[site].upload_backlog_bytes(),
-        download_backlog_bytes: w.sites[site].download_backlog_bytes(),
+        upload_backlog_bytes: w.sites[site].up.backlog_bytes(),
+        download_backlog_bytes: w.sites[site].down.backlog_bytes(),
         outstanding_est_completions: w.outstanding.values(),
     };
     let schedule = w.scheduler.schedule_batch(batch_jobs, &load, &w.est);
@@ -1544,7 +1548,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
             }
             Placement::External => {
                 let class = w.classify(site, job.input_bytes());
-                w.sites[site].up_queues.push(class, id, job.input_bytes());
+                w.sites[site].up.queues.push(class, id, job.input_bytes());
             }
         }
         put(&mut w.jobs, idx, job);
@@ -1558,7 +1562,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     w.batches_seen += 1;
 
     for i in 0..w.sites.len() {
-        pump_uploads(w, i, now);
+        pump(w, i, true, now);
     }
     resync(w, sim);
 }
@@ -1595,116 +1599,77 @@ fn on_serve_epoch(w: &mut W, sim: &mut Sim<W>) {
     }
 }
 
-/// Starts transfers on any idle upload slots.
-fn pump_uploads(w: &mut W, site: usize, now: SimTime) {
-    for slot in 0..w.sites[site].up_slots.len() {
-        if w.sites[site].up_slots[slot].1.is_some() {
+/// Starts transfers on the idle slots of one of `site`'s pipes.
+fn pump(w: &mut W, site: usize, upload: bool, now: SimTime) {
+    for slot in 0..w.sites[site].pipe(upload).slots.len() {
+        let pipe = w.sites[site].pipe(upload);
+        let (class, busy) = pipe.slots[slot];
+        if busy.is_some() {
             continue;
         }
-        let class = w.sites[site].up_slots[slot].0;
-        let Some((id, bytes)) = w.sites[site].up_queues.pop_for(class) else {
+        let Some((id, bytes)) = pipe.queues.pop_for(class) else {
             continue;
         };
-        let threads = w.est.up_tuner.threads_for(now);
+        let tuner = if upload { &mut w.est.up_tuner } else { &mut w.est.down_tuner };
+        let threads = tuner.threads_for(now);
         let tid = w.fresh_tid();
-        w.timelines[id.0 as usize].upload_started = Some(now);
+        if upload {
+            w.timelines[id.0 as usize].upload_started = Some(now);
+        }
         // Chaos: arm the recovery timeout; a stalled transfer occupies its
         // slot but never reaches the link — only the timeout frees it.
         let mut stalled = false;
         if let Some(ch) = &mut w.chaos {
-            stalled = ch.plan.transfer_stalls(id.0, true, ch.attempts[id.0 as usize].up);
-            let timeout = ch.plan.retry.timeout_secs(w.est.upload_secs(now, bytes));
+            let attempt = *ch.attempts[id.0 as usize].transfer(upload);
+            stalled = ch.plan.transfer_stalls(id.0, upload, attempt);
+            let est_secs = if upload {
+                w.est.upload_secs(now, bytes)
+            } else {
+                w.est.download_secs(now, bytes)
+            };
             ch.arm(
-                now + SimDuration::from_secs_f64(timeout),
-                ChaosTimer::UpTimeout { site, tid, started: now },
+                now + SimDuration::from_secs_f64(ch.plan.retry.timeout_secs(est_secs)),
+                ChaosTimer::Timeout { site, upload, tid, started: now },
             );
         }
-        let s = &mut w.sites[site];
+        let pipe = w.sites[site].pipe(upload);
         if !stalled {
-            s.up_link.start(now, tid, bytes, threads);
+            pipe.link.start(now, tid, bytes, threads);
         }
-        s.up_slots[slot].1 = Some(tid);
-        s.up_map.insert(tid, (Payload::Job(id), threads));
+        pipe.slots[slot].1 = Some(tid);
+        pipe.in_flight.insert(tid, (Payload::Job(id), threads));
     }
 }
 
-/// Starts the next download if the slot is free.
-fn pump_downloads(w: &mut W, site: usize, now: SimTime) {
-    if w.sites[site].down_active.is_some() {
-        return;
-    }
-    let Some((id, bytes)) = w.sites[site].down_queue.pop_front() else {
-        return;
+/// A transfer finished: learn from it and free its slot. A job's upload
+/// then submits to the EC, and its download lands the result in the
+/// result queue; a probe is done.
+fn on_transfer_done(w: &mut W, site: usize, upload: bool, c: Completion) {
+    let pipe = w.sites[site].pipe(upload);
+    let Some((payload, threads)) = pipe.in_flight.remove(&c.id) else {
+        return; // aborted (timed out)
     };
-    w.sites[site].down_queue_bytes -= bytes;
-    let threads = w.est.down_tuner.threads_for(now);
-    let tid = w.fresh_tid();
-    let mut stalled = false;
-    if let Some(ch) = &mut w.chaos {
-        stalled = ch.plan.transfer_stalls(id.0, false, ch.attempts[id.0 as usize].down);
-        let timeout = ch.plan.retry.timeout_secs(w.est.download_secs(now, bytes));
-        ch.arm(
-            now + SimDuration::from_secs_f64(timeout),
-            ChaosTimer::DownTimeout { site, tid, started: now },
-        );
-    }
-    let s = &mut w.sites[site];
-    if !stalled {
-        s.down_link.start(now, tid, bytes, threads);
-    }
-    s.down_active = Some(tid);
-    s.down_map.insert(tid, (Payload::Job(id), threads));
-}
-
-/// Upload finished: learn from it and submit to the EC (or close a probe).
-fn on_upload_done(w: &mut W, site: usize, c: Completion) {
-    let Some((payload, threads)) = w.sites[site].up_map.remove(&c.id) else {
-        return; // aborted (pulled back)
-    };
-    let other = w.sites[site].up_link.active_threads();
-    observe_transfer(&mut w.est, true, &c, threads, other);
-    // Free the slot that carried this transfer.
-    if let Some(slot) = w.sites[site].up_slots.iter_mut().find(|(_, t)| *t == Some(c.id)) {
-        slot.1 = None;
-    }
-    match payload {
-        Payload::Job(id) => {
-            w.sites[site].uploaded_bytes += c.bytes;
-            // The bytes physically moved even if the payload is then
-            // declared lost below — the provider charges either way.
-            econ_bill_transfer(w, site, c.bytes);
-            if chaos_transfer_lost(w, site, id, &c, true) {
-                return;
-            }
-            w.timelines[id.0 as usize].upload_done = Some(c.at);
-            let svc = w.jobs[id.0 as usize].true_service_secs;
-            submit_for_exec(&mut w.sites[site].cloud, &w.est_exec, w.cfg.ec_speed, id, svc, c.at);
-        }
-        Payload::Probe => {}
-    }
-}
-
-/// Download finished: the result reaches the result queue.
-fn on_download_done(w: &mut W, site: usize, c: Completion) {
-    let Some((payload, threads)) = w.sites[site].down_map.remove(&c.id) else {
+    let other = pipe.link.active_threads();
+    pipe.free_slot(c.id);
+    observe_transfer(&mut w.est, upload, &c, threads, other);
+    let Payload::Job(id) = payload else {
         return;
     };
-    let other = w.sites[site].down_link.active_threads();
-    observe_transfer(&mut w.est, false, &c, threads, other);
-    if w.sites[site].down_active == Some(c.id) {
-        w.sites[site].down_active = None;
+    w.sites[site].pipe(upload).moved_bytes += c.bytes;
+    // The bytes physically moved even if the payload is then declared lost
+    // below — the provider charges either way.
+    econ_bill_transfer(w, site, c.bytes);
+    if chaos_transfer_lost(w, site, id, &c, upload) {
+        return;
     }
-    match payload {
-        Payload::Job(id) => {
-            w.sites[site].downloaded_bytes += c.bytes;
-            econ_bill_transfer(w, site, c.bytes);
-            if chaos_transfer_lost(w, site, id, &c, false) {
-                return;
-            }
-            w.timelines[id.0 as usize].download_done = Some(c.at);
-            record_completion(w, id, c.at);
-        }
-        Payload::Probe => {}
+    let idx = id.0 as usize;
+    if upload {
+        w.timelines[idx].upload_done = Some(c.at);
+        let svc = w.jobs[idx].true_service_secs;
+        submit_for_exec(&mut w.sites[site].cloud, &w.est_exec, w.cfg.ec_speed, id, svc, c.at);
+    } else {
+        w.timelines[idx].download_done = Some(c.at);
+        record_completion(w, id, c.at);
     }
 }
 
@@ -1734,6 +1699,22 @@ fn observe_transfer(
     }
 }
 
+/// The execution pool `pool` names, with the speed the engine scales its
+/// estimates by there; `None` for a site outside this estate (a fault plan
+/// compiled against a wider one). Takes the pools rather than the world,
+/// so callers can resubmit while they read the job columns.
+fn pool_mut<'a>(
+    ic: &'a mut Cloud<JobId>,
+    sites: &'a mut [EcSite],
+    cfg: &ExperimentConfig,
+    pool: Pool,
+) -> Option<(&'a mut Cloud<JobId>, f64)> {
+    match pool {
+        Pool::Ic => Some((ic, cfg.ic_speed)),
+        Pool::Ec(s) => sites.get_mut(s as usize).map(|site| (&mut site.cloud, cfg.ec_speed)),
+    }
+}
+
 /// Execution finished anywhere: tune the QRSM with the observed time.
 /// The observation is *queued* — the sliding-window rank-1 update lands
 /// now, but the `O(terms³)` coefficient refit is deferred to the next
@@ -1744,8 +1725,9 @@ fn observe_transfer(
 /// would have produced at each read point. Once the model is sealed
 /// ([`EngineWorld::qrsm_sealed`]) no barrier remains, so the observation
 /// is skipped: no decision could ever read it.
-fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, ic: bool) {
-    let speed = if ic { w.cfg.ic_speed } else { w.cfg.ec_speed };
+fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, pool: Pool) {
+    // Completions only come from pools in range.
+    let Some((_, speed)) = pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) else { return };
     w.timelines[id.0 as usize].exec_started = Some(started);
     w.timelines[id.0 as usize].exec_done = Some(at);
     if w.qrsm_sealed() {
@@ -1849,12 +1831,7 @@ fn econ_settle_completion(w: &mut W, idx: usize, at: SimTime) {
 /// work is wasted (the QRSM learns nothing from it) and the job re-runs on
 /// the same pool; the hashed per-attempt decider plus the retry cap bound
 /// the number of re-runs, so every job still terminates.
-fn chaos_exec_failed(
-    w: &mut W,
-    c: &ExecCompletion<JobId>,
-    now: SimTime,
-    site: Option<usize>,
-) -> bool {
+fn chaos_exec_failed(w: &mut W, c: &ExecCompletion<JobId>, now: SimTime, pool: Pool) -> bool {
     let Some(ch) = &mut w.chaos else { return false };
     let idx = c.key.0 as usize;
     if !ch.plan.exec_fails(c.key.0, ch.attempts[idx].exec) {
@@ -1864,11 +1841,9 @@ fn chaos_exec_failed(
     ch.metrics.exec_failures += 1;
     ch.metrics.fault_delay_secs += (c.at - c.started).as_secs_f64();
     let svc = w.jobs[idx].true_service_secs;
-    let (pool, speed) = match site {
-        None => (&mut w.ic, w.cfg.ic_speed),
-        Some(s) => (&mut w.sites[s].cloud, w.cfg.ec_speed),
-    };
-    submit_for_exec(pool, &w.est_exec, speed, c.key, svc, now);
+    if let Some((cloud, speed)) = pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) {
+        submit_for_exec(cloud, &w.est_exec, speed, c.key, svc, now);
+    }
     true
 }
 
@@ -1900,12 +1875,7 @@ fn retry_or_redispatch(w: &mut W, site: usize, id: JobId, at: SimTime, upload: b
         let backoff = ch.plan.retry.backoff_secs(attempt - 1);
         ch.metrics.transfer_retries += 1;
         ch.metrics.fault_delay_secs += backoff;
-        let timer = if upload {
-            ChaosTimer::UpRetry { site, id }
-        } else {
-            ChaosTimer::DownRetry { site, id }
-        };
-        ch.arm(at + SimDuration::from_secs_f64(backoff), timer);
+        ch.arm(at + SimDuration::from_secs_f64(backoff), ChaosTimer::Retry { site, upload, id });
     } else {
         redispatch_to_ic(w, id, at);
     }
@@ -1945,21 +1915,19 @@ fn process_chaos_timers(w: &mut W, now: SimTime) {
         let Some(ch) = &mut w.chaos else { return };
         let Some(timer) = ch.pop_matured(now) else { return };
         match timer {
-            ChaosTimer::UpTimeout { site, tid, started } => {
-                on_transfer_timeout(w, site, tid, started, now, true);
+            ChaosTimer::Timeout { site, upload, tid, started } => {
+                on_transfer_timeout(w, site, upload, tid, started, now);
             }
-            ChaosTimer::DownTimeout { site, tid, started } => {
-                on_transfer_timeout(w, site, tid, started, now, false);
-            }
-            ChaosTimer::UpRetry { site, id } => {
-                let bytes = w.jobs[id.0 as usize].input_bytes();
-                let class = w.classify(site, bytes);
-                w.sites[site].up_queues.push_front(class, id, bytes);
-            }
-            ChaosTimer::DownRetry { site, id } => {
-                let bytes = w.jobs[id.0 as usize].output_bytes;
-                w.sites[site].down_queue.push_front((id, bytes));
-                w.sites[site].down_queue_bytes += bytes;
+            ChaosTimer::Retry { site, upload, id } => {
+                // An upload re-queues in its size class; a result download
+                // in the FIFO download pipe's one queue.
+                let job = &w.jobs[id.0 as usize];
+                let (class, bytes) = if upload {
+                    (w.classify(site, job.input_bytes()), job.input_bytes())
+                } else {
+                    (SizeClass::Small, job.output_bytes)
+                };
+                w.sites[site].pipe(upload).queues.push_front(class, id, bytes);
             }
         }
     }
@@ -1971,27 +1939,17 @@ fn process_chaos_timers(w: &mut W, now: SimTime) {
 fn on_transfer_timeout(
     w: &mut W,
     site: usize,
+    upload: bool,
     tid: TransferId,
     started: SimTime,
     now: SimTime,
-    upload: bool,
 ) {
-    let s = &mut w.sites[site];
-    let removed = if upload { s.up_map.remove(&tid) } else { s.down_map.remove(&tid) };
-    let Some((Payload::Job(id), _threads)) = removed else {
+    let pipe = w.sites[site].pipe(upload);
+    let Some((Payload::Job(id), _threads)) = pipe.in_flight.remove(&tid) else {
         return; // completed in the meantime — stale timer
     };
-    if upload {
-        let _ = s.up_link.abort(now, tid);
-        if let Some(slot) = s.up_slots.iter_mut().find(|(_, t)| *t == Some(tid)) {
-            slot.1 = None;
-        }
-    } else {
-        let _ = s.down_link.abort(now, tid);
-        if s.down_active == Some(tid) {
-            s.down_active = None;
-        }
-    }
+    let _ = pipe.link.abort(now, tid);
+    pipe.free_slot(tid);
     let ch = w.chaos.as_mut().expect("chaos timers imply chaos state");
     ch.metrics.transfer_timeouts += 1;
     ch.metrics.fault_delay_secs += (now - started).as_secs_f64();
@@ -2009,31 +1967,22 @@ fn on_machine_down(w: &mut W, sim: &mut Sim<W>, pool: Pool, machine: u32) {
     let now = sim.now();
     on_wake(w, sim);
     let m = MachineId(machine as usize);
-    let aborted = match pool {
-        Pool::Ic if m.0 < w.ic.n_machines() => w.ic.fail_machine(now, m),
-        Pool::Ec(s)
-            if (s as usize) < w.sites.len() && m.0 < w.sites[s as usize].cloud.n_machines() =>
-        {
-            w.sites[s as usize].cloud.fail_machine(now, m)
-        }
-        _ => return, // plan compiled against a wider estate — ignore
+    let Some((cloud, speed)) = pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) else {
+        return; // plan compiled against a wider estate — ignore
     };
-    {
-        let ch = w.chaos.as_mut().expect("machine events imply chaos state");
-        ch.metrics.machine_crashes += 1;
-        if let Some((_, span)) = aborted {
-            ch.metrics.fault_delay_secs += span.as_secs_f64();
-        }
+    if m.0 >= cloud.n_machines() {
+        return;
     }
+    let aborted = cloud.fail_machine(now, m);
     if let Some((id, _)) = aborted {
         let svc = w.jobs[id.0 as usize].true_service_secs;
-        let (cloud, speed) = match pool {
-            Pool::Ic => (&mut w.ic, w.cfg.ic_speed),
-            Pool::Ec(s) => (&mut w.sites[s as usize].cloud, w.cfg.ec_speed),
-        };
         submit_for_exec(cloud, &w.est_exec, speed, id, svc, now);
         reinstate_estimate(w, id, now, speed);
-        let ch = w.chaos.as_mut().expect("chaos state");
+    }
+    let ch = w.chaos.as_mut().expect("machine events imply chaos state");
+    ch.metrics.machine_crashes += 1;
+    if let Some((_, span)) = aborted {
+        ch.metrics.fault_delay_secs += span.as_secs_f64();
         ch.metrics.redispatches += 1;
     }
     resync(w, sim);
@@ -2047,13 +1996,8 @@ fn on_machine_up(w: &mut W, sim: &mut Sim<W>, pool: Pool, machine: u32) {
     let now = sim.now();
     on_wake(w, sim);
     let m = MachineId(machine as usize);
-    match pool {
-        Pool::Ic if m.0 < w.ic.n_machines() => w.ic.recover_machine(now, m),
-        Pool::Ec(s)
-            if (s as usize) < w.sites.len() && m.0 < w.sites[s as usize].cloud.n_machines() =>
-        {
-            w.sites[s as usize].cloud.recover_machine(now, m)
-        }
+    match pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) {
+        Some((cloud, _)) if m.0 < cloud.n_machines() => cloud.recover_machine(now, m),
         _ => return,
     }
     let ch = w.chaos.as_mut().expect("machine events imply chaos state");
@@ -2082,8 +2026,8 @@ fn try_pull_back(w: &mut W, now: SimTime) {
         w.pb_meta.clear();
         for (si, s) in w.sites.iter().enumerate() {
             for class in SizeClass::ALL {
-                if let Some((&id, bytes)) = s.up_queues.front(class) {
-                    let backlog = s.up_link.remaining_bytes();
+                if let Some((&id, bytes)) = s.up.queues.front(class) {
+                    let backlog = s.up.link.remaining_bytes();
                     let wait = w.est.upload_secs(now, backlog);
                     let up = w.est.upload_secs(now, bytes);
                     let job = &w.jobs[id.0 as usize];
@@ -2101,7 +2045,8 @@ fn try_pull_back(w: &mut W, now: SimTime) {
         let Some(k) = pull_back_candidate(&w.pb_cands) else { break };
         let (si, class, id) = w.pb_meta[k];
         let (got, _) = w.sites[si]
-            .up_queues
+            .up
+            .queues
             .pop_front_class(class)
             .expect("candidate still at the head");
         debug_assert_eq!(got, id);
@@ -2124,7 +2069,7 @@ fn try_push_out(w: &mut W, now: SimTime) {
     if q == 0 {
         return;
     }
-    let idle = |s: &EcSite| s.up_queues.is_empty() && s.up_link.in_flight() == 0;
+    let idle = |s: &EcSite| s.up.queues.is_empty() && s.up.link.in_flight() == 0;
     if !w.sites.iter().any(idle) {
         return;
     }
@@ -2202,9 +2147,9 @@ fn try_push_out(w: &mut W, now: SimTime) {
     let bytes = w.jobs[id.0 as usize].input_bytes();
     let class = w.classify(site, bytes);
     w.timelines[id.0 as usize].placement = Placement::External;
-    w.sites[site].up_queues.push(class, id, bytes);
+    w.sites[site].up.queues.push(class, id, bytes);
     w.n_push_outs += 1;
-    pump_uploads(w, site, now);
+    pump(w, site, true, now);
 }
 
 /// Rescan oracle for the indexed push-out drain and its floored pick:
@@ -2280,15 +2225,14 @@ fn on_probe(w: &mut W, sim: &mut Sim<W>, interval: SimDuration) {
     let now = sim.now();
     use rand::Rng;
     let site = w.rng_probe.gen_range(0..w.sites.len());
-    let up_threads = w.est.up_tuner.threads_for(now);
-    let down_threads = w.est.down_tuner.threads_for(now);
-    let up_tid = w.fresh_tid();
-    let down_tid = w.fresh_tid();
-    let s = &mut w.sites[site];
-    s.up_link.start(now, up_tid, PROBE_BYTES, up_threads);
-    s.up_map.insert(up_tid, (Payload::Probe, up_threads));
-    s.down_link.start(now, down_tid, PROBE_BYTES, down_threads);
-    s.down_map.insert(down_tid, (Payload::Probe, down_threads));
+    for upload in [true, false] {
+        let tuner = if upload { &mut w.est.up_tuner } else { &mut w.est.down_tuner };
+        let threads = tuner.threads_for(now);
+        let tid = w.fresh_tid();
+        let pipe = w.sites[site].pipe(upload);
+        pipe.link.start(now, tid, PROBE_BYTES, threads);
+        pipe.in_flight.insert(tid, (Payload::Probe, threads));
+    }
     resync(w, sim);
     sim.schedule_in(interval, move |w, sim| on_probe(w, sim, interval));
 }
@@ -2306,7 +2250,7 @@ fn on_scaling_tick(w: &mut W, sim: &mut Sim<W>, period: SimDuration) {
             let target = crate::scaling::target_instances(
                 &policy,
                 s.pipeline_jobs(),
-                s.download_backlog_bytes(),
+                s.down.backlog_bytes(),
                 w.est.down.predict(now),
             );
             s.cloud.set_active_limit(target);
@@ -2352,7 +2296,7 @@ pub fn run_with_plan(
     batches: Vec<cloudburst_workload::Batch>,
     plan: Option<FaultPlan>,
 ) -> (RunReport, EngineWorld) {
-    let mut harness = EngineHarness::new_with_plan(cfg, batches, plan);
+    let mut harness = EngineHarness::closed(EngineWorld::new(cfg.clone(), plan), batches);
     harness.run();
     harness.finish()
 }
@@ -2482,18 +2426,12 @@ impl<R> Harness<R> {
 impl Harness<RunReport> {
     /// Builds the world and schedules the arrival/probe/scaling events.
     pub fn new(cfg: &ExperimentConfig, batches: Vec<cloudburst_workload::Batch>) -> EngineHarness {
-        EngineHarness::new_with_plan(cfg, batches, None)
+        EngineHarness::closed(EngineWorld::new(cfg.clone(), None), batches)
     }
 
-    /// As [`EngineHarness::new`], with an explicit pre-compiled fault plan
-    /// (the replay path); `None` compiles `cfg.faults` instead. The plan's
-    /// machine crash/recover cycles become ordinary DES events here.
-    pub fn new_with_plan(
-        cfg: &ExperimentConfig,
-        batches: Vec<cloudburst_workload::Batch>,
-        plan: Option<FaultPlan>,
-    ) -> EngineHarness {
-        let mut world = EngineWorld::new(cfg.clone(), plan);
+    /// Schedules `batches` and the control-plane events around `world`.
+    /// [`run_with_plan`] builds the world from an explicit fault plan.
+    fn closed(mut world: EngineWorld, batches: Vec<cloudburst_workload::Batch>) -> EngineHarness {
         world.batches_total = batches.len() as u32;
         let mut sim: Sim<EngineWorld> = Sim::new();
         for b in batches {
@@ -2515,12 +2453,6 @@ impl Harness<ServeReport> {
     /// and schedules the first epoch plus the control-plane events.
     pub fn new(cfg: &ExperimentConfig) -> ServeHarness {
         let serve_cfg = cfg.serve.clone().unwrap_or_default();
-        ServeHarness::with_serve_config(cfg, serve_cfg)
-    }
-
-    /// As [`ServeHarness::new`] with an explicit serving section (the
-    /// probes' path: one base config, many stream shapes).
-    pub fn with_serve_config(cfg: &ExperimentConfig, serve_cfg: ServeConfig) -> ServeHarness {
         let mut world = EngineWorld::new(cfg.clone(), None);
         let rngs = RngFactory::new(cfg.seed);
         let arrivals = OpenArrivals::new(serve_cfg.arrivals, &rngs, cfg.truth.clone());
@@ -2689,7 +2621,7 @@ mod tests {
         // candidate evaluation reads the QRSM, so the refit ran first.
         let candidate_ready = |w: &EngineWorld| {
             let b = w.ic.boundary();
-            b.idle > 0 && b.queued == 0 && w.sites.iter().any(|s| !s.up_queues.is_empty())
+            b.idle > 0 && b.queued == 0 && w.sites.iter().any(|s| !s.up.queues.is_empty())
         };
         while !candidate_ready(h.world()) {
             assert!(h.step(), "no idle-IC state with a queued upload was reached");
@@ -3039,7 +2971,10 @@ mod tests {
         // zero horizon releases no epoch at all, and the stream drains at
         // once instead of tripping the deadlock assert.
         let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 48);
-        cfg.serve = Some(ServeConfig { horizon: SimDuration::ZERO, ..ServeConfig::default() });
+        cfg.serve = Some(crate::config::ServeConfig {
+            horizon: SimDuration::ZERO,
+            ..crate::config::ServeConfig::default()
+        });
         let (r, world) = serve_experiment_detailed(&cfg);
         assert_eq!(r.jobs_admitted, 0);
         assert_eq!(r.jobs_completed, 0);

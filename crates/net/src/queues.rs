@@ -301,6 +301,33 @@ mod tests {
         q.pop_for(SizeClass::Medium);
         assert_eq!(q.queued_bytes(), (10, 0, 300));
         assert!(!q.is_empty());
+        q.push_front(SizeClass::Small, 4, 20);
+        assert_eq!(q.queued_bytes(), (30, 0, 300));
+        assert_eq!(q.pop_front_class(SizeClass::Small), Some((4, 20)));
+        assert_eq!(q.queued_bytes(), (10, 0, 300));
+        assert_eq!(q.pop_front_class(SizeClass::Large), Some((3, 300)));
+        assert_eq!(q.pop_front_class(SizeClass::Medium), None);
+        assert_eq!(q.queued_bytes(), (10, 0, 0));
+        assert_eq!(q.len(), 1);
+
+        // An all-`Small` queue drained through a `Large` slot is one FIFO
+        // (the engine's download pipe); `push_front` jumps the line.
+        let mut fifo: SibsQueues<u32> = SibsQueues::new();
+        for (item, bytes) in [(1, 5), (2, 7), (3, 11)] {
+            fifo.push(SizeClass::Small, item, bytes);
+        }
+        fifo.push_front(SizeClass::Small, 0, 3);
+        assert_eq!(fifo.queued_bytes(), (26, 0, 0));
+        let mut order = Vec::new();
+        while let Some((item, bytes)) = fifo.pop_for(SizeClass::Large) {
+            order.push(item);
+            let (s, m, l) = fifo.queued_bytes();
+            assert_eq!((m, l), (0, 0));
+            assert_eq!(s + bytes, [26, 23, 18, 11][order.len() - 1]);
+        }
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert_eq!(fifo.queued_bytes(), (0, 0, 0));
+        assert!(fifo.is_empty());
     }
 
     #[test]

@@ -377,6 +377,66 @@ fn golden_ic_crash_elastic_report_is_byte_stable() {
     );
 }
 
+/// Stalled and lost transfers on a two-site SIBS run: a stalled transfer
+/// holds its slot without reaching the link until its recovery deadline
+/// aborts it, and a lost payload goes again. With one retry per transfer,
+/// uploads and result downloads both run stall → timeout → backoff retry,
+/// and a second failure re-dispatches the job to the IC.
+fn transfer_stall_cfg() -> ExperimentConfig {
+    let mut cfg = small_cfg(SchedulerKind::Sibs, 19);
+    cfg.extra_ec_sites = vec![EcSiteConfig {
+        n_machines: 2,
+        speed: 1.0,
+        upload_model: cfg.upload_model.clone(),
+        download_model: cfg.download_model.clone(),
+        price: None,
+    }];
+    cfg.faults = Some(FaultProfile {
+        transfer_stall_prob: 0.3,
+        transfer_loss_prob: 0.1,
+        retry: RetryPolicy {
+            base_backoff_secs: 5.0,
+            backoff_cap_secs: 20.0,
+            max_transfer_retries: 1,
+            max_exec_retries: 3,
+            timeout_factor: 2.0,
+            min_timeout_secs: 20.0,
+        },
+        ..FaultProfile::dormant()
+    });
+    cfg
+}
+
+/// Cross-commit golden for [`transfer_stall_cfg`], blessed like the
+/// fixtures above:
+/// `CHAOS_GOLDEN_BLESS=1 cargo test --test chaos_golden golden`.
+#[test]
+fn golden_transfer_stall_report_is_byte_stable() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/transfer_stall.report.json");
+    let (report, world) = run_experiment_detailed(&transfer_stall_cfg());
+    // Pin the premise: stalls time out, retries run, the budget runs out
+    // for some jobs, and both sites carry bursts.
+    let f = &report.faults;
+    assert!(f.transfer_timeouts > 0, "no stalled transfer timed out: {f:?}");
+    assert!(f.transfer_retries > 0, "no transfer was retried: {f:?}");
+    assert!(f.redispatches > 0, "no job was re-dispatched: {f:?}");
+    assert!(
+        (0..2).all(|s| world.ec_cloud(s).completed() > 0),
+        "scenario should run bursts on both sites"
+    );
+    let fresh = serde_json::to_string(&report).expect("report serializes");
+    if std::env::var_os("CHAOS_GOLDEN_BLESS").is_some() {
+        std::fs::write(path, format!("{fresh}\n")).expect("write golden fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(path).expect("golden fixture exists (bless to create)");
+    assert_eq!(
+        fresh,
+        golden.trim_end(),
+        "transfer-stall report drifted from {path}; if intentional, re-bless"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
