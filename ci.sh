@@ -23,19 +23,20 @@ cargo test -q --release --workspace
 echo "== benches compile: cargo bench --no-run"
 cargo bench --no-run
 
-# One perf record, one rule table: each probe line is checked once against
-# BENCH.json, the append-only record of every checked-in probe run.
-# perfgate's RULES table holds the floors (every shared *_per_sec key >= the
-# largest recorded value / 5) and the fresh-line rules (flat depth curve,
-# flat serving memory, open/closed and dormant-econ ratios). Its unit
-# tests, in the workspace pass above, hold every record to the same rules.
-echo "== perf probes: perfsmoke and perfscale --reduced, each gated once against BENCH.json"
+# One perf probe, one rule table: perfprobe times the small probes, then
+# the reduced-scale ones, builds one JSON line and checks it in process
+# against BENCH.json, the append-only record of every checked-in probe
+# run (compiled in). Its RULES table holds the floors (every shared
+# *_per_sec key >= the largest recorded value / 5) and the fresh-line
+# rules (flat depth curve, flat serving memory, open/closed and
+# dormant-econ ratios). Its unit tests, in the workspace pass above, hold
+# every record to the same rules.
+echo "== perf probes: perfprobe, one line gated once against BENCH.json"
+cargo run --release -p cloudburst-bench --bin perfprobe
+
+# Scratch files for the repro and conformance stages below.
 PERF_TMP="$(mktemp -d)"
 trap 'rm -rf "$PERF_TMP"' EXIT
-cargo run --release -p cloudburst-bench --bin perfsmoke -- "$PERF_TMP/smoke.json"
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/smoke.json" BENCH.json
-cargo run --release -p cloudburst-bench --bin perfscale -- --reduced "$PERF_TMP/scale.json"
-cargo run --release -p cloudburst-bench --bin perfgate -- "$PERF_TMP/scale.json" BENCH.json
 
 # Every workload of the benchmark must reproduce its pinned report digest
 # (baseline.json, seed 1); the benchmark exits non-zero on a mismatch.
@@ -115,7 +116,7 @@ if (( waivers > MAX_WAIVERS )); then
   exit 1
 fi
 
-# Archive the machine-readable report next to the perf probes and prove it
+# Write the machine-readable report to a scratch file and prove it
 # byte-stable: two back-to-back scans must produce identical JSON, the
 # same determinism bar the simulation reports are held to.
 echo "== conformance: --json archive + byte-stability (two runs must match)"

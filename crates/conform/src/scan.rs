@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn classify_contexts() {
         assert_eq!(classify("crates/sim/src/event.rs"), FileContext::Lib);
-        assert_eq!(classify("crates/bench/src/bin/perfsmoke.rs"), FileContext::Bin);
+        assert_eq!(classify("crates/bench/src/bin/perfprobe.rs"), FileContext::Bin);
         assert_eq!(classify("crates/conform/src/main.rs"), FileContext::Bin);
         assert_eq!(classify("crates/net/tests/props.rs"), FileContext::Test);
         assert_eq!(classify("crates/bench/benches/event_kernel.rs"), FileContext::Test);

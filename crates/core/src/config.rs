@@ -266,7 +266,7 @@ impl ExperimentConfig {
     /// A megascale stress configuration: ≈ `total_jobs` jobs (batches of
     /// ≈ 10 000) against a 256 + 64 machine estate — an estate sized for a
     /// million-job backlog, not the paper's 8-host cluster. Used by the
-    /// `perfscale` probes to measure decision-loop and end-to-end
+    /// `perfprobe` scale probes to measure decision-loop and end-to-end
     /// throughput far beyond the paper's ≈ 105-job runs. Autonomic probing
     /// is off so the run measures the scheduler/engine path, not the probe
     /// cadence.

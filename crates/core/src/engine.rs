@@ -50,16 +50,6 @@ use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind};
 /// uploads/downloads of size 1MB").
 const PROBE_BYTES: u64 = 1_000_000;
 
-/// Fallback execution estimate (standard seconds) for a job the QRSM has
-/// no recorded estimate for — only reachable for ids outside the admitted
-/// range, which the drain replays defensively rather than panicking on.
-const DEFAULT_EST_EXEC_SECS: f64 = 60.0;
-
-/// The recorded QRSM estimate for `id`, or the default fallback.
-fn est_exec_or_default(est_exec: &[f64], id: JobId) -> f64 {
-    est_exec.get(id.0 as usize).copied().unwrap_or(DEFAULT_EST_EXEC_SECS)
-}
-
 /// Writes `v` into slot `idx` of a per-job column: a fresh slot
 /// (`idx == len`) is pushed, a recycled one is overwritten in place.
 fn put<T>(col: &mut Vec<T>, idx: usize, v: T) {
@@ -75,7 +65,7 @@ fn put<T>(col: &mut Vec<T>, idx: usize, v: T) {
 /// Integer ticks make the Cloud's maintained queue total exactly
 /// invertible under push/pop/cancel in any order — f64 sums are not.
 fn drain_cost_ticks(est_exec: &[f64], id: JobId, speed: f64) -> u64 {
-    SimDuration::from_secs_f64(est_exec_or_default(est_exec, id) / speed).as_micros()
+    SimDuration::from_secs_f64(est_exec[id.0 as usize] / speed).as_micros()
 }
 
 /// Free-time sentinel for a crashed machine: "never frees" while staying
@@ -104,7 +94,7 @@ fn fill_running_free(
     buf.clear();
     buf.resize(cloud.n_machines(), 0.0);
     for (key, machine, started) in cloud.running_detail() {
-        let est = est_exec_or_default(est_exec, key);
+        let est = est_exec[key.0 as usize];
         let elapsed_std = (now - started).as_secs_f64() * speed;
         buf[machine.0] = (est - elapsed_std).max(0.0) / speed;
     }
@@ -149,7 +139,7 @@ fn fill_est_free(
         if fluid.fill(buf, prefix_secs, DEAD_FREE_SECS).is_some() {
             ft.reset_from(buf);
             for (key, _) in cloud.queued_tail(DRAIN_WINDOW) {
-                let est = est_exec_or_default(est_exec, key);
+                let est = est_exec[key.0 as usize];
                 ft.fcfs_commit(est / speed);
             }
             buf.clear();
@@ -159,7 +149,7 @@ fn fill_est_free(
     }
     ft.reset_from(buf);
     for key in cloud.queued_keys() {
-        let est = est_exec_or_default(est_exec, key);
+        let est = est_exec[key.0 as usize];
         ft.fcfs_commit(est / speed);
     }
     buf.clear();
@@ -226,6 +216,10 @@ impl Pipe {
 /// One external-cloud site: compute pool plus its own pipes and queues.
 struct EcSite {
     cloud: Cloud<JobId>,
+    /// The site's machine speed (`EcSiteConfig::speed`; the primary's is
+    /// `ExperimentConfig::ec_speed`): what the engine scales this pool's
+    /// estimates and observed execution times by.
+    speed: f64,
     up: Pipe,
     down: Pipe,
     sibs_bounds: Option<SibsBounds>,
@@ -239,6 +233,7 @@ impl EcSite {
         let fifo = [SizeClass::Large];
         EcSite {
             cloud: Cloud::homogeneous(name, site_cfg.n_machines.max(1), site_cfg.speed),
+            speed: site_cfg.speed,
             up: Pipe::new(link(&site_cfg.upload_model), if sibs { &SizeClass::ALL } else { &fifo }),
             down: Pipe::new(link(&site_cfg.download_model), &fifo),
             sibs_bounds: None,
@@ -801,7 +796,7 @@ impl EngineWorld {
     fn est_running_free_secs(&self, cloud: &Cloud<JobId>, speed: f64, now: SimTime) -> Vec<f64> {
         let mut free = vec![0.0; cloud.n_machines()];
         for (key, machine, started) in cloud.running_detail() {
-            let est = est_exec_or_default(&self.est_exec, key);
+            let est = self.est_exec[key.0 as usize];
             let elapsed_std = (now - started).as_secs_f64() * speed;
             free[machine.0] = (est - elapsed_std).max(0.0) / speed;
         }
@@ -846,7 +841,7 @@ impl EngineWorld {
         }
         // Tail jobs drain onto the earliest-free machines, FCFS.
         for (key, _) in cloud.queued_detail().skip(tail_start) {
-            let est = est_exec_or_default(&self.est_exec, key);
+            let est = self.est_exec[key.0 as usize];
             let (idx, _) = free
                 .iter()
                 .enumerate()
@@ -876,7 +871,7 @@ impl EngineWorld {
             &mut self.fluid,
             &mut self.ec_free_buf,
             &self.sites[site].cloud,
-            self.cfg.ec_speed,
+            self.sites[site].speed,
             now,
         );
         #[cfg(test)]
@@ -927,7 +922,8 @@ impl EngineWorld {
     fn assert_decision_state_matches_oracles(&self, site: usize, now: SimTime) {
         let ic_oracle = self.est_free_secs(&self.ic, self.cfg.ic_speed, now);
         assert_eq!(self.ic_free_buf, ic_oracle, "indexed IC drain diverged from rescan");
-        let ec_oracle = self.est_free_secs(&self.sites[site].cloud, self.cfg.ec_speed, now);
+        let s = &self.sites[site];
+        let ec_oracle = self.est_free_secs(&s.cloud, s.speed, now);
         assert_eq!(self.ec_free_buf, ec_oracle, "indexed EC drain diverged from rescan");
         let mut want: Vec<SimTime> = self.est_completion.iter().flatten().copied().collect();
         let mut got: Vec<SimTime> = self.outstanding.values().to_vec();
@@ -950,7 +946,7 @@ impl EngineWorld {
         for (i, s) in self.sites.iter().enumerate() {
             assert_eq!(
                 s.cloud.queued_cost_ticks(),
-                tick_rescan(&s.cloud, self.cfg.ec_speed),
+                tick_rescan(&s.cloud, s.speed),
                 "maintained EC queue-cost ticks diverged from rescan (site {i})"
             );
         }
@@ -1666,7 +1662,8 @@ fn on_transfer_done(w: &mut W, site: usize, upload: bool, c: Completion) {
     if upload {
         w.timelines[idx].upload_done = Some(c.at);
         let svc = w.jobs[idx].true_service_secs;
-        submit_for_exec(&mut w.sites[site].cloud, &w.est_exec, w.cfg.ec_speed, id, svc, c.at);
+        let s = &mut w.sites[site];
+        submit_for_exec(&mut s.cloud, &w.est_exec, s.speed, id, svc, c.at);
     } else {
         w.timelines[idx].download_done = Some(c.at);
         record_completion(w, id, c.at);
@@ -1699,8 +1696,9 @@ fn observe_transfer(
     }
 }
 
-/// The execution pool `pool` names, with the speed the engine scales its
-/// estimates by there; `None` for a site outside this estate (a fault plan
+/// The execution pool `pool` names, with its own machine speed (the IC's,
+/// or the EC site's), which scales its estimates and observed execution
+/// times; `None` for a site outside this estate (a fault plan
 /// compiled against a wider one). Takes the pools rather than the world,
 /// so callers can resubmit while they read the job columns.
 fn pool_mut<'a>(
@@ -1711,7 +1709,7 @@ fn pool_mut<'a>(
 ) -> Option<(&'a mut Cloud<JobId>, f64)> {
     match pool {
         Pool::Ic => Some((ic, cfg.ic_speed)),
-        Pool::Ec(s) => sites.get_mut(s as usize).map(|site| (&mut site.cloud, cfg.ec_speed)),
+        Pool::Ec(s) => sites.get_mut(s as usize).map(|site| (&mut site.cloud, site.speed)),
     }
 }
 
@@ -1898,7 +1896,7 @@ fn redispatch_to_ic(w: &mut W, id: JobId, now: SimTime) {
 /// Revises the outstanding completion estimate of a re-dispatched job (and
 /// its test-build rebuild oracle, in lock step).
 fn reinstate_estimate(w: &mut W, id: JobId, now: SimTime, speed: f64) {
-    let est = est_exec_or_default(&w.est_exec, id);
+    let est = w.est_exec[id.0 as usize];
     let est_ct = now + SimDuration::from_secs_f64(est / speed);
     w.outstanding.reinstate(id.0, est_ct);
     #[cfg(test)]
@@ -2113,7 +2111,7 @@ fn try_push_out(w: &mut W, now: SimTime) {
     for i in 0..w.po_waiting.len() {
         w.po_slack.push(eq1_slack(now, ahead_max));
         // Commit this job onto the planned drain for its successors.
-        let est = est_exec_or_default(&w.est_exec, w.po_waiting[i]);
+        let est = w.est_exec[w.po_waiting[i].0 as usize];
         let idx = w.ft_index.fcfs_commit(est / speed);
         let committed = w.ft_index.value(idx);
         if committed < DEAD_FREE_SECS {
@@ -2191,7 +2189,7 @@ fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64, pick: O
         let exec = w.est.exec_secs_ec(job);
         let down = w.est.download_secs(now, w.est.output_bytes(job));
         full.push((slack, up, up + exec + down));
-        let est = est_exec_or_default(&w.est_exec, *id);
+        let est = w.est_exec[id.0 as usize];
         let (idx, _) = free
             .iter()
             .enumerate()
@@ -2490,6 +2488,7 @@ impl Harness<ServeReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cloudburst_sched::ProcTimeModel;
     use cloudburst_workload::{ArrivalConfig, SizeBucket};
 
     fn small_cfg(kind: SchedulerKind, seed: u64) -> ExperimentConfig {
@@ -2821,6 +2820,70 @@ mod tests {
                 "broker should spread across sites"
             );
         }
+    }
+
+    #[test]
+    fn each_ec_site_is_scaled_by_its_own_speed() {
+        // The primary EC site runs at `ec_speed` 1.0, the extra one at
+        // 4.0 behind a near-instant upload pipe, so its one machine queues
+        // work. Every expectation below reads the speed from the config,
+        // never from the engine.
+        let mut cfg = small_cfg(SchedulerKind::Greedy, 10);
+        cfg.n_ic = 1;
+        cfg.rescheduling = true; // keeps the QRSM live for the probe below
+        cfg.arrivals.jobs_per_batch = 12.0;
+        let fast = EcSiteConfig {
+            n_machines: 1,
+            speed: 4.0,
+            upload_model: BandwidthModel::Constant(1e12),
+            download_model: cfg.download_model.clone(),
+            price: None,
+        };
+        cfg.extra_ec_sites = vec![fast];
+        assert_eq!(cfg.ec_speed, 1.0);
+        let speed = cfg.extra_ec_sites[0].speed;
+        let rngs = RngFactory::new(cfg.seed);
+        let batches = BatchArrivals::new(cfg.arrivals.clone()).generate(&rngs, &cfg.truth);
+        let mut h = EngineHarness::new(&cfg, batches);
+
+        // The site's maintained queue cost is its jobs' estimated seconds
+        // at the site's own speed, in integer ticks.
+        let mut queued_steps = 0;
+        while h.step() {
+            let w = h.world();
+            let cloud = &w.sites[1].cloud;
+            let want: u64 = cloud
+                .queued_keys()
+                .map(|k| SimDuration::from_secs_f64(w.est_exec[k.0 as usize] / speed).as_micros())
+                .sum();
+            assert_eq!(cloud.queued_cost_ticks(), want, "site 1 queue cost at {:?}", h.now());
+            queued_steps += (cloud.queued() > 0) as usize;
+        }
+        assert!(queued_steps > 0, "the fast site never queued a job");
+
+        // An execution on that site teaches the QRSM standard seconds:
+        // 486 s of standard work runs 121.5 s at speed 4.0 (exact ticks).
+        let now = h.now();
+        let w = h.world_mut();
+        let id = JobId(0);
+        let truth = 486.0;
+        let mut site = Cloud::homogeneous("probe", 1, speed);
+        site.submit(now, id, truth);
+        let mut done = Vec::new();
+        site.advance_into(site.next_wake().expect("the probe job runs"), &mut done);
+        let c = done[0];
+        let x = w.jobs[0].features.regressors_arr();
+        let ProcTimeModel::Pooled(mut want) = w.est.qrsm.clone() else { panic!("pooled QRSM") };
+        want.observe_queued(&x, truth);
+        finish_exec(w, id, c.at, c.started, Pool::Ec(1));
+        let ProcTimeModel::Pooled(got) = &mut w.est.qrsm else { panic!("pooled QRSM") };
+        #[cfg(debug_assertions)]
+        assert!(got.same_bits(&want), "site 1's observation is not the job's standard time");
+        // Release builds compile `same_bits` out; the refit still tells
+        // the two observations apart.
+        got.flush_refit();
+        want.flush_refit();
+        assert_eq!(got.predict(&x).to_bits(), want.predict(&x).to_bits(), "refit after site 1");
     }
 
     #[test]
