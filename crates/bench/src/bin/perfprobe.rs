@@ -687,6 +687,9 @@ const fn row(keys: &'static str, kind: Kind, bound: f64) -> Rule {
 
 const RULES: &[Rule] = &[
     row("*_per_sec", Floor, 5.0),
+    // `--full` lines record the 1M-job rates under a `_1m` suffix, which
+    // the pattern above cannot reach.
+    row("*_per_sec_1m", Floor, 5.0),
     // The threads curve timed the intra-run shard map, which is gone. Its
     // runs were the OP megascale run (seed 73, primary scale) that
     // `e2e_op_jobs_per_sec` still times, so that key inherits their floor.
@@ -1016,7 +1019,9 @@ mod tests {
         // The tightest retired threads-curve floor, 73,715 jobs/s ÷ 5.
         assert!((folded["e2e_op_jobs_per_sec"] - 14_743.0).abs() < 0.1);
         assert!(folded["e2e_op_jobs_per_sec"] > max_of("e2e_op_jobs_per_sec") / 5.0);
-        assert_eq!(folded.len(), 21);
+        // 21 `*_per_sec` floors plus five `*_per_sec_1m` ones.
+        assert_eq!(folded.keys().filter(|k| k.ends_with("_per_sec_1m")).count(), 5);
+        assert_eq!(folded.len(), 26);
     }
 
     #[test]
@@ -1099,6 +1104,8 @@ mod tests {
     fn patterns_match_around_one_star() {
         assert!(matches("*_per_sec", "a_per_sec"));
         assert!(!matches("*_per_sec", "a_per_secs"));
+        assert!(!matches("*_per_sec", "a_per_sec_1m"));
+        assert!(matches("*_per_sec_1m", "a_per_sec_1m"));
         assert!(matches(
             "serve_scale_live_bytes_*_window",
             "serve_scale_live_bytes_first_window"

@@ -45,6 +45,7 @@ use cloudburst_sla::{
 use cloudburst_workload::{BatchArrivals, Job, JobId, JobType, OpenArrivals};
 
 use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind};
+use crate::timeline::Stamp;
 
 /// Size of the autonomic probe transfers (Sec. III-A-2: "periodic test
 /// uploads/downloads of size 1MB").
@@ -775,7 +776,7 @@ impl EngineWorld {
         #[cfg(test)]
         assert_eq!(
             self.outstanding.is_empty(),
-            self.timelines.iter().all(|t| t.completed.is_some()),
+            self.timelines.iter().all(|t| t.completed.get().is_some()),
             "outstanding pool diverged from the timelines' completion stamps"
         );
         self.arrivals_done() && self.outstanding.is_empty()
@@ -1037,7 +1038,7 @@ impl EngineWorld {
 
     fn report(&self, end: SimTime) -> RunReport {
         let completion_times: Vec<SimTime> =
-            self.timelines.iter().map(|t| t.completed.expect("run finished")).collect();
+            self.timelines.iter().map(|t| t.completed.get().expect("run finished")).collect();
         let arrival = SimTime::ZERO;
         let makespan_secs = metrics::makespan(&completion_times, arrival);
         // Eq. 11/12 use the *decision-time* placements per batch; the
@@ -1158,7 +1159,12 @@ impl EngineWorld {
     /// Used by the closed-vs-open equivalence oracle to replay the closed
     /// run's byte stream through a fresh [`WindowSeries`].
     pub fn job_output_bytes(&self, id: u64) -> u64 {
-        self.timelines[id as usize].completed.map_or(0, |_| self.jobs[id as usize].output_bytes)
+        let delivered = self.timelines[id as usize].completed.get().is_some();
+        if delivered {
+            self.jobs[id as usize].output_bytes
+        } else {
+            0
+        }
     }
 
     /// Serving: live (admitted, not yet delivered) jobs right now.
@@ -1610,7 +1616,7 @@ fn pump(w: &mut W, site: usize, upload: bool, now: SimTime) {
         let threads = tuner.threads_for(now);
         let tid = w.fresh_tid();
         if upload {
-            w.timelines[id.0 as usize].upload_started = Some(now);
+            w.timelines[id.0 as usize].upload_started = Stamp::some(now);
         }
         // Chaos: arm the recovery timeout; a stalled transfer occupies its
         // slot but never reaches the link — only the timeout frees it.
@@ -1660,12 +1666,12 @@ fn on_transfer_done(w: &mut W, site: usize, upload: bool, c: Completion) {
     }
     let idx = id.0 as usize;
     if upload {
-        w.timelines[idx].upload_done = Some(c.at);
+        w.timelines[idx].upload_done = Stamp::some(c.at);
         let svc = w.jobs[idx].true_service_secs;
         let s = &mut w.sites[site];
         submit_for_exec(&mut s.cloud, &w.est_exec, s.speed, id, svc, c.at);
     } else {
-        w.timelines[idx].download_done = Some(c.at);
+        w.timelines[idx].download_done = Stamp::some(c.at);
         record_completion(w, id, c.at);
     }
 }
@@ -1726,8 +1732,8 @@ fn pool_mut<'a>(
 fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, pool: Pool) {
     // Completions only come from pools in range.
     let Some((_, speed)) = pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) else { return };
-    w.timelines[id.0 as usize].exec_started = Some(started);
-    w.timelines[id.0 as usize].exec_done = Some(at);
+    w.timelines[id.0 as usize].exec_started = Stamp::some(started);
+    w.timelines[id.0 as usize].exec_done = Stamp::some(at);
     if w.qrsm_sealed() {
         return;
     }
@@ -1741,7 +1747,7 @@ fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, pool: Pool) 
 /// A job's result entered the result queue.
 fn record_completion(w: &mut W, id: JobId, at: SimTime) {
     let idx = id.0 as usize;
-    debug_assert!(w.timelines[idx].completed.is_none(), "job completed twice: {id}");
+    debug_assert!(w.timelines[idx].completed.get().is_none(), "job completed twice: {id}");
     if w.econ.is_some() {
         econ_settle_completion(w, idx, at);
     }
@@ -1750,7 +1756,7 @@ fn record_completion(w: &mut W, id: JobId, at: SimTime) {
     {
         w.est_completion[idx] = None;
     }
-    w.timelines[idx].completed = Some(at);
+    w.timelines[idx].completed = Stamp::some(at);
     if let Some(serve) = &mut w.serve {
         // Serving: fold the completion into the windowed aggregates and
         // recycle the slot. Everything per-job dies here; only the window
@@ -2637,7 +2643,7 @@ mod tests {
 
     /// Executions stamped done so far.
     fn execs_done(w: &EngineWorld) -> usize {
-        w.timelines.iter().filter(|t| t.exec_done.is_some()).count()
+        w.timelines.iter().filter(|t| t.exec_done.get().is_some()).count()
     }
 
     #[test]
@@ -2727,23 +2733,24 @@ mod tests {
             tl.check_ordering().unwrap_or_else(|(a, b)| {
                 panic!("job {} stage {} precedes {}", tl.id, b, a);
             });
-            assert!(tl.completed.is_some(), "job {} never completed", tl.id);
-            assert_eq!(tl.completed, Some(r.completion_times[tl.id as usize]));
+            assert!(tl.completed.get().is_some(), "job {} never completed", tl.id);
+            assert_eq!(tl.completed.get(), Some(r.completion_times[tl.id as usize]));
             match tl.placement {
                 Placement::Internal => {
-                    assert!(tl.upload_started.is_none(), "local job {} uploaded", tl.id);
-                    assert!(tl.download_done.is_none());
+                    assert!(tl.upload_started.get().is_none(), "local job {} uploaded", tl.id);
+                    assert!(tl.download_done.get().is_none());
                 }
                 Placement::External => {
                     saw_external = true;
-                    assert!(tl.upload_started.is_some(), "bursted job {} has no upload", tl.id);
-                    assert!(tl.upload_done.is_some());
-                    assert!(tl.download_done.is_some());
+                    let id = tl.id;
+                    assert!(tl.upload_started.get().is_some(), "bursted job {id} has no upload");
+                    assert!(tl.upload_done.get().is_some());
+                    assert!(tl.download_done.get().is_some());
                     // Completion is the download arrival for bursted jobs.
                     assert_eq!(tl.completed, tl.download_done);
                 }
             }
-            assert!(tl.exec_started.is_some() && tl.exec_done.is_some());
+            assert!(tl.exec_started.get().is_some() && tl.exec_done.get().is_some());
             assert!(tl.turnaround_secs().expect("complete") > 0.0);
         }
         assert!(saw_external, "config should force at least one burst");
@@ -3015,7 +3022,7 @@ mod tests {
         let pending = loop {
             assert!(h.step(), "every job delivered before one was seen pending");
             let w = h.world();
-            if let Some(t) = w.timelines.iter().find(|t| t.completed.is_none()) {
+            if let Some(t) = w.timelines.iter().find(|t| t.completed.get().is_none()) {
                 break t.id;
             }
         };

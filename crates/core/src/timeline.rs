@@ -6,13 +6,69 @@
 //! in the download queue. Timelines are the raw material for the
 //! completion-delay and OO analyses and for the stage-ordering invariants
 //! in the test suite.
+//!
+//! One row is kept per admitted job, so the row is part of the engine's
+//! per-job spine: each stage stamp is a [`Stamp`] (8 bytes) rather than an
+//! `Option<SimTime>` (16), which makes the row 80 bytes instead of 128.
+
+use std::fmt;
 
 use cloudburst_sched::Placement;
 use cloudburst_sim::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Serialize, Value};
 
-/// Stage timestamps for one job. `None` stages were never entered (local
-/// jobs never transfer; a pulled-back job loses its upload stamps).
+/// A stage stamp: an optional [`SimTime`] packed into 8 bytes, with
+/// `u64::MAX` µs meaning "not entered". No stamped instant reaches the
+/// sentinel ([`SimTime::MAX`] is the schedulers' "never", not an event
+/// time); [`Stamp::some`] debug-asserts it and deserialization rejects it.
+///
+/// It serializes exactly as the `Option<SimTime>` it stands for: `null`,
+/// or the instant's integer microseconds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Stamp(u64);
+
+impl Stamp {
+    /// The stage was never entered.
+    pub const NONE: Stamp = Stamp(u64::MAX);
+
+    /// The stage was entered at `t`.
+    #[inline]
+    pub fn some(t: SimTime) -> Stamp {
+        debug_assert!(t < SimTime::MAX, "stage stamp at the u64::MAX µs sentinel");
+        Stamp(t.as_micros())
+    }
+
+    /// When the stage was entered, if it was.
+    #[inline]
+    pub fn get(self) -> Option<SimTime> {
+        (self.0 != u64::MAX).then_some(SimTime::from_micros(self.0))
+    }
+}
+
+impl fmt::Debug for Stamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+impl Serialize for Stamp {
+    fn to_value(&self) -> Value {
+        self.get().to_value()
+    }
+}
+
+impl Deserialize for Stamp {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match Option::<SimTime>::from_value(v)? {
+            None => Ok(Stamp::NONE),
+            Some(t) if t < SimTime::MAX => Ok(Stamp(t.as_micros())),
+            Some(_) => Err(Error::custom("stage stamp at the \"not entered\" sentinel")),
+        }
+    }
+}
+
+/// Stage timestamps for one job. [`Stamp::NONE`] stages were never entered
+/// (local jobs never transfer; a pulled-back job loses its upload stamps).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobTimeline {
     /// 0-based job id.
@@ -24,17 +80,17 @@ pub struct JobTimeline {
     /// Final placement (after any rescheduling).
     pub placement: Placement,
     /// Upload transfer start (bursted jobs).
-    pub upload_started: Option<SimTime>,
+    pub upload_started: Stamp,
     /// Upload transfer completion.
-    pub upload_done: Option<SimTime>,
+    pub upload_done: Stamp,
     /// Execution start on a machine.
-    pub exec_started: Option<SimTime>,
+    pub exec_started: Stamp,
     /// Execution completion.
-    pub exec_done: Option<SimTime>,
+    pub exec_done: Stamp,
     /// Result download completion (bursted jobs).
-    pub download_done: Option<SimTime>,
+    pub download_done: Stamp,
     /// Arrival in the result queue.
-    pub completed: Option<SimTime>,
+    pub completed: Stamp,
 }
 
 impl JobTimeline {
@@ -45,33 +101,33 @@ impl JobTimeline {
             arrival,
             scheduled,
             placement,
-            upload_started: None,
-            upload_done: None,
-            exec_started: None,
-            exec_done: None,
-            download_done: None,
-            completed: None,
+            upload_started: Stamp::NONE,
+            upload_done: Stamp::NONE,
+            exec_started: Stamp::NONE,
+            exec_done: Stamp::NONE,
+            download_done: Stamp::NONE,
+            completed: Stamp::NONE,
         }
     }
 
     /// Seconds from arrival to result (`None` while incomplete).
     pub fn turnaround_secs(&self) -> Option<f64> {
-        self.completed.map(|c| (c - self.arrival).as_secs_f64())
+        self.completed.get().map(|c| (c - self.arrival).as_secs_f64())
     }
 
     /// Seconds spent waiting in queues (turnaround minus transfer and
     /// execution spans).
     pub fn queueing_secs(&self) -> Option<f64> {
         let total = self.turnaround_secs()?;
-        let exec = match (self.exec_started, self.exec_done) {
+        let exec = match (self.exec_started.get(), self.exec_done.get()) {
             (Some(s), Some(e)) => (e - s).as_secs_f64(),
             _ => 0.0,
         };
-        let upload = match (self.upload_started, self.upload_done) {
+        let upload = match (self.upload_started.get(), self.upload_done.get()) {
             (Some(s), Some(e)) => (e - s).as_secs_f64(),
             _ => 0.0,
         };
-        let download = match (self.exec_done, self.download_done) {
+        let download = match (self.exec_done.get(), self.download_done.get()) {
             // Download queueing is folded in here; the pure transfer span
             // is not separately stamped.
             (Some(s), Some(e)) => (e - s).as_secs_f64(),
@@ -85,12 +141,12 @@ impl JobTimeline {
         let mut last: (&'static str, SimTime) = ("arrival", self.arrival);
         let stages: [(&'static str, Option<SimTime>); 7] = [
             ("scheduled", Some(self.scheduled)),
-            ("upload_started", self.upload_started),
-            ("upload_done", self.upload_done),
-            ("exec_started", self.exec_started),
-            ("exec_done", self.exec_done),
-            ("download_done", self.download_done),
-            ("completed", self.completed),
+            ("upload_started", self.upload_started.get()),
+            ("upload_done", self.upload_done.get()),
+            ("exec_started", self.exec_started.get()),
+            ("exec_done", self.exec_done.get()),
+            ("download_done", self.download_done.get()),
+            ("completed", self.completed.get()),
         ];
         for (name, at) in stages {
             if let Some(t) = at {
@@ -112,14 +168,18 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    fn at(s: u64) -> Stamp {
+        Stamp::some(t(s))
+    }
+
     fn bursted() -> JobTimeline {
         JobTimeline {
-            upload_started: Some(t(10)),
-            upload_done: Some(t(110)),
-            exec_started: Some(t(110)),
-            exec_done: Some(t(400)),
-            download_done: Some(t(450)),
-            completed: Some(t(450)),
+            upload_started: at(10),
+            upload_done: at(110),
+            exec_started: at(110),
+            exec_done: at(400),
+            download_done: at(450),
+            completed: at(450),
             ..JobTimeline::new(3, t(0), t(5), Placement::External)
         }
     }
@@ -128,9 +188,9 @@ mod tests {
     fn ordering_accepts_valid_timeline() {
         assert_eq!(bursted().check_ordering(), Ok(()));
         let local = JobTimeline {
-            exec_started: Some(t(20)),
-            exec_done: Some(t(120)),
-            completed: Some(t(120)),
+            exec_started: at(20),
+            exec_done: at(120),
+            completed: at(120),
             ..JobTimeline::new(1, t(0), t(5), Placement::Internal)
         };
         assert_eq!(local.check_ordering(), Ok(()));
@@ -139,7 +199,7 @@ mod tests {
     #[test]
     fn ordering_detects_violations() {
         let mut bad = bursted();
-        bad.exec_started = Some(t(50)); // before upload_done at 110
+        bad.exec_started = at(50); // before upload_done at 110
         assert_eq!(bad.check_ordering(), Err(("upload_done", "exec_started")));
     }
 
@@ -152,5 +212,31 @@ mod tests {
         let unfinished = JobTimeline::new(0, t(0), t(1), Placement::Internal);
         assert_eq!(unfinished.turnaround_secs(), None);
         assert_eq!(unfinished.queueing_secs(), None);
+    }
+
+    /// The row is part of the engine's per-job spine (one per admitted
+    /// job, ~205k in a closed-op run): a regrown row shows up here first.
+    #[test]
+    fn row_is_eighty_bytes() {
+        assert_eq!(std::mem::size_of::<Stamp>(), 8);
+        assert_eq!(std::mem::size_of::<JobTimeline>(), 80);
+    }
+
+    /// A stamp serializes exactly as the `Option<SimTime>` it replaced
+    /// (`null` or integer micros) and reads both back.
+    #[test]
+    fn stamp_encodes_as_optional_sim_time() {
+        let last = SimTime::from_micros(u64::MAX - 1);
+        for case in [None, Some(SimTime::ZERO), Some(t(450)), Some(last)] {
+            let stamp = case.map_or(Stamp::NONE, Stamp::some);
+            assert_eq!(stamp.get(), case);
+            assert_eq!(stamp.to_value(), case.to_value());
+            assert_eq!(Stamp::from_value(&case.to_value()), Ok(stamp));
+            assert_eq!(format!("{stamp:?}"), format!("{case:?}"));
+        }
+        assert_eq!(Stamp::NONE.to_value(), Value::Null);
+        let sentinel = Some(SimTime::MAX).to_value();
+        assert!(Stamp::from_value(&sentinel).is_err(), "the sentinel is not an instant");
+        assert!(Stamp::from_value(&Value::Bool(true)).is_err());
     }
 }

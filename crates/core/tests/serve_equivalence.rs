@@ -78,7 +78,7 @@ fn open_stream_replays_the_closed_run() {
         let mut events: Vec<(SimTime, u8, u64)> = Vec::new();
         for tl in tls {
             events.push((tl.arrival, 0, tl.id));
-            events.push((tl.completed.expect("closed run drains"), 1, tl.id));
+            events.push((tl.completed.get().expect("closed run drains"), 1, tl.id));
         }
         events.sort();
         let serve_cfg = cfg.serve.clone().expect("paired config has a serve section");

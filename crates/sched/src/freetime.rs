@@ -144,18 +144,25 @@ impl FreeTimeIndex {
 /// swap-remove; the stored order is therefore *not* job-id order, which is
 /// safe because the only consumer is the slack anchor `max(T_i)` — an
 /// order-independent reduction ([`crate::api::Planner::slack`]).
+///
+/// Job ids and slots are stored as `u32` (16 bytes per outstanding job
+/// instead of 24), so an id must be below `u32::MAX`; [`insert`] asserts
+/// it.
+///
+/// [`insert`]: OutstandingSet::insert
 #[derive(Clone, Debug, Default)]
 pub struct OutstandingSet {
     /// Outstanding completion estimates, unordered.
     vals: Vec<SimTime>,
     /// Job id backing each slot of `vals` (to repair `pos` on swap-remove).
-    job_at: Vec<u64>,
-    /// Slot of each job id in `vals`; `usize::MAX` once completed.
-    pos: Vec<usize>,
+    job_at: Vec<u32>,
+    /// Slot of each job id in `vals`; [`GONE`] once completed.
+    pos: Vec<u32>,
 }
 
-/// Sentinel for "job no longer outstanding".
-const GONE: usize = usize::MAX;
+/// Sentinel for "job no longer outstanding" (also the first id that does
+/// not fit).
+const GONE: u32 = u32::MAX;
 
 impl OutstandingSet {
     /// An empty pool.
@@ -182,6 +189,7 @@ impl OutstandingSet {
     /// must be the next dense one (the engine's FCFS id space); serving
     /// also re-admits the recycled id of a completed job.
     pub fn insert(&mut self, id: u64, est_completion: SimTime) {
+        assert!(id < u64::from(GONE), "job id {id} does not fit the outstanding set's u32 index");
         if id as usize == self.pos.len() {
             self.pos.push(GONE);
         }
@@ -190,9 +198,7 @@ impl OutstandingSet {
             Some(&GONE),
             "ids must arrive densely in order, or be recycled after completion"
         );
-        self.pos[id as usize] = self.vals.len();
-        self.vals.push(est_completion);
-        self.job_at.push(id);
+        self.add_slot(id, est_completion);
     }
 
     /// Re-registers (or revises) job `id`'s estimate after a fault
@@ -203,12 +209,18 @@ impl OutstandingSet {
     pub fn reinstate(&mut self, id: u64, est_completion: SimTime) {
         let slot = self.pos[id as usize];
         if slot != GONE {
-            self.vals[slot] = est_completion;
+            self.vals[slot as usize] = est_completion;
             return;
         }
-        self.pos[id as usize] = self.vals.len();
+        self.add_slot(id, est_completion);
+    }
+
+    /// Appends job `id` (known to fit and not outstanding) as a new slot.
+    fn add_slot(&mut self, id: u64, est_completion: SimTime) {
+        // Fewer outstanding jobs than ids, and every id is below `GONE`.
+        self.pos[id as usize] = self.vals.len() as u32;
         self.vals.push(est_completion);
-        self.job_at.push(id);
+        self.job_at.push(id as u32);
     }
 
     /// Removes job `id` when its result lands. No-op if already removed.
@@ -218,10 +230,11 @@ impl OutstandingSet {
             return;
         }
         self.pos[id as usize] = GONE;
+        let slot = slot as usize;
         self.vals.swap_remove(slot);
         self.job_at.swap_remove(slot);
         if slot < self.vals.len() {
-            self.pos[self.job_at[slot] as usize] = slot;
+            self.pos[self.job_at[slot] as usize] = slot as u32;
         }
     }
 }
@@ -319,6 +332,15 @@ mod tests {
         let mut s = OutstandingSet::new();
         s.insert(0, SimTime::from_secs(1));
         s.insert(0, SimTime::from_secs(2));
+    }
+
+    /// The largest id is refused before anything is allocated, so the
+    /// check costs no memory even at the limit.
+    #[test]
+    #[should_panic(expected = "job id 4294967295 does not fit the outstanding set's u32 index")]
+    fn insert_rejects_an_id_beyond_u32() {
+        let mut s = OutstandingSet::new();
+        s.insert(u64::from(u32::MAX), SimTime::from_secs(1));
     }
 
     #[test]
