@@ -50,8 +50,11 @@
 //!   shares with the records must reach the largest recorded value ÷ 5.
 //!   The 5× headroom makes the floor a regression tripwire (a return to a
 //!   linear or allocating path shows up as 10–100×), not a flake on a
-//!   busy host. A retired probe hands its recorded values to a named
-//!   successor key (`FloorFor`), so retiring it loosens nothing.
+//!   busy host. A retired probe hands its recorded values to the successor
+//!   key [`RETIRED`] names, so retiring it loosens nothing. Every floor the
+//!   fresh line does not carry is printed: a [`FULL_ONLY`] key is skipped
+//!   on a reduced line, and any other missing floor fails the gate — a
+//!   probe that stops emitting a key cannot drop its floor silently.
 //! * **fresh-line rules** — invariants of the run itself, read from the
 //!   fresh line only (a baseline measured on other hardware would add
 //!   noise, not teeth): the decisions/s-vs-depth curve stays flat, the
@@ -87,7 +90,7 @@ use cloudburst_sla::{ServeReport, WindowConfig};
 use cloudburst_testsupport::{high_water_bytes, reset_high_water, CountingAlloc};
 use cloudburst_workload::{ArrivalConfig, BatchArrivals, JobId, OpenArrivalConfig, SizeBucket};
 use serde_json::{json, Map, Value};
-use Kind::{AtLeast, Floor, FloorFor, LastOverFirst, MaxOverMin};
+use Kind::{AtLeast, Dropped, Floor, FullOnly, LastOverFirst, MaxOverMin};
 
 // The serving probes report per-window live-bytes high-water marks, so
 // the whole binary runs under the counting allocator. Its two relaxed
@@ -657,20 +660,22 @@ fn host_cores() -> usize {
 // The gate
 // ---------------------------------------------------------------------------
 
-/// What a [`Rule`] bounds.
+/// What a [`Rule`] bounds; the last two kinds mark a folded floor whose
+/// key the fresh line does not carry.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Kind {
     /// A fresh key ≥ the largest recorded value of that key ÷ bound.
     Floor,
-    /// Recorded values of the matched keys also floor the named fresh key
-    /// (÷ bound): how a retired probe's record passes to its successor.
-    FloorFor(&'static str),
     /// max ÷ min over the matched fresh keys ≤ bound (two keys or more).
     MaxOverMin,
     /// last ÷ first over the matched fresh keys, in key order, ≤ bound.
     LastOverFirst,
     /// The fresh key ≥ bound.
     AtLeast,
+    /// A [`FULL_ONLY`] floor on a reduced line: skipped.
+    FullOnly,
+    /// Any other floor the fresh line lacks: a failure.
+    Dropped,
 }
 
 /// One row of the gate: a key or a one-`*` key pattern, a kind and a bound.
@@ -690,14 +695,6 @@ const RULES: &[Rule] = &[
     // `--full` lines record the 1M-job rates under a `_1m` suffix, which
     // the pattern above cannot reach.
     row("*_per_sec_1m", Floor, 5.0),
-    // The threads curve timed the intra-run shard map, which is gone. Its
-    // runs were the OP megascale run (seed 73, primary scale) that
-    // `e2e_op_jobs_per_sec` still times, so that key inherits their floor.
-    row(
-        "threads_curve_w*_jobs_per_sec",
-        FloorFor("e2e_op_jobs_per_sec"),
-        5.0,
-    ),
     // A decision loop that regressed to O(queue) spreads 10–40× across
     // the probed depths long before any absolute floor trips.
     row("decision_curve_*_decisions_per_sec", MaxOverMin, 3.0),
@@ -712,6 +709,26 @@ const RULES: &[Rule] = &[
     row("econ_dormant_over_clean", AtLeast, 0.95),
 ];
 
+/// Retired probes: a recorded key (or one-`*` pattern) and the fresh key
+/// that took over its measurement. A retired key's recorded values floor
+/// its successor instead of itself.
+const RETIRED: &[(&str, &str)] = &[
+    // The threads curve timed the intra-run shard map, which is gone. Its
+    // runs were the OP megascale run (seed 73, primary scale) that
+    // `e2e_op_jobs_per_sec` still times.
+    ("threads_curve_w*_jobs_per_sec", "e2e_op_jobs_per_sec"),
+    // The linear-rescan decision loop, timed beside the indexed one in
+    // the early records; the rescan survives only as a test oracle. Its
+    // rates sit three orders of magnitude below its successor's, so the
+    // fold raises no floor.
+    ("decision_loop_legacy_decisions_per_sec", "decision_loop_decisions_per_sec"),
+    ("decision_loop_legacy_decisions_per_sec_1m", "decision_loop_decisions_per_sec_1m"),
+];
+
+/// Floor keys only a `--full` line carries: the 1M-job rates and the two
+/// deepest decision-curve depths.
+const FULL_ONLY: &[&str] = &["*_per_sec_1m", "decision_curve_d800k_*", "decision_curve_d2m_*"];
+
 /// `key` matches `pattern` exactly, or around the pattern's one `*`.
 fn matches(pattern: &str, key: &str) -> bool {
     match pattern.split_once('*') {
@@ -723,19 +740,16 @@ fn matches(pattern: &str, key: &str) -> bool {
 }
 
 /// The folded floor table: for every fresh key a floor row reaches, the
-/// largest recorded value feeding it ÷ that row's bound.
+/// largest recorded value feeding it ÷ that row's bound. A [`RETIRED`]
+/// key feeds its successor.
 fn floors(records: &[Map], rules: &[Rule]) -> BTreeMap<String, f64> {
     let mut out = BTreeMap::new();
-    for rule in rules {
-        let successor = match rule.kind {
-            Floor => None,
-            FloorFor(key) => Some(key),
-            _ => continue,
-        };
+    for rule in rules.iter().filter(|r| r.kind == Floor) {
         for record in records {
             for (key, value) in record.iter().filter(|(k, _)| matches(rule.keys, k)) {
                 let Some(v) = value.as_f64() else { continue };
-                let target = successor.unwrap_or(key);
+                let retired = RETIRED.iter().find(|(old, _)| matches(old, key));
+                let target = retired.map_or(key.as_str(), |&(_, successor)| successor);
                 let floor = out.entry(target.to_string()).or_insert(f64::MIN);
                 *floor = f64::max(*floor, v / rule.bound);
             }
@@ -772,7 +786,7 @@ fn statistic(rule: &Rule, line: &Map) -> Option<f64> {
             Some(last / first)
         }
         AtLeast => Some(first),
-        Floor | FloorFor(_) => None,
+        Floor | FullOnly | Dropped => None,
     }
 }
 
@@ -788,23 +802,34 @@ struct Check {
 impl Check {
     fn ok(&self) -> bool {
         match self.kind {
-            Floor | FloorFor(_) | AtLeast => self.value >= self.bound,
+            Floor | AtLeast => self.value >= self.bound,
             MaxOverMin | LastOverFirst => self.value <= self.bound,
+            FullOnly => true,
+            Dropped => false,
         }
     }
 }
 
 impl std::fmt::Display for Check {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let verdict = if self.ok() { "ok  " } else { "FAIL" };
+        let verdict = match self.kind {
+            FullOnly => "skip",
+            _ if self.ok() => "ok  ",
+            _ => "FAIL",
+        };
         let (what, value, bound) = (&self.what, self.value, self.bound);
         match self.kind {
-            Floor | FloorFor(_) => {
+            Floor => {
                 write!(
                     f,
                     "{verdict} {what}: fresh {value:.3e} vs floor {bound:.3e}"
                 )
             }
+            FullOnly => write!(f, "{verdict} {what}: floor {bound:.3e}, a --full key"),
+            Dropped => write!(
+                f,
+                "{verdict} {what}: floor {bound:.3e}, not in the fresh line (retire it in RETIRED)"
+            ),
             MaxOverMin => write!(f, "{verdict} {what}: max/min {value:.3} (bound {bound})"),
             LastOverFirst => {
                 write!(f, "{verdict} {what}: last/first {value:.3} (bound {bound})")
@@ -814,19 +839,26 @@ impl std::fmt::Display for Check {
     }
 }
 
-/// Every floor the fresh line shares with the records, then every armed
+/// Every folded floor — checked when the fresh line carries its key,
+/// [`FullOnly`] or [`Dropped`] when it does not — then every armed
 /// fresh-line rule, each once.
 fn checks(fresh: &Map, records: &[Map], rules: &[Rule]) -> Vec<Check> {
+    let reduced = fresh.get("reduced").and_then(Value::as_bool) == Some(true);
     let mut out: Vec<Check> = floors(records, rules)
         .into_iter()
-        .filter_map(|(key, floor)| {
-            let value = fresh.get(&key)?.as_f64()?;
-            Some(Check {
-                kind: Floor,
+        .map(|(key, bound)| {
+            let full_only = || reduced && FULL_ONLY.iter().any(|p| matches(p, &key));
+            let (kind, value) = match fresh.get(&key).and_then(Value::as_f64) {
+                Some(value) => (Floor, value),
+                None if full_only() => (FullOnly, f64::NAN),
+                None => (Dropped, f64::NAN),
+            };
+            Check {
+                kind,
                 what: key,
                 value,
-                bound: floor,
-            })
+                bound,
+            }
         })
         .collect();
     for rule in rules {
@@ -872,8 +904,12 @@ fn gate(fresh: &Map) -> ExitCode {
         eprintln!("{c}");
     }
     let floors = checks.iter().filter(|c| c.kind == Floor).count();
+    let skipped = checks.iter().filter(|c| c.kind == FullOnly).count();
     let failed = checks.iter().filter(|c| !c.ok()).count();
-    eprintln!("perfprobe: {} checks ({floors} floors), {failed} failed", checks.len());
+    eprintln!(
+        "perfprobe: {} checks ({floors} floors, {skipped} --full floors skipped), {failed} failed",
+        checks.len()
+    );
     if floors == 0 {
         eprintln!("perfprobe: no *_per_sec key of the fresh line has a floor in BENCH.json");
         return ExitCode::FAILURE;
@@ -1009,19 +1045,68 @@ mod tests {
                 .fold(f64::MIN, f64::max)
         };
         for (key, floor) in &folded {
-            let want = if key == "e2e_op_jobs_per_sec" {
-                max_of(key).max(max_of("threads_curve_w*_jobs_per_sec")) / 5.0
-            } else {
-                max_of(key) / 5.0
-            };
-            assert_eq!(*floor, want, "{key}");
+            let want = RETIRED
+                .iter()
+                .filter(|(_, successor)| successor == key)
+                .map(|(old, _)| max_of(old))
+                .fold(max_of(key), f64::max);
+            assert_eq!(*floor, want / 5.0, "{key}");
+            assert!(RETIRED.iter().all(|(old, _)| !matches(old, key)), "{key} is retired");
         }
         // The tightest retired threads-curve floor, 73,715 jobs/s ÷ 5.
         assert!((folded["e2e_op_jobs_per_sec"] - 14_743.0).abs() < 0.1);
         assert!(folded["e2e_op_jobs_per_sec"] > max_of("e2e_op_jobs_per_sec") / 5.0);
-        // 21 `*_per_sec` floors plus five `*_per_sec_1m` ones.
-        assert_eq!(folded.keys().filter(|k| k.ends_with("_per_sec_1m")).count(), 5);
-        assert_eq!(folded.len(), 26);
+        // 16 `*_per_sec` floors plus four `*_per_sec_1m` ones: the threads
+        // curve and the legacy decision loop fold into their successors.
+        assert_eq!(folded.keys().filter(|k| k.ends_with("_per_sec_1m")).count(), 4);
+        assert_eq!(folded.len(), 20);
+    }
+
+    #[test]
+    fn a_floor_missing_from_the_fresh_line_fails_unless_full_only() {
+        let rec = [line(&[
+            ("x_per_sec", 10.0),
+            ("x_per_sec_1m", 10.0),
+            ("decision_curve_d2m_decisions_per_sec", 10.0),
+            ("decision_loop_legacy_decisions_per_sec_1m", 10.0),
+        ])];
+        let kinds = |fresh: &Map| -> Vec<(String, Kind, bool)> {
+            checks(fresh, &rec, RULES)
+                .into_iter()
+                .map(|c| (c.ok(), c))
+                .map(|(ok, c)| (c.what, c.kind, ok))
+                .collect()
+        };
+        let k = |what: &str, kind: Kind, ok: bool| (what.to_string(), kind, ok);
+        let (d2m, loop_1m) =
+            ("decision_curve_d2m_decisions_per_sec", "decision_loop_decisions_per_sec_1m");
+
+        // A reduced line skips the full-only floors, the retired key's
+        // successor among them; the key it lost fails.
+        let mut reduced = line(&[("y_per_sec", 1.0)]);
+        reduced.insert("reduced".into(), serde_json::json!(true));
+        assert_eq!(
+            kinds(&reduced),
+            [
+                k(d2m, FullOnly, true),
+                k(loop_1m, FullOnly, true),
+                k("x_per_sec", Dropped, false),
+                k("x_per_sec_1m", FullOnly, true),
+            ]
+        );
+        // A full line must carry every floor, full-only ones included.
+        let full = line(&[(d2m, 2.0), (loop_1m, 2.0), ("x_per_sec", 2.0)]);
+        assert_eq!(
+            kinds(&full),
+            [
+                k(d2m, Floor, true),
+                k(loop_1m, Floor, true),
+                k("x_per_sec", Floor, true),
+                k("x_per_sec_1m", Dropped, false),
+            ]
+        );
+        let shown = checks(&full, &rec, RULES).iter().map(|c| c.to_string()).collect::<Vec<_>>();
+        assert!(shown[3].starts_with("FAIL x_per_sec_1m: floor"), "{}", shown[3]);
     }
 
     #[test]
@@ -1044,20 +1129,19 @@ mod tests {
             ("threads_curve_w4_jobs_per_sec", 20.0),
         ])];
 
-        // Floors: the record max ÷ 5, and the successor's inherited floor.
-        assert_eq!(verdicts(&line(&[("x_per_sec", 2.0)]), &rec), [true]);
-        assert_eq!(
-            verdicts(&line(&[("x_per_sec", past(2.0, false))]), &rec),
-            [false]
-        );
+        // Floors: the record max ÷ 5, and the successor's inherited floor
+        // (the successor's key sorts first).
         let op = "e2e_op_jobs_per_sec";
-        assert_eq!(verdicts(&line(&[(op, 4.0)]), &rec), [true]);
-        assert_eq!(verdicts(&line(&[(op, past(4.0, false))]), &rec), [false]);
+        let floors = |x: f64, o: f64| verdicts(&line(&[("x_per_sec", x), (op, o)]), &rec);
+        assert_eq!(floors(2.0, 4.0), [true, true]);
+        assert_eq!(floors(past(2.0, false), 4.0), [true, false]);
+        assert_eq!(floors(2.0, past(4.0, false)), [false, true]);
 
-        // Fresh-line rules, each alongside one passing floor.
+        // Fresh-line rules, each alongside the two passing floors.
         let with_floor = |pairs: &[(&str, f64)]| {
             let mut l = line(pairs);
             l.insert("x_per_sec".into(), serde_json::json!(2.0));
+            l.insert(op.into(), serde_json::json!(4.0));
             verdicts(&l, &rec)
         };
         let curve = |hi: f64| {
@@ -1066,38 +1150,38 @@ mod tests {
                 ("decision_curve_d2_decisions_per_sec", 1.0),
             ])
         };
-        assert_eq!(curve(3.0), [true, true]);
-        assert_eq!(curve(past(3.0, true)), [true, false]);
+        assert_eq!(curve(3.0), [true, true, true]);
+        assert_eq!(curve(past(3.0, true)), [true, true, false]);
         let mem = |last: f64| {
             with_floor(&[
                 ("serve_mem_curve_w03_live_bytes", 1.0),
                 ("serve_mem_curve_w11_live_bytes", last),
             ])
         };
-        assert_eq!(mem(1.5), [true, true]);
-        assert_eq!(mem(past(1.5, true)), [true, false]);
+        assert_eq!(mem(1.5), [true, true, true]);
+        assert_eq!(mem(past(1.5, true)), [true, true, false]);
         let scale = |last: f64| {
             with_floor(&[
                 ("serve_scale_live_bytes_first_window", 1.0),
                 ("serve_scale_live_bytes_last_window", last),
             ])
         };
-        assert_eq!(scale(1.5), [true, true]);
-        assert_eq!(scale(past(1.5, true)), [true, false]);
+        assert_eq!(scale(1.5), [true, true, true]);
+        assert_eq!(scale(past(1.5, true)), [true, true, false]);
         for (key, bound) in [
             ("serve_sustained_over_closed", 0.9),
             ("econ_dormant_over_clean", 0.95),
         ] {
-            assert_eq!(with_floor(&[(key, bound)]), [true, true]);
-            assert_eq!(with_floor(&[(key, past(bound, false))]), [true, false]);
+            assert_eq!(with_floor(&[(key, bound)]), [true, true, true]);
+            assert_eq!(with_floor(&[(key, past(bound, false))]), [true, true, false]);
         }
 
         // One key arms no curve rule, and an unshared key has no floor.
         assert_eq!(
             with_floor(&[("decision_curve_d1_decisions_per_sec", 99.0)]),
-            [true]
+            [true, true]
         );
-        assert!(verdicts(&line(&[("y_per_sec", 0.0)]), &rec).is_empty());
+        assert_eq!(with_floor(&[("y_per_sec", 0.0)]), [true, true]);
     }
 
     #[test]

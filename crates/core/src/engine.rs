@@ -108,20 +108,31 @@ fn fill_running_free(
     }
 }
 
+/// The depth-flat hybrid drain's one decision. Past [`DRAIN_WINDOW`]
+/// queued jobs, the maintained integer-tick cost of all but the last
+/// `DRAIN_WINDOW` water-fills the live entries of `free` (the running
+/// free-times) to a common level — O(m log m), independent of queue depth
+/// — and `DRAIN_WINDOW` tail jobs are left to replay exactly. At or below
+/// the window, or with every machine dead (depth-flatness is moot then),
+/// `free` is untouched and the whole queue replays. Returns the tail
+/// length, for `cloud.queued_tail`.
+fn drain_prefix(fluid: &mut FluidScratch, free: &mut [f64], cloud: &Cloud<JobId>) -> usize {
+    let q = cloud.queued();
+    if q > DRAIN_WINDOW {
+        let tail_ticks: u64 = cloud.queued_tail(DRAIN_WINDOW).map(|(_, t)| t).sum();
+        let prefix_secs =
+            SimDuration::from_micros(cloud.queued_cost_ticks() - tail_ticks).as_secs_f64();
+        if fluid.fill(free, prefix_secs, DEAD_FREE_SECS).is_some() {
+            return DRAIN_WINDOW;
+        }
+    }
+    q
+}
+
 /// Fills `buf` with estimated seconds until each machine frees, including
-/// the FCFS drain of the queue — the depth-flat hybrid drain:
-///
-/// * queue ≤ [`DRAIN_WINDOW`]: the full indexed replay — O(log m) per
-///   queued job via the tournament tree, with the same iteration order,
-///   tie-breaking, and f64 arithmetic as the pre-index linear rescan, so
-///   the result is bitwise identical to `EngineWorld::est_free_secs`;
-/// * queue > [`DRAIN_WINDOW`] with at least one live machine: the first
-///   `queue − DRAIN_WINDOW` jobs drain as a fluid (their maintained
-///   integer-tick cost total water-fills the live bases to a common
-///   level), then the last `DRAIN_WINDOW` jobs replay exactly on top —
-///   O(m log m + DRAIN_WINDOW log m), independent of queue depth;
-/// * all machines dead: exact full replay (depth-flatness is moot — the
-///   estate is down and chaos recovery is the bottleneck, not decisions).
+/// the FCFS drain of the queue: the [`drain_prefix`] fill, then its tail
+/// replayed through the tournament tree in O(log m) per job, bitwise
+/// identical to the rescan oracle `EngineWorld::est_free_secs`.
 fn fill_est_free(
     est_exec: &[f64],
     ft: &mut FreeTimeIndex,
@@ -132,24 +143,9 @@ fn fill_est_free(
     now: SimTime,
 ) {
     fill_running_free(est_exec, buf, cloud, speed, now);
-    let q = cloud.queued();
-    if q > DRAIN_WINDOW {
-        let tail_ticks: u64 = cloud.queued_tail(DRAIN_WINDOW).map(|(_, t)| t).sum();
-        let prefix_secs =
-            SimDuration::from_micros(cloud.queued_cost_ticks() - tail_ticks).as_secs_f64();
-        if fluid.fill(buf, prefix_secs, DEAD_FREE_SECS).is_some() {
-            ft.reset_from(buf);
-            for (key, _) in cloud.queued_tail(DRAIN_WINDOW) {
-                let est = est_exec[key.0 as usize];
-                ft.fcfs_commit(est / speed);
-            }
-            buf.clear();
-            buf.extend_from_slice(ft.values());
-            return;
-        }
-    }
+    let tail = drain_prefix(fluid, buf, cloud);
     ft.reset_from(buf);
-    for key in cloud.queued_keys() {
+    for (key, _) in cloud.queued_tail(tail) {
         let est = est_exec[key.0 as usize];
         ft.fcfs_commit(est / speed);
     }
@@ -254,6 +250,30 @@ impl EcSite {
     fn pipeline_jobs(&self) -> usize {
         let pool = self.cloud.boundary();
         self.up.jobs() + pool.queued + pool.running + self.down.jobs()
+    }
+}
+
+/// The scheduler's snapshot over the freshly refilled load-model buffers,
+/// with `site` (the broker's pick) as its EC view. A free function over
+/// field borrows, so the snapshot stays disjoint from the world's
+/// scheduler and estimates.
+fn load_model<'a>(
+    now: SimTime,
+    ic_free_secs: &'a [f64],
+    ec_free_secs: &'a [f64],
+    ic_speed: f64,
+    site: &EcSite,
+    outstanding: &'a OutstandingSet,
+) -> LoadModel<'a> {
+    LoadModel {
+        now,
+        ic_free_secs,
+        ec_free_secs,
+        ic_speed,
+        ec_speed: site.speed,
+        upload_backlog_bytes: site.up.backlog_bytes(),
+        download_backlog_bytes: site.down.backlog_bytes(),
+        outstanding_est_completions: outstanding.values(),
     }
 }
 
@@ -548,8 +568,6 @@ impl EngineWorld {
         est.down = cloudburst_net::BandwidthEstimator::new(cfg.ewma_slots.max(1), cfg.ewma_alpha)
             .with_prior(prior_up);
         est.kappa = cfg.kappa;
-        est.ic_speed = cfg.ic_speed;
-        est.ec_speed = cfg.ec_speed;
 
         let sibs = cfg.scheduler == SchedulerKind::Sibs;
         let scheduler: Box<dyn BurstScheduler> = match cfg.scheduler {
@@ -880,26 +898,19 @@ impl EngineWorld {
         site
     }
 
-    /// The borrowed scheduler snapshot over the refreshed buffers. The EC
-    /// view reflects the least-backlogged site (the broker's first choice).
-    fn load_view(&self, site: usize, now: SimTime) -> LoadModel<'_> {
-        let s = &self.sites[site];
-        LoadModel {
-            now,
-            ic_free_secs: &self.ic_free_buf,
-            ec_free_secs: &self.ec_free_buf,
-            upload_backlog_bytes: s.up.backlog_bytes(),
-            download_backlog_bytes: s.down.backlog_bytes(),
-            outstanding_est_completions: self.outstanding.values(),
-        }
-    }
-
     /// Probe API: refreshes and returns the scheduler's state snapshot as
     /// of `now`, exactly as the controller would see it before a batch.
     /// Read-only with respect to pipeline state; allocation-free once warm.
     pub fn load_snapshot(&mut self, now: SimTime) -> LoadModel<'_> {
         let site = self.refresh_load_model(now);
-        self.load_view(site, now)
+        load_model(
+            now,
+            &self.ic_free_buf,
+            &self.ec_free_buf,
+            self.cfg.ic_speed,
+            &self.sites[site],
+            &self.outstanding,
+        )
     }
 
     /// Probe API: one steady-state decision sweep — refresh the load
@@ -953,8 +964,9 @@ impl EngineWorld {
         }
     }
 
-    /// The site a new burst would go to: least upload backlog, ties to the
-    /// lowest index.
+    /// Test oracle for [`Self::broker_site`]'s earliest-round-trip pick:
+    /// least upload backlog plus EC queue, ties to the lowest index.
+    #[cfg(test)]
     fn least_loaded_site(&self) -> usize {
         self.sites
             .iter()
@@ -964,62 +976,45 @@ impl EngineWorld {
             .expect("at least one EC site")
     }
 
-    /// The broker's site pick for the next burst. The legacy (default)
-    /// policy is earliest-round-trip via [`Self::least_loaded_site`]; the
-    /// cost-aware policy scores each site by estimated dollar pressure and
-    /// keys ties back through the legacy ordering, so with equal prices it
-    /// degenerates to the legacy broker exactly (oracle-asserted in test
-    /// builds).
+    /// The broker's site pick for the next burst: one scan minimizing
+    /// `(dollar score, upload backlog + EC queue, index)`. Under
+    /// [`BrokerPolicy::CostAware`] the score is the site's hourly rate as
+    /// of `now` (spot prices vary) plus its per-GB rate plus the penalty a
+    /// job would accrue waiting out its upload backlog, in integer
+    /// [`Money`]; an unpriced site scores only the penalty. Otherwise every
+    /// score is zero and the backlog key alone decides, which test builds
+    /// assert against [`Self::least_loaded_site`] (cost-aware picks too,
+    /// when prices are equal and the penalty free).
     fn broker_site(&self, now: SimTime) -> usize {
-        match &self.econ {
-            Some(e) if e.broker == BrokerPolicy::CostAware => {
-                let site = self.cost_aware_site(e, now);
-                #[cfg(test)]
-                if e.prices.iter().all(|p| *p == e.prices[0]) && e.penalty.is_free() {
-                    assert_eq!(
-                        site,
-                        self.least_loaded_site(),
-                        "degenerate cost-aware broker diverged from the legacy pick"
-                    );
-                }
-                site
-            }
-            _ => self.least_loaded_site(),
-        }
-    }
-
-    /// Cost-aware broker score, minimized over sites: the site's hourly
-    /// compute rate as of `now` (the spot trace makes this time-varying)
-    /// plus its per-GB transfer rate plus the penalty a job would accrue
-    /// waiting out the site's upload backlog — the $-cost × deadline
-    /// feasibility product collapsed to one integer [`Money`] key. Unpriced
-    /// sites score zero on the dollar axes; exact ties fall through to the
-    /// legacy (backlog, index) key.
-    fn cost_aware_site(&self, econ: &EconState, now: SimTime) -> usize {
+        let cost_aware = self.econ.as_ref().filter(|e| e.broker == BrokerPolicy::CostAware);
         let at_micros = (now - SimTime::ZERO).as_micros();
         let mut best: Option<((Money, u64, usize), usize)> = None;
-        for (i, (s, price)) in self.sites.iter().zip(&econ.prices).enumerate() {
-            let legacy = s.up.backlog_bytes() + s.cloud.boundary().queued as u64;
-            let score = match price {
-                None => {
-                    // A free site still exposes deadline risk through its
-                    // backlog delay.
-                    let wait = self.est.upload_secs(now, s.up.backlog_bytes());
-                    econ.penalty.charge(SimDuration::from_secs_f64(wait).as_micros())
-                }
-                Some(p) => {
-                    let wait = self.est.upload_secs(now, s.up.backlog_bytes());
-                    p.hourly_rate_at(at_micros)
-                        + p.transfer_rate()
-                        + econ.penalty.charge(SimDuration::from_secs_f64(wait).as_micros())
+        for (i, s) in self.sites.iter().enumerate() {
+            let backlog = s.up.backlog_bytes();
+            let score = match cost_aware {
+                None => Money::ZERO,
+                Some(econ) => {
+                    let wait = self.est.upload_secs(now, backlog);
+                    let penalty = econ.penalty.charge(SimDuration::from_secs_f64(wait).as_micros());
+                    match &econ.prices[i] {
+                        None => penalty,
+                        Some(p) => p.hourly_rate_at(at_micros) + p.transfer_rate() + penalty,
+                    }
                 }
             };
-            let key = (score, legacy, i);
+            let key = (score, backlog + s.cloud.boundary().queued as u64, i);
             if best.as_ref().is_none_or(|(k, _)| key < *k) {
                 best = Some((key, i));
             }
         }
-        best.map(|(_, i)| i).unwrap_or(0)
+        let site = best.map(|(_, i)| i).unwrap_or(0);
+        #[cfg(test)]
+        if cost_aware
+            .is_none_or(|e| e.prices.iter().all(|p| *p == e.prices[0]) && e.penalty.is_free())
+        {
+            assert_eq!(site, self.least_loaded_site(), "broker pick diverged from its oracle");
+        }
+        site
     }
 
     /// Probe API: the broker's current site choice at `now`, exactly as
@@ -1395,16 +1390,14 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
 
     let site = w.refresh_load_model(now);
     w.scheduler.set_upload_queue_state(w.sites[site].up.queues.queued_bytes());
-    // Built from direct field borrows (not `load_view`) so the borrow
-    // checker sees the snapshot and `w.scheduler`/`w.est` as disjoint.
-    let load = LoadModel {
+    let load = load_model(
         now,
-        ic_free_secs: &w.ic_free_buf,
-        ec_free_secs: &w.ec_free_buf,
-        upload_backlog_bytes: w.sites[site].up.backlog_bytes(),
-        download_backlog_bytes: w.sites[site].down.backlog_bytes(),
-        outstanding_est_completions: w.outstanding.values(),
-    };
+        &w.ic_free_buf,
+        &w.ec_free_buf,
+        w.cfg.ic_speed,
+        &w.sites[site],
+        &w.outstanding,
+    );
     let schedule = w.scheduler.schedule_batch(batch_jobs, &load, &w.est);
     if let Some(b) = schedule.sibs {
         w.sites[site].sibs_bounds = Some(b);
@@ -2035,11 +2028,11 @@ fn try_pull_back(w: &mut W, now: SimTime) {
                     let wait = w.est.upload_secs(now, backlog);
                     let up = w.est.upload_secs(now, bytes);
                     let job = &w.jobs[id.0 as usize];
-                    let exec = w.est.exec_secs_ec(job);
+                    let est = w.est.exec_secs(job);
                     let down = w.est.download_secs(now, w.est.output_bytes(job));
                     w.pb_cands.push(PullBackCandidate {
-                        est_remaining_ec_secs: wait + up + exec + down,
-                        est_ic_reexec_secs: w.est.exec_secs_ic(job),
+                        est_remaining_ec_secs: wait + up + est / s.speed + down,
+                        est_ic_reexec_secs: est / w.cfg.ic_speed,
                         not_yet_running: true,
                     });
                     w.pb_meta.push((si, class, id));
@@ -2097,20 +2090,9 @@ fn try_push_out(w: &mut W, now: SimTime) {
     // anchor re-base), keeping one sweep depth-flat.
     let speed = w.cfg.ic_speed;
     fill_running_free(&w.est_exec, &mut w.ic_free_buf, &w.ic, speed, now);
+    let tail = drain_prefix(&mut w.fluid, &mut w.ic_free_buf, &w.ic);
     w.po_waiting.clear();
-    if q > DRAIN_WINDOW {
-        let tail_ticks: u64 = w.ic.queued_tail(DRAIN_WINDOW).map(|(_, t)| t).sum();
-        let prefix_secs =
-            SimDuration::from_micros(w.ic.queued_cost_ticks() - tail_ticks).as_secs_f64();
-        if w.fluid.fill(&mut w.ic_free_buf, prefix_secs, DEAD_FREE_SECS).is_some() {
-            w.po_waiting.extend(w.ic.queued_tail(DRAIN_WINDOW).map(|(key, _)| key));
-        }
-    }
-    if w.po_waiting.is_empty() {
-        // At or below the window — or every machine dead (fall back to
-        // the exact full-queue scan; depth-flatness is moot then).
-        w.po_waiting.extend(w.ic.queued_keys());
-    }
+    w.po_waiting.extend(w.ic.queued_tail(tail).map(|(key, _)| key));
     w.ft_index.reset_from(&w.ic_free_buf);
     let mut ahead_max: f64 = live_max(&w.ic_free_buf);
     w.po_slack.clear();
@@ -2126,9 +2108,11 @@ fn try_push_out(w: &mut W, now: SimTime) {
     }
     // Tail-first scan. The upload rate at `now` is read once
     // (`upload_secs(now, b)` is `b / upload_rate(now)` bit for bit), and a
-    // job's execution and download estimates only when its upload leg
-    // alone fits its slack (the exact floor of `push_out_candidate`).
+    // job's execution (at the broker site's speed) and download estimates
+    // only when its upload leg alone fits its slack (the exact floor of
+    // `push_out_candidate`).
     let rate = w.est.upload_rate(now);
+    let ec_speed = w.sites[site].speed;
     let job_at = |i: usize| &w.jobs[w.po_waiting[i].0 as usize];
     let pick = push_out_candidate(
         now,
@@ -2136,11 +2120,11 @@ fn try_push_out(w: &mut W, now: SimTime) {
         |i| job_at(i).input_bytes() as f64 / rate,
         |i, up| {
             let job = job_at(i);
-            up + w.est.exec_secs_ec(job) + w.est.download_secs(now, w.est.output_bytes(job))
+            up + w.est.exec_secs(job) / ec_speed + w.est.download_secs(now, w.est.output_bytes(job))
         },
     );
     #[cfg(test)]
-    assert_push_out_queue_matches_oracle(w, now, speed, pick);
+    assert_push_out_queue_matches_oracle(w, now, site, pick);
     let Some(k) = pick else {
         return;
     };
@@ -2162,10 +2146,11 @@ fn try_push_out(w: &mut W, now: SimTime) {
 /// independently recomputed fluid prefix above it) and the per-job linear
 /// min-scan, then asserts the indexed path produced the identical pool,
 /// bitwise-identical slacks and drain state, and — from every job's full
-/// round trip — (a) the pick of a plain tail-first scan and (b) no job
-/// whose upload floor misses its slack while its round trip fits.
+/// round trip to `site` — (a) the pick of a plain tail-first scan and (b)
+/// no job whose upload floor misses its slack while its round trip fits.
 #[cfg(test)]
-fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64, pick: Option<usize>) {
+fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, site: usize, pick: Option<usize>) {
+    let speed = w.cfg.ic_speed;
     let mut free = w.est_running_free_secs(&w.ic, speed, now);
     let q = w.ic.queued();
     let mut expected: Vec<JobId> = Vec::new();
@@ -2192,7 +2177,7 @@ fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, speed: f64, pick: O
         let slack = eq1_slack(now, ahead_max);
         let job = &w.jobs[id.0 as usize];
         let up = w.est.upload_secs(now, job.input_bytes());
-        let exec = w.est.exec_secs_ec(job);
+        let exec = w.est.exec_secs(job) / w.sites[site].speed;
         let down = w.est.download_secs(now, w.est.output_bytes(job));
         full.push((slack, up, up + exec + down));
         let est = w.est_exec[id.0 as usize];
@@ -2891,6 +2876,118 @@ mod tests {
         got.flush_refit();
         want.flush_refit();
         assert_eq!(got.predict(&x).to_bits(), want.predict(&x).to_bits(), "refit after site 1");
+    }
+
+    #[test]
+    fn an_extra_site_is_planned_at_its_own_speed() {
+        // The primary EC runs at `ec_speed` 1.0 and costs $10/h; the extra
+        // site runs at 4.0 and costs $1/h, so the cost-aware broker sends
+        // the first batch there. A wide 0.01-speed IC bursts most jobs and
+        // keeps idle machines and an empty queue, so pull-back evaluates
+        // the jobs queued at the fast site's upload pipe.
+        let mut cfg = small_cfg(SchedulerKind::Greedy, 10);
+        cfg.n_ic = 50;
+        cfg.ic_speed = 0.01;
+        cfg.arrivals.jobs_per_batch = 12.0;
+        cfg.extra_ec_sites = vec![EcSiteConfig {
+            n_machines: 1,
+            speed: 4.0,
+            upload_model: cfg.upload_model.clone(),
+            download_model: cfg.download_model.clone(),
+            price: Some(PriceModel::flat(Money::from_usd(1))),
+        }];
+        cfg.econ = Some(cloudburst_econ::EconConfig {
+            primary_price: Some(PriceModel::flat(Money::from_usd(10))),
+            broker: BrokerPolicy::CostAware,
+            ..cloudburst_econ::EconConfig::dormant()
+        });
+        assert_eq!(cfg.ec_speed, 1.0);
+        let speed = cfg.extra_ec_sites[0].speed;
+        let rngs = RngFactory::new(cfg.seed);
+        let batches = BatchArrivals::new(cfg.arrivals.clone()).generate(&rngs, &cfg.truth);
+        let mut h = EngineHarness::new(&cfg, batches);
+        while h.world().jobs.is_empty() {
+            assert!(h.step(), "no batch arrived");
+        }
+        let now = h.now();
+        let w = h.world_mut();
+        let bursts = w.timelines.iter().filter(|t| t.placement == Placement::External).count();
+        assert!(bursts >= 2, "{bursts} bursts");
+        assert_eq!(w.sites[1].up.link.in_flight(), 1, "the batch went to the fast site");
+
+        // Planned onto it: the batch's first burst meets an idle site with
+        // nothing ahead of its upload, so its committed completion is
+        // `now + up + est / 4.0 + down`.
+        let first = w.timelines.iter().position(|t| t.placement == Placement::External);
+        let first = first.expect("a burst");
+        let job = &w.jobs[first];
+        let est = w.est_exec[first];
+        let up = w.est.upload_secs(now, job.input_bytes());
+        let exec = est / speed;
+        let dl_at = now + SimDuration::from_secs_f64(0.0 + up + exec);
+        let down = w.est.download_secs(dl_at, w.est.output_bytes(job));
+        let planned = now + SimDuration::from_secs_f64(up.max(0.0) + exec + down);
+        assert_eq!(w.est_completion[first], Some(planned), "the EC leg is not est / 4.0");
+
+        // Queued at it: the head of the site's upload queue is a pull-back
+        // candidate whose remaining EC time carries the same leg.
+        assert!(matches!(w.ic.boundary(), b if b.idle > 0 && b.queued == 0));
+        try_pull_back(w, now);
+        assert_eq!(w.n_pull_backs, 0, "a 0.01-speed IC reclaims nothing");
+        assert_eq!(w.pb_meta.len(), 1);
+        let (si, _, id) = w.pb_meta[0];
+        assert_eq!(si, 1);
+        let job = &w.jobs[id.0 as usize];
+        let est = w.est.exec_secs(job);
+        let wait = w.est.upload_secs(now, w.sites[1].up.link.remaining_bytes());
+        let up = w.est.upload_secs(now, job.input_bytes());
+        let down = w.est.download_secs(now, w.est.output_bytes(job));
+        assert_eq!(
+            w.pb_cands[0].est_remaining_ec_secs.to_bits(),
+            (wait + up + est / speed + down).to_bits(),
+            "the queued job's EC leg is not est / 4.0"
+        );
+    }
+
+    #[test]
+    fn drain_prefix_replays_the_window_or_the_whole_queue() {
+        // Two machines, every job estimated at 2 s on them; the first two
+        // run, the rest queue.
+        let n = 2 + DRAIN_WINDOW + 7;
+        let est_exec = vec![2.0; n];
+        let now = SimTime::ZERO;
+        let mut cloud: Cloud<JobId> = Cloud::homogeneous("drain", 2, 1.0);
+        let submit = |cloud: &mut Cloud<JobId>, ids: std::ops::Range<usize>| {
+            for k in ids {
+                let id = JobId(k as u64);
+                cloud.submit_weighted(now, id, 2.0, drain_cost_ticks(&est_exec, id, 1.0));
+            }
+        };
+        let mut fluid = FluidScratch::new();
+        let mut free = Vec::new();
+
+        // Within the window: the whole queue replays, no fluid is poured.
+        submit(&mut cloud, 0..12);
+        fill_running_free(&est_exec, &mut free, &cloud, 1.0, now);
+        assert_eq!(free, [2.0, 2.0]);
+        assert_eq!(drain_prefix(&mut fluid, &mut free, &cloud), 10);
+        assert_eq!(free, [2.0, 2.0]);
+
+        // Past it: the 7 jobs ahead of the window pour 14 s of fluid onto
+        // the two 2 s bases, a common level of 9 s.
+        submit(&mut cloud, 12..n);
+        assert_eq!(cloud.queued(), DRAIN_WINDOW + 7);
+        fill_running_free(&est_exec, &mut free, &cloud, 1.0, now);
+        assert_eq!(drain_prefix(&mut fluid, &mut free, &cloud), DRAIN_WINDOW);
+        assert_eq!(free, [9.0, 9.0]);
+
+        // Every machine dead: no live base takes the fluid, so the whole
+        // queue replays and the sentinels stay.
+        cloud.fail_machine(now, MachineId(0));
+        cloud.fail_machine(now, MachineId(1));
+        fill_running_free(&est_exec, &mut free, &cloud, 1.0, now);
+        assert_eq!(drain_prefix(&mut fluid, &mut free, &cloud), DRAIN_WINDOW + 7);
+        assert_eq!(free, [DEAD_FREE_SECS, DEAD_FREE_SECS]);
     }
 
     #[test]

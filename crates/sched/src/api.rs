@@ -6,7 +6,7 @@ use cloudburst_sim::{SimDuration, SimTime};
 use cloudburst_workload::Job;
 use serde::{Deserialize, Serialize};
 
-use crate::estimates::EstimateProvider;
+use crate::estimates::{upload_exec_at_rate, EstimateProvider};
 use crate::freetime::FreeTimeIndex;
 
 /// Where a job was placed (the decision variable `d_i` of Sec. II-A).
@@ -34,6 +34,12 @@ pub struct LoadModel<'a> {
     pub ic_free_secs: &'a [f64],
     /// Same for the EC machines.
     pub ec_free_secs: &'a [f64],
+    /// IC machine speed relative to a standard machine: a job estimated at
+    /// `e` standard seconds runs `e / ic_speed` seconds on the IC.
+    pub ic_speed: f64,
+    /// Machine speed of the EC site the snapshot describes (the site the
+    /// batch's bursts go to).
+    pub ec_speed: f64,
     /// Bytes queued ahead in the upload direction.
     pub upload_backlog_bytes: u64,
     /// Bytes queued ahead in the download direction.
@@ -55,10 +61,10 @@ impl LoadModel<'_> {
     }
 }
 
-/// Owned backing storage for a [`LoadModel`]. The engine keeps one of
-/// these and refreshes it in place each decision; tests build one, tweak
-/// the fields, and call [`LoadModelBuf::as_model`].
-#[derive(Clone, Debug, Default)]
+/// Owned backing storage for a [`LoadModel`]: tests and benches build one
+/// (usually from [`LoadModelBuf::idle`]), tweak the fields, and call
+/// [`LoadModelBuf::as_model`].
+#[derive(Clone, Debug)]
 pub struct LoadModelBuf {
     /// Decision instant.
     pub now: SimTime,
@@ -66,6 +72,10 @@ pub struct LoadModelBuf {
     pub ic_free_secs: Vec<f64>,
     /// Per-EC-machine estimated seconds until free.
     pub ec_free_secs: Vec<f64>,
+    /// IC machine speed.
+    pub ic_speed: f64,
+    /// EC machine speed.
+    pub ec_speed: f64,
     /// Bytes queued ahead in the upload direction.
     pub upload_backlog_bytes: u64,
     /// Bytes queued ahead in the download direction.
@@ -75,12 +85,15 @@ pub struct LoadModelBuf {
 }
 
 impl LoadModelBuf {
-    /// An idle system with the given pool sizes (convenient for tests).
+    /// An idle system of standard-speed machines with the given pool sizes
+    /// (convenient for tests).
     pub fn idle(now: SimTime, n_ic: usize, n_ec: usize) -> LoadModelBuf {
         LoadModelBuf {
             now,
             ic_free_secs: vec![0.0; n_ic],
             ec_free_secs: vec![0.0; n_ec],
+            ic_speed: 1.0,
+            ec_speed: 1.0,
             upload_backlog_bytes: 0,
             download_backlog_bytes: 0,
             outstanding_est_completions: Vec::new(),
@@ -93,6 +106,8 @@ impl LoadModelBuf {
             now: self.now,
             ic_free_secs: &self.ic_free_secs,
             ec_free_secs: &self.ec_free_secs,
+            ic_speed: self.ic_speed,
+            ec_speed: self.ec_speed,
             upload_backlog_bytes: self.upload_backlog_bytes,
             download_backlog_bytes: self.download_backlog_bytes,
             outstanding_est_completions: &self.outstanding_est_completions,
@@ -170,7 +185,9 @@ pub trait BurstScheduler {
 /// (`est_secs`, [`EstimateProvider::exec_secs`]) from the caller, so a job
 /// is predicted once however many times it is planned. The decision
 /// instant is fixed for the planner's life, so the upload rate at it is
-/// read once, at construction.
+/// read once, at construction. Execution legs divide that estimate by the
+/// snapshot's pool speeds ([`LoadModel::ic_speed`],
+/// [`LoadModel::ec_speed`]).
 ///
 /// The planned per-machine free-times live in two [`FreeTimeIndex`]
 /// tournament trees, so the earliest-free read behind `ft_ic`/`ft_ec` is
@@ -186,6 +203,8 @@ pub struct Planner<'a> {
     now: SimTime,
     ic_free: FreeTimeIndex,
     ec_free: FreeTimeIndex,
+    ic_speed: f64,
+    ec_speed: f64,
     /// [`EstimateProvider::upload_rate`] at `now`.
     upload_rate: f64,
     upload_backlog_secs: f64,
@@ -216,6 +235,8 @@ impl<'a> Planner<'a> {
             now: load.now,
             ic_free,
             ec_free,
+            ic_speed: load.ic_speed,
+            ec_speed: load.ec_speed,
             upload_rate,
             upload_backlog_secs,
             slack_anchor: load.outstanding_est_completions.iter().copied().max(),
@@ -225,7 +246,7 @@ impl<'a> Planner<'a> {
     /// `ft^ic(i, S)`: estimated completion instant if a job estimated at
     /// `est_secs` were scheduled in the IC right now.
     pub fn ft_ic(&self, est_secs: f64) -> SimTime {
-        self.ic_finish(est_secs / self.est.ic_speed)
+        self.ic_finish(est_secs / self.ic_speed)
     }
 
     /// `ft^ec(i, S)`: estimated completion instant if `job` were bursted
@@ -247,7 +268,7 @@ impl<'a> Planner<'a> {
     /// download prediction (the costliest leg) is read only when the floor
     /// fits.
     pub fn ec_floor(&self, job: &Job, est_secs: f64) -> SimTime {
-        let (up, exec) = self.est.upload_exec_at_rate(job, est_secs, self.upload_rate);
+        let (up, exec) = upload_exec_at_rate(job, est_secs, self.ec_speed, self.upload_rate);
         self.now + SimDuration::from_secs_f64(self.ec_done_secs(self.upload_backlog_secs, up, exec))
     }
 
@@ -277,6 +298,7 @@ impl<'a> Planner<'a> {
             self.now,
             job,
             est_secs,
+            self.ec_speed,
             self.upload_backlog_secs,
             self.upload_rate,
         )
@@ -295,7 +317,7 @@ impl<'a> Planner<'a> {
         let ft = match placement {
             Placement::Internal => {
                 debug_assert!(!self.ic_free.is_empty(), "IC has machines");
-                let exec = est_secs / self.est.ic_speed;
+                let exec = est_secs / self.ic_speed;
                 let ft = self.ic_finish(exec);
                 self.ic_free.fcfs_commit(exec);
                 ft
@@ -427,6 +449,8 @@ mod tests {
         now: SimTime,
         ic_free: Vec<f64>,
         ec_free: Vec<f64>,
+        ic_speed: f64,
+        ec_speed: f64,
         upload_backlog_secs: f64,
         slack_anchor: Option<SimTime>,
     }
@@ -443,13 +467,15 @@ mod tests {
                 now: load.now,
                 ic_free: load.ic_free_secs.to_vec(),
                 ec_free: load.ec_free_secs.to_vec(),
+                ic_speed: load.ic_speed,
+                ec_speed: load.ec_speed,
                 upload_backlog_secs,
                 slack_anchor: load.outstanding_est_completions.iter().copied().max(),
             }
         }
 
         fn ft_ic(&self, job: &Job) -> SimTime {
-            let exec = self.est.exec_secs_ic(job);
+            let exec = self.est.exec_secs(job) / self.ic_speed;
             let free = self.ic_free.iter().copied().fold(f64::INFINITY, f64::min);
             self.now + SimDuration::from_secs_f64(free + exec)
         }
@@ -459,6 +485,7 @@ mod tests {
                 self.now,
                 job,
                 self.est.exec_secs(job),
+                self.ec_speed,
                 self.upload_backlog_secs,
             );
             let arrive_ec = wait + up;
@@ -471,7 +498,7 @@ mod tests {
             let ft = match placement {
                 Placement::Internal => {
                     let ft = self.ft_ic(job);
-                    let exec = self.est.exec_secs_ic(job);
+                    let exec = self.est.exec_secs(job) / self.ic_speed;
                     let (idx, _) = self
                         .ic_free
                         .iter()
@@ -487,6 +514,7 @@ mod tests {
                         self.now,
                         job,
                         self.est.exec_secs(job),
+                        self.ec_speed,
                         self.upload_backlog_secs,
                     );
                     let arrive_ec = wait + up;

@@ -79,10 +79,6 @@ pub struct EstimateProvider {
     /// Assumed output/input size ratio for jobs that have not run yet (the
     /// true output size is only known at completion).
     pub output_ratio: f64,
-    /// EC machine speed relative to a standard machine.
-    pub ec_speed: f64,
-    /// IC machine speed relative to a standard machine.
-    pub ic_speed: f64,
 }
 
 impl EstimateProvider {
@@ -102,8 +98,6 @@ impl EstimateProvider {
             down_tuner: ThreadTuner::hourly(),
             kappa: DEFAULT_KAPPA,
             output_ratio: 0.5,
-            ec_speed: 1.0,
-            ic_speed: 1.0,
         }
     }
 
@@ -124,19 +118,12 @@ impl EstimateProvider {
 
     /// Estimated execution seconds for `job` on a standard machine.
     /// Heap-allocation-free: the regressors live on the stack and the model
-    /// evaluates term-by-term without materializing a design row.
+    /// evaluates term-by-term without materializing a design row. A pool
+    /// of machine speed `s` runs it in `exec_secs(job) / s` seconds; the
+    /// speeds belong to the pools (see `LoadModel::ic_speed`), not to the
+    /// provider.
     pub fn exec_secs(&self, job: &Job) -> f64 {
         self.qrsm.predict(job.features.job_type.code() as u64, &job.features.regressors_arr())
-    }
-
-    /// Estimated execution seconds on an IC machine.
-    pub fn exec_secs_ic(&self, job: &Job) -> f64 {
-        self.exec_secs(job) / self.ic_speed
-    }
-
-    /// Estimated execution seconds on an EC machine.
-    pub fn exec_secs_ec(&self, job: &Job) -> f64 {
-        self.exec_secs(job) / self.ec_speed
     }
 
     /// Estimated output size for a job that has not run.
@@ -165,17 +152,20 @@ impl EstimateProvider {
     }
 
     /// The full estimated EC round trip for a job estimated at `est_secs`
-    /// standard-machine seconds ([`EstimateProvider::exec_secs`]) if its
-    /// upload started at `t` with `upload_backlog_secs` of queued work
-    /// ahead of it: `(upload_wait, upload, exec, download)` seconds.
+    /// standard-machine seconds ([`EstimateProvider::exec_secs`]) on an EC
+    /// site of machine speed `ec_speed`, if its upload started at `t` with
+    /// `upload_backlog_secs` of queued work ahead of it:
+    /// `(upload_wait, upload, exec, download)` seconds.
     pub fn round_trip_parts(
         &self,
         t: SimTime,
         job: &Job,
         est_secs: f64,
+        ec_speed: f64,
         upload_backlog_secs: f64,
     ) -> (f64, f64, f64, f64) {
-        self.round_trip_parts_at_rate(t, job, est_secs, upload_backlog_secs, self.upload_rate(t))
+        let rate = self.upload_rate(t);
+        self.round_trip_parts_at_rate(t, job, est_secs, ec_speed, upload_backlog_secs, rate)
     }
 
     /// As [`EstimateProvider::round_trip_parts`], with the upload rate at
@@ -187,22 +177,28 @@ impl EstimateProvider {
         t: SimTime,
         job: &Job,
         est_secs: f64,
+        ec_speed: f64,
         upload_backlog_secs: f64,
         upload_rate: f64,
     ) -> (f64, f64, f64, f64) {
-        let (up, exec) = self.upload_exec_at_rate(job, est_secs, upload_rate);
+        let (up, exec) = upload_exec_at_rate(job, est_secs, ec_speed, upload_rate);
         // Download is predicted at the time it will plausibly start.
         let dl_at = t + cloudburst_sim::SimDuration::from_secs_f64(upload_backlog_secs + up + exec);
         let down = self.download_secs(dl_at, self.output_bytes(job));
         (upload_backlog_secs, up, exec, down)
     }
+}
 
-    /// The upload and EC execution legs of
-    /// [`EstimateProvider::round_trip_parts_at_rate`], bit for bit: the
-    /// part of a round trip that needs no download prediction.
-    pub(crate) fn upload_exec_at_rate(&self, job: &Job, est_secs: f64, upload_rate: f64) -> (f64, f64) {
-        (job.input_bytes() as f64 / upload_rate, est_secs / self.ec_speed)
-    }
+/// The upload and EC execution legs of
+/// [`EstimateProvider::round_trip_parts_at_rate`], bit for bit: the part of
+/// a round trip that needs no download prediction.
+pub(crate) fn upload_exec_at_rate(
+    job: &Job,
+    est_secs: f64,
+    ec_speed: f64,
+    upload_rate: f64,
+) -> (f64, f64) {
+    (job.input_bytes() as f64 / upload_rate, est_secs / ec_speed)
 }
 
 /// Test-only fixtures shared across this crate's unit tests.
@@ -294,8 +290,9 @@ mod tests {
     fn round_trip_parts_compose() {
         let p = provider();
         let j = job(50);
-        let (wait, up, exec, down) = p.round_trip_parts(SimTime::ZERO, &j, p.exec_secs(&j), 120.0);
-        assert_eq!(exec.to_bits(), p.exec_secs_ec(&j).to_bits());
+        let (wait, up, exec, down) =
+            p.round_trip_parts(SimTime::ZERO, &j, p.exec_secs(&j), 1.0, 120.0);
+        assert_eq!(exec.to_bits(), p.exec_secs(&j).to_bits());
         assert_eq!(wait, 120.0);
         assert!(up > 0.0 && exec > 0.0 && down > 0.0);
         // Download of half the bytes at equal rates is about half the upload.
@@ -314,11 +311,11 @@ mod tests {
 
     #[test]
     fn ec_speed_scales_remote_exec() {
-        let mut p = provider();
+        let p = provider();
         let j = job(80);
-        let base = p.exec_secs_ec(&j);
-        p.ec_speed = 2.0;
-        assert!((p.exec_secs_ec(&j) - base / 2.0).abs() < 1e-9);
-        assert_eq!(p.exec_secs_ic(&j), p.exec_secs(&j));
+        let est = p.exec_secs(&j);
+        let exec_at = |speed| p.round_trip_parts(SimTime::ZERO, &j, est, speed, 0.0).2;
+        assert_eq!(exec_at(1.0).to_bits(), est.to_bits());
+        assert_eq!(exec_at(2.0).to_bits(), (est / 2.0).to_bits());
     }
 }

@@ -69,6 +69,7 @@ impl BurstScheduler for SibsScheduler {
                     load.now,
                     &s.job,
                     s.est_secs,
+                    load.ec_speed,
                     backlog_secs,
                     upload_rate,
                 );
@@ -77,7 +78,7 @@ impl BurstScheduler for SibsScheduler {
                     t_up: up,
                     e_ec: exec,
                     t_down: down,
-                    e_ic: s.est_secs / est.ic_speed,
+                    e_ic: s.est_secs / load.ic_speed,
                 }
             })
             .collect();
