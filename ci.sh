@@ -108,7 +108,7 @@ cargo run --release -p cloudburst-conform
 # Waiver ceiling: a refactor may not trade deleted code for new waivers.
 # The ceiling is the count when it was set; a change that lowers the
 # count lowers this number with it.
-MAX_WAIVERS=37
+MAX_WAIVERS=34
 waivers="$(grep -c '^\[\[waiver\]\]' conform.toml)"
 echo "== conformance: $waivers waivers (ceiling $MAX_WAIVERS)"
 if (( waivers > MAX_WAIVERS )); then

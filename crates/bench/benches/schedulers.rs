@@ -6,13 +6,20 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
 use cloudburst_qrsm::{Method, QrsModel};
-use cloudburst_sched::{
-    BurstScheduler, EstimateProvider, GreedyScheduler, IcOnlyScheduler, LoadModelBuf,
-    OrderPreservingScheduler, SibsScheduler,
-};
+use cloudburst_sched::{schedule_batch, EstimateProvider, LoadModelBuf, SchedulerKind};
 use cloudburst_sim::{RngFactory, SimDuration, SimTime};
 use cloudburst_workload::arrival::training_corpus;
-use cloudburst_workload::{ArrivalConfig, BatchArrivals, GroundTruth, Job, SizeBucket};
+use cloudburst_workload::{
+    ArrivalConfig, BatchArrivals, ChunkPolicy, GroundTruth, Job, SizeBucket,
+};
+
+/// The benched kinds; each point's id is the kind's report label.
+const KINDS: [SchedulerKind; 4] = [
+    SchedulerKind::IcOnly,
+    SchedulerKind::Greedy,
+    SchedulerKind::OrderPreserving,
+    SchedulerKind::Sibs,
+];
 
 fn provider(rngs: &RngFactory, truth: &GroundTruth) -> EstimateProvider {
     let corpus = training_corpus(&mut rngs.stream("train"), truth, 300);
@@ -40,33 +47,17 @@ fn fixture(batch_size: f64) -> (EstimateProvider, Vec<Job>, LoadModelBuf) {
 }
 
 fn bench_schedulers(c: &mut Criterion) {
+    let policy = ChunkPolicy::default();
     for batch in [15usize, 60, 240] {
         let (est, jobs, load) = fixture(batch as f64);
         let mut group = c.benchmark_group(format!("sched/batch_{batch}"));
-        group.bench_function(BenchmarkId::from_parameter("ic-only"), |b| {
-            b.iter(|| {
-                let mut s = IcOnlyScheduler::new();
-                black_box(s.schedule_batch(jobs.clone(), &load.as_model(), &est))
-            })
-        });
-        group.bench_function(BenchmarkId::from_parameter("greedy"), |b| {
-            b.iter(|| {
-                let mut s = GreedyScheduler::new();
-                black_box(s.schedule_batch(jobs.clone(), &load.as_model(), &est))
-            })
-        });
-        group.bench_function(BenchmarkId::from_parameter("op"), |b| {
-            b.iter(|| {
-                let mut s = OrderPreservingScheduler::default();
-                black_box(s.schedule_batch(jobs.clone(), &load.as_model(), &est))
-            })
-        });
-        group.bench_function(BenchmarkId::from_parameter("op+sibs"), |b| {
-            b.iter(|| {
-                let mut s = SibsScheduler::default();
-                black_box(s.schedule_batch(jobs.clone(), &load.as_model(), &est))
-            })
-        });
+        for kind in KINDS {
+            group.bench_function(BenchmarkId::from_parameter(kind.label()), |b| {
+                b.iter(|| {
+                    black_box(schedule_batch(kind, &policy, jobs.clone(), &load.as_model(), &est))
+                })
+            });
+        }
         group.finish();
     }
 }
@@ -93,20 +84,17 @@ fn megascale_fixture() -> (EstimateProvider, Vec<Job>, LoadModelBuf) {
 
 fn bench_megascale_admission(c: &mut Criterion) {
     let (est, jobs, load) = megascale_fixture();
+    let policy = ChunkPolicy::default();
     let mut group = c.benchmark_group("sched/megascale_batch");
-    let mut point = |name: &str, make: fn() -> Box<dyn BurstScheduler>| {
-        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+    for kind in KINDS {
+        group.bench_function(BenchmarkId::from_parameter(kind.label()), |b| {
             b.iter_batched(
-                || (make(), jobs.clone()),
-                |(mut s, batch)| s.schedule_batch(batch, &load.as_model(), &est),
+                || jobs.clone(),
+                |batch| schedule_batch(kind, &policy, batch, &load.as_model(), &est),
                 BatchSize::LargeInput,
             )
         });
-    };
-    point("ic-only", || Box::new(IcOnlyScheduler::new()));
-    point("greedy", || Box::new(GreedyScheduler::new()));
-    point("op", || Box::new(OrderPreservingScheduler::default()));
-    point("op+sibs", || Box::new(SibsScheduler::default()));
+    }
     group.finish();
 }
 

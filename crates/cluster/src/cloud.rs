@@ -242,11 +242,6 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
         self.queue.len()
     }
 
-    /// Keys of queued jobs in FCFS order (scheduler-observable state).
-    pub fn queued_keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.queue.iter().map(|q| q.key)
-    }
-
     /// Total declared drain cost of the queue, in integer microsecond
     /// ticks — O(1), maintained across submit/dispatch/cancel. Feeds the
     /// engine's fluid-prefix drain (DESIGN.md §7).
@@ -556,7 +551,8 @@ mod tests {
             assert_eq!(c.cancel_queued(key), None, "a cancelled key is gone");
         }
         let want: Vec<u32> = (2..2_000).filter(|k| ![1_990, 1_999, 1_500, 3].contains(k)).collect();
-        assert_eq!(c.queued_keys().collect::<Vec<_>>(), want, "FCFS order of the rest");
+        let keys: Vec<u32> = c.queued_detail().map(|(k, _)| k).collect();
+        assert_eq!(keys, want, "FCFS order of the rest");
         let rescan: u64 = c.queued_detail().map(|(_, t)| t).sum();
         let closed_form: u64 = want.iter().map(|&k| 3 + 7 * k as u64).sum();
         assert_eq!(c.queued_cost_ticks(), rescan);
@@ -564,7 +560,8 @@ mod tests {
         // Dispatch still pops the FCFS head.
         let done = c.advance(SimTime::from_secs(2));
         assert_eq!(done.iter().map(|d| d.key).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(c.queued_keys().take(2).collect::<Vec<_>>(), vec![5, 6], "2 and 4 started");
+        let head: Vec<u32> = c.queued_detail().take(2).map(|(k, _)| k).collect();
+        assert_eq!(head, vec![5, 6], "2 and 4 started");
     }
 
     #[test]
@@ -607,12 +604,12 @@ mod tests {
     }
 
     #[test]
-    fn queued_keys_reflect_fcfs_order() {
+    fn queued_detail_keys_reflect_fcfs_order() {
         let mut c: Cloud<u32> = Cloud::homogeneous("ic", 1, 1.0);
         c.submit(SimTime::ZERO, 1, 10.0);
         c.submit(SimTime::ZERO, 2, 10.0);
         c.submit(SimTime::ZERO, 3, 10.0);
-        assert_eq!(c.queued_keys().collect::<Vec<_>>(), vec![2, 3]);
+        assert_eq!(c.queued_detail().map(|(k, _)| k).collect::<Vec<_>>(), vec![2, 3]);
     }
 
     #[test]

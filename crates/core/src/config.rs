@@ -13,37 +13,9 @@ use cloudburst_sim::SimDuration;
 use cloudburst_sla::{OoConfig, WindowConfig};
 use cloudburst_workload::{ArrivalConfig, ChunkPolicy, GroundTruth, OpenArrivalConfig, SizeBucket};
 
-/// Which scheduler drives the run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SchedulerKind {
-    /// Baseline: never burst.
-    IcOnly,
-    /// Algorithm 1.
-    Greedy,
-    /// Algorithm 2.
-    OrderPreserving,
-    /// Algorithm 2 without the chunking phase (ablation).
-    OrderPreservingNoChunk,
-    /// Algorithm 2 + Algorithm 3 upload routing.
-    Sibs,
-}
-
-impl SchedulerKind {
-    /// Label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::IcOnly => "ic-only",
-            SchedulerKind::Greedy => "greedy",
-            SchedulerKind::OrderPreserving => "op",
-            SchedulerKind::OrderPreservingNoChunk => "op-nochunk",
-            SchedulerKind::Sibs => "op+sibs",
-        }
-    }
-
-    /// The scheduler line-up compared in Fig. 6.
-    pub const FIG6: [SchedulerKind; 3] =
-        [SchedulerKind::IcOnly, SchedulerKind::Greedy, SchedulerKind::OrderPreserving];
-}
+/// Which scheduler drives the run (defined next to the one batch planner
+/// it keys, `cloudburst_sched::schedule_batch`).
+pub use cloudburst_sched::SchedulerKind;
 
 /// QRSM fitting method selector (mirrors `cloudburst_qrsm::Method`, kept
 /// separate so configs serialize without foreign types).
@@ -307,12 +279,6 @@ mod tests {
         assert_eq!(c.arrivals.jobs_per_batch, 15.0);
         assert_eq!(c.arrivals.batch_interval, SimDuration::from_mins(3));
         assert_eq!(c.oo.sample_interval, SimDuration::from_mins(2));
-    }
-
-    #[test]
-    fn labels() {
-        assert_eq!(SchedulerKind::Sibs.label(), "op+sibs");
-        assert_eq!(SchedulerKind::FIG6.len(), 3);
     }
 
     #[test]

@@ -33,9 +33,8 @@ use cloudburst_sched::resched::{
     eq1_slack, pull_back_candidate, push_out_candidate, PullBackCandidate,
 };
 use cloudburst_sched::{
-    BurstScheduler, EstimateProvider, FreeTimeIndex, GreedyScheduler, IcOnlyScheduler, LoadModel,
-    OrderPreservingScheduler, OutstandingSet, Placement, ScheduledJob,
-    SibsScheduler,
+    schedule_batch, EstimateProvider, FreeTimeIndex, LoadModel, OutstandingSet, Placement,
+    ScheduledJob,
 };
 use cloudburst_sim::{EventId, FxHashMap, RngFactory, Sim, SimDuration, SimTime};
 use cloudburst_sla::{
@@ -219,6 +218,9 @@ struct EcSite {
     speed: f64,
     up: Pipe,
     down: Pipe,
+    /// The latest size-interval bounds a batch planned for this site:
+    /// only `SchedulerKind::Sibs` derives any, so uploads of every other
+    /// kind stay in one queue.
     sibs_bounds: Option<SibsBounds>,
 }
 
@@ -273,6 +275,7 @@ fn load_model<'a>(
         ec_speed: site.speed,
         upload_backlog_bytes: site.up.backlog_bytes(),
         download_backlog_bytes: site.down.backlog_bytes(),
+        upload_queued_bytes: site.up.queues.queued_bytes(),
         outstanding_est_completions: outstanding.values(),
     }
 }
@@ -470,7 +473,6 @@ struct ServeState {
 pub struct EngineWorld {
     cfg: ExperimentConfig,
     est: EstimateProvider,
-    scheduler: Box<dyn BurstScheduler>,
     ic: Cloud<JobId>,
     sites: Vec<EcSite>,
     /// All jobs in final (post-chunking) FCFS id order.
@@ -570,19 +572,6 @@ impl EngineWorld {
         est.kappa = cfg.kappa;
 
         let sibs = cfg.scheduler == SchedulerKind::Sibs;
-        let scheduler: Box<dyn BurstScheduler> = match cfg.scheduler {
-            SchedulerKind::IcOnly => Box::new(IcOnlyScheduler::new()),
-            SchedulerKind::Greedy => Box::new(GreedyScheduler::new()),
-            SchedulerKind::OrderPreserving => {
-                Box::new(OrderPreservingScheduler::new(cfg.chunk_policy.clone()))
-            }
-            SchedulerKind::OrderPreservingNoChunk => {
-                Box::new(OrderPreservingScheduler::new(cfg.chunk_policy.clone()).without_chunking())
-            }
-            SchedulerKind::Sibs => Box::new(SibsScheduler::new(OrderPreservingScheduler::new(
-                cfg.chunk_policy.clone(),
-            ))),
-        };
 
         // The primary EC site from the main config, plus any extras.
         let mut site_cfgs = vec![EcSiteConfig {
@@ -691,7 +680,6 @@ impl EngineWorld {
             ic: Cloud::homogeneous("ic", cfg.n_ic, cfg.ic_speed),
             sites,
             est,
-            scheduler,
             jobs: Vec::new(),
             est_exec: Vec::new(),
             outstanding: OutstandingSet::new(),
@@ -1025,10 +1013,7 @@ impl EngineWorld {
     }
 
     fn classify(&self, site: usize, bytes: u64) -> SizeClass {
-        match self.sites[site].sibs_bounds {
-            Some(b) if self.cfg.scheduler == SchedulerKind::Sibs => b.classify(bytes),
-            _ => SizeClass::Small,
-        }
+        self.sites[site].sibs_bounds.map_or(SizeClass::Small, |b| b.classify(bytes))
     }
 
     fn report(&self, end: SimTime) -> RunReport {
@@ -1086,7 +1071,7 @@ impl EngineWorld {
             .collect();
         let completion_delays = metrics::completion_delay_series(ct, arrival);
         RunReport {
-            scheduler: self.scheduler.name().to_string(),
+            scheduler: self.cfg.scheduler.label().to_string(),
             bucket: self.cfg.arrivals.bucket.label().to_string(),
             seed: self.cfg.seed,
             n_jobs: self.jobs.len(),
@@ -1191,7 +1176,7 @@ impl EngineWorld {
     fn serve_report(&mut self, end: SimTime) -> ServeReport {
         let faults = self.chaos.as_ref().map(|c| c.metrics.clone()).unwrap_or_default();
         let econ = self.econ.as_ref().map(|e| e.metrics.clone());
-        let scheduler = self.scheduler.name().to_string();
+        let scheduler = self.cfg.scheduler.label().to_string();
         let seed = self.cfg.seed;
         let serve = self.serve.as_mut().expect("serve-mode world");
         let window = serve.windows.config().window;
@@ -1389,7 +1374,6 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     qrsm_barrier(w);
 
     let site = w.refresh_load_model(now);
-    w.scheduler.set_upload_queue_state(w.sites[site].up.queues.queued_bytes());
     let load = load_model(
         now,
         &w.ic_free_buf,
@@ -1398,7 +1382,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         &w.sites[site],
         &w.outstanding,
     );
-    let schedule = w.scheduler.schedule_batch(batch_jobs, &load, &w.est);
+    let schedule = schedule_batch(w.cfg.scheduler, &w.cfg.chunk_policy, batch_jobs, &load, &w.est);
     if let Some(b) = schedule.sibs {
         w.sites[site].sibs_bounds = Some(b);
     }
@@ -1426,7 +1410,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
             s.est_secs.to_bits(),
             w.est.exec_secs(&s.job).to_bits(),
             "{} carried an estimate the QRSM does not give",
-            w.scheduler.name()
+            w.cfg.scheduler.label()
         );
         if s.job.is_chunk() {
             s.job.true_service_secs =
@@ -1491,7 +1475,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
                 shadow.commit(&job, est_secs, placement),
                 est_ct,
                 "{} carried a completion its own plan does not give",
-                w.scheduler.name()
+                w.cfg.scheduler.label()
             );
         }
         // Serving recycles the slot of a completed job (LIFO); closed mode
@@ -2168,7 +2152,7 @@ fn assert_push_out_queue_matches_oracle(w: &W, now: SimTime, site: usize, pick: 
         }
         expected.extend(w.ic.queued_detail().skip(q - DRAIN_WINDOW).map(|(key, _)| key));
     } else {
-        expected.extend(w.ic.queued_keys());
+        expected.extend(w.ic.queued_detail().map(|(key, _)| key));
     }
     assert_eq!(w.po_waiting, expected, "push-out candidate pool diverged from rescan");
     let mut ahead_max: f64 = live_max(&free);
@@ -2845,8 +2829,10 @@ mod tests {
             let w = h.world();
             let cloud = &w.sites[1].cloud;
             let want: u64 = cloud
-                .queued_keys()
-                .map(|k| SimDuration::from_secs_f64(w.est_exec[k.0 as usize] / speed).as_micros())
+                .queued_detail()
+                .map(|(k, _)| {
+                    SimDuration::from_secs_f64(w.est_exec[k.0 as usize] / speed).as_micros()
+                })
                 .sum();
             assert_eq!(cloud.queued_cost_ticks(), want, "site 1 queue cost at {:?}", h.now());
             queued_steps += (cloud.queued() > 0) as usize;

@@ -44,6 +44,9 @@ pub struct LoadModel<'a> {
     pub upload_backlog_bytes: u64,
     /// Bytes queued ahead in the download direction.
     pub download_backlog_bytes: u64,
+    /// Bytes queued in the `(small, medium, large)` upload queues: the
+    /// `s_up/m_up/l_up` inputs of Algorithm 3 (SIBS).
+    pub upload_queued_bytes: (u64, u64, u64),
     /// Estimated completion instants of every previously scheduled,
     /// not-yet-finished job (the scheduler's own past estimates) — the
     /// `T_i` pool for slack computation across batch boundaries. Unordered.
@@ -80,6 +83,8 @@ pub struct LoadModelBuf {
     pub upload_backlog_bytes: u64,
     /// Bytes queued ahead in the download direction.
     pub download_backlog_bytes: u64,
+    /// Bytes queued in the `(small, medium, large)` upload queues.
+    pub upload_queued_bytes: (u64, u64, u64),
     /// Outstanding estimated completion instants, unordered.
     pub outstanding_est_completions: Vec<SimTime>,
 }
@@ -96,6 +101,7 @@ impl LoadModelBuf {
             ec_speed: 1.0,
             upload_backlog_bytes: 0,
             download_backlog_bytes: 0,
+            upload_queued_bytes: (0, 0, 0),
             outstanding_est_completions: Vec::new(),
         }
     }
@@ -110,6 +116,7 @@ impl LoadModelBuf {
             ec_speed: self.ec_speed,
             upload_backlog_bytes: self.upload_backlog_bytes,
             download_backlog_bytes: self.download_backlog_bytes,
+            upload_queued_bytes: self.upload_queued_bytes,
             outstanding_est_completions: &self.outstanding_est_completions,
         }
     }
@@ -152,28 +159,7 @@ impl BatchSchedule {
     }
 }
 
-/// A cloud-bursting scheduler: turns a batch plus a state snapshot into
-/// placements (Sec. IV: "when, where and how much to burst out").
-pub trait BurstScheduler {
-    /// Short label used in reports ("greedy", "op", "op+sibs", "ic-only").
-    fn name(&self) -> &'static str;
-
-    /// Schedules one arriving batch. May split jobs (chunking); must return
-    /// every input job (or its chunks) exactly once, preserving queue order.
-    fn schedule_batch(
-        &mut self,
-        batch: Vec<Job>,
-        load: &LoadModel<'_>,
-        est: &EstimateProvider,
-    ) -> BatchSchedule;
-
-    /// Engine hook: the current `(small, medium, large)` upload-queue byte
-    /// backlogs, refreshed before each batch. Only SIBS cares; the default
-    /// ignores it.
-    fn set_upload_queue_state(&mut self, _queued: (u64, u64, u64)) {}
-}
-
-/// Incremental finish-time planner shared by the schedulers.
+/// Incremental finish-time planner behind every scheduler kind.
 ///
 /// Wraps a [`LoadModel`] and *commits* each placement as it is decided, so
 /// job `i+1`'s estimates see job `i`'s load — the recursive structure of
@@ -294,7 +280,7 @@ impl<'a> Planner<'a> {
     /// The EC round-trip *duration* components for a burst starting now,
     /// `(upload_wait, upload, exec, download)` — inputs to Eq. 2.
     pub fn round_trip_parts(&self, job: &Job, est_secs: f64) -> (f64, f64, f64, f64) {
-        self.est.round_trip_parts_at_rate(
+        self.est.round_trip_parts(
             self.now,
             job,
             est_secs,
@@ -337,11 +323,6 @@ impl<'a> Planner<'a> {
         ft
     }
 
-    /// Decision instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Current planned upload backlog in seconds.
     pub fn upload_backlog_secs(&self) -> f64 {
         self.upload_backlog_secs
@@ -363,6 +344,8 @@ pub(crate) fn initial_upload_backlog_secs(load: &LoadModel<'_>, upload_rate: f64
 mod tests {
     use super::*;
     use crate::estimates::tests_support::provider_and_jobs;
+    use crate::scheduler::{schedule_batch, schedule_batch_floor_free, SchedulerKind};
+    use cloudburst_workload::chunk::ChunkPolicy;
     use proptest::prelude::*;
 
     #[test]
@@ -487,6 +470,7 @@ mod tests {
                 self.est.exec_secs(job),
                 self.ec_speed,
                 self.upload_backlog_secs,
+                self.est.upload_rate(self.now),
             );
             let arrive_ec = wait + up;
             let ec_free = self.ec_free.iter().copied().fold(f64::INFINITY, f64::min);
@@ -516,6 +500,7 @@ mod tests {
                         self.est.exec_secs(job),
                         self.ec_speed,
                         self.upload_backlog_secs,
+                        self.est.upload_rate(self.now),
                     );
                     let arrive_ec = wait + up;
                     self.upload_backlog_secs += up;
@@ -613,9 +598,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// The Eq. 2 floor is exact: `ec_floor ≤ ft_ec` for every job at
-        /// every step of a random commit sequence, and OP's and
-        /// greedy's floored loops place every job and quote every `est_ct`
-        /// exactly as their floor-free references. Covers empty and
+        /// every step of a random commit sequence, and every scheduler
+        /// kind places every job and quotes every `est_ct` exactly as the
+        /// floor-free reference. Covers empty and
         /// saturated EC pools, zero and huge upload backlogs, 1 B to 300 MB
         /// jobs, random decision instants and a different estimator rate in
         /// every hour (so the download leg, read at a later instant than
@@ -685,14 +670,12 @@ mod tests {
                 planner.commit(job, e, placement);
             }
 
-            let op = crate::order_preserving::OrderPreservingScheduler::default();
-            let floored = op.clone().schedule_batch(jobs.clone(), &load, &est);
-            let reference = op.schedule_batch_floor_free(jobs.clone(), &load, &est);
-            prop_assert_eq!(decisions(&floored), decisions(&reference), "op");
-
-            let floored = crate::greedy::GreedyScheduler::new().schedule_batch(jobs.clone(), &load, &est);
-            let reference = crate::greedy::schedule_batch_floor_free(jobs, &load, &est);
-            prop_assert_eq!(decisions(&floored), decisions(&reference), "greedy");
+            let policy = ChunkPolicy::default();
+            for kind in SchedulerKind::ALL {
+                let floored = schedule_batch(kind, &policy, jobs.clone(), &load, &est);
+                let reference = schedule_batch_floor_free(kind, &policy, jobs.clone(), &load, &est);
+                prop_assert_eq!(decisions(&floored), decisions(&reference), "{}", kind.label());
+            }
         }
     }
 

@@ -155,24 +155,11 @@ impl EstimateProvider {
     /// standard-machine seconds ([`EstimateProvider::exec_secs`]) on an EC
     /// site of machine speed `ec_speed`, if its upload started at `t` with
     /// `upload_backlog_secs` of queued work ahead of it:
-    /// `(upload_wait, upload, exec, download)` seconds.
-    pub fn round_trip_parts(
-        &self,
-        t: SimTime,
-        job: &Job,
-        est_secs: f64,
-        ec_speed: f64,
-        upload_backlog_secs: f64,
-    ) -> (f64, f64, f64, f64) {
-        let rate = self.upload_rate(t);
-        self.round_trip_parts_at_rate(t, job, est_secs, ec_speed, upload_backlog_secs, rate)
-    }
-
-    /// As [`EstimateProvider::round_trip_parts`], with the upload rate at
-    /// `t` ([`EstimateProvider::upload_rate`]) read once by the caller:
+    /// `(upload_wait, upload, exec, download)` seconds. `upload_rate` is
+    /// [`EstimateProvider::upload_rate`] at `t`, read once by the caller:
     /// the planner fixes `t` for a whole batch, so it divides by the same
     /// rate for every job.
-    pub fn round_trip_parts_at_rate(
+    pub fn round_trip_parts(
         &self,
         t: SimTime,
         job: &Job,
@@ -190,7 +177,7 @@ impl EstimateProvider {
 }
 
 /// The upload and EC execution legs of
-/// [`EstimateProvider::round_trip_parts_at_rate`], bit for bit: the part of
+/// [`EstimateProvider::round_trip_parts`], bit for bit: the part of
 /// a round trip that needs no download prediction.
 pub(crate) fn upload_exec_at_rate(
     job: &Job,
@@ -290,8 +277,9 @@ mod tests {
     fn round_trip_parts_compose() {
         let p = provider();
         let j = job(50);
+        let t = SimTime::ZERO;
         let (wait, up, exec, down) =
-            p.round_trip_parts(SimTime::ZERO, &j, p.exec_secs(&j), 1.0, 120.0);
+            p.round_trip_parts(t, &j, p.exec_secs(&j), 1.0, 120.0, p.upload_rate(t));
         assert_eq!(exec.to_bits(), p.exec_secs(&j).to_bits());
         assert_eq!(wait, 120.0);
         assert!(up > 0.0 && exec > 0.0 && down > 0.0);
@@ -314,7 +302,8 @@ mod tests {
         let p = provider();
         let j = job(80);
         let est = p.exec_secs(&j);
-        let exec_at = |speed| p.round_trip_parts(SimTime::ZERO, &j, est, speed, 0.0).2;
+        let t = SimTime::ZERO;
+        let exec_at = |speed| p.round_trip_parts(t, &j, est, speed, 0.0, p.upload_rate(t)).2;
         assert_eq!(exec_at(1.0).to_bits(), est.to_bits());
         assert_eq!(exec_at(2.0).to_bits(), (est / 2.0).to_bits());
     }

@@ -7,8 +7,14 @@
 //! quantities — QRSM execution-time predictions and time-of-day bandwidth
 //! predictions — never the ground truth the simulation engine executes.
 //!
-//! * [`api`] — the [`BurstScheduler`] trait, placement decisions, and the
-//!   [`LoadModel`] snapshot the engine hands to schedulers.
+//! * [`api`] — placement decisions, the [`LoadModel`] snapshot the engine
+//!   hands to the scheduler, and the [`api::Planner`] every kind plans with.
+//! * [`scheduler`] — [`SchedulerKind`] and [`schedule_batch`], the one batch
+//!   planner for all five kinds: Algorithm 1 (Greedy: place each job where
+//!   it finishes earliest), Algorithm 2 (Op: chunk for variance reduction,
+//!   then burst only jobs whose EC round trip fits their slack, Eq. 2), Op
+//!   without the chunk pass, Algorithm 3 (SIBS: Op plus size-interval
+//!   bandwidth splitting) and the IC-only baseline that never bursts.
 //! * [`estimates`] — the [`EstimateProvider`] bundling the QRSM and the
 //!   bandwidth predictors into per-job estimates.
 //! * [`freetime`] — the indexed free-time tracker and incremental
@@ -16,11 +22,6 @@
 //!   decision loop.
 //! * [`drain`] — the depth-flat hybrid FCFS drain: fluid water-fill of
 //!   the deep queue prefix, exact tail-window replay on top.
-//! * [`greedy`] — Algorithm 1: place each job where it finishes earliest.
-//! * [`order_preserving`] — Algorithm 2: chunk for variance reduction, then
-//!   burst only jobs whose EC round trip fits their slack (Eq. 2).
-//! * [`sibs`] — Algorithm 3 on top of Op: size-interval bandwidth splitting.
-//! * [`ic_only`] — the baseline that never bursts.
 //! * [`resched`] — pull-back / push-out rescheduling triggered on idle
 //!   events (the paper's Sec. IV-D mitigation for estimation errors).
 
@@ -33,18 +34,12 @@ pub mod api;
 pub mod drain;
 pub mod estimates;
 pub mod freetime;
-pub mod greedy;
-pub mod ic_only;
-pub mod order_preserving;
 pub mod resched;
-pub mod sibs;
+pub mod scheduler;
 
-pub use api::{BatchSchedule, BurstScheduler, LoadModel, LoadModelBuf, Placement, ScheduledJob};
+pub use api::{BatchSchedule, LoadModel, LoadModelBuf, Placement, ScheduledJob};
 pub use drain::{fluid_fill_level, FluidScratch, DRAIN_WINDOW};
 pub use freetime::{FreeTimeIndex, OutstandingSet};
 pub use resched::eq1_slack;
 pub use estimates::{EstimateProvider, ProcTimeModel};
-pub use greedy::GreedyScheduler;
-pub use ic_only::IcOnlyScheduler;
-pub use order_preserving::OrderPreservingScheduler;
-pub use sibs::SibsScheduler;
+pub use scheduler::{schedule_batch, SchedulerKind};

@@ -7,12 +7,14 @@ use proptest::prelude::*;
 use cloudburst_qrsm::{Method, QrsModel};
 use cloudburst_sched::api::Planner;
 use cloudburst_sched::{
-    BurstScheduler, EstimateProvider, FreeTimeIndex, GreedyScheduler, IcOnlyScheduler,
-    LoadModelBuf, OrderPreservingScheduler, OutstandingSet, Placement, SibsScheduler,
+    schedule_batch, BatchSchedule, EstimateProvider, FreeTimeIndex, LoadModelBuf, OutstandingSet,
+    Placement, SchedulerKind,
 };
 use cloudburst_sim::{RngFactory, SimTime};
 use cloudburst_workload::arrival::training_corpus;
-use cloudburst_workload::{ArrivalConfig, BatchArrivals, GroundTruth, Job, SizeBucket};
+use cloudburst_workload::{
+    ArrivalConfig, BatchArrivals, ChunkPolicy, GroundTruth, Job, SizeBucket,
+};
 
 fn provider() -> EstimateProvider {
     let rngs = RngFactory::new(424242);
@@ -32,6 +34,15 @@ fn batch_for(seed: u64, n: f64, bucket: SizeBucket) -> Vec<Job> {
         ..ArrivalConfig::default()
     });
     gen.generate_flat(&RngFactory::new(seed), &GroundTruth::default())
+}
+
+fn schedule(
+    kind: SchedulerKind,
+    batch: Vec<Job>,
+    load: &LoadModelBuf,
+    est: &EstimateProvider,
+) -> BatchSchedule {
+    schedule_batch(kind, &ChunkPolicy::default(), batch, &load.as_model(), est)
 }
 
 fn load_for(now_secs: u64, ic_backlog: f64, n_ic: usize, n_ec: usize) -> LoadModelBuf {
@@ -62,21 +73,14 @@ proptest! {
         let total: u64 = batch.iter().map(|j| j.input_bytes()).sum();
         let in_ids: Vec<_> = batch.iter().map(|j| j.id).collect();
         let load = load_for(0, backlog, 8, 2);
-
-        let mut scheds: Vec<Box<dyn BurstScheduler>> = vec![
-            Box::new(IcOnlyScheduler::new()),
-            Box::new(GreedyScheduler::new()),
-            Box::new(OrderPreservingScheduler::default()),
-            Box::new(SibsScheduler::default()),
-        ];
-        for s in &mut scheds {
-            let out = s.schedule_batch(batch.clone(), &load.as_model(), &est);
+        for kind in SchedulerKind::ALL {
+            let out = schedule(kind, batch.clone(), &load, &est);
             let got: u64 = out.jobs.iter().map(|s| s.job.input_bytes()).sum();
-            prop_assert_eq!(got, total, "{} lost bytes", s.name());
+            prop_assert_eq!(got, total, "{} lost bytes", kind.label());
             // Each job carries exactly the estimate the QRSM gives it.
             for sj in &out.jobs {
                 let want = est.exec_secs(&sj.job).to_bits();
-                prop_assert_eq!(sj.est_secs.to_bits(), want, "{}", s.name());
+                prop_assert_eq!(sj.est_secs.to_bits(), want, "{}", kind.label());
             }
             // Original (unchunked) jobs appear in input order.
             let originals: Vec<_> =
@@ -86,7 +90,7 @@ proptest! {
                 .copied()
                 .filter(|id| originals.contains(id))
                 .collect();
-            prop_assert_eq!(originals, expected, "{} reordered the batch", s.name());
+            prop_assert_eq!(originals, expected, "{} reordered the batch", kind.label());
         }
     }
 
@@ -104,18 +108,12 @@ proptest! {
         let batch = batch_for(seed, 12.0, SizeBucket::ALL[bucket_idx]);
         let mut load = load_for(now, backlog, 4, 2);
         load.upload_backlog_bytes = upload_mb * 1_000_000;
-        let mut scheds: Vec<Box<dyn BurstScheduler>> = vec![
-            Box::new(IcOnlyScheduler::new()),
-            Box::new(GreedyScheduler::new()),
-            Box::new(OrderPreservingScheduler::default()),
-            Box::new(SibsScheduler::default()),
-        ];
-        for s in &mut scheds {
-            let out = s.schedule_batch(batch.clone(), &load.as_model(), &est);
+        for kind in SchedulerKind::ALL {
+            let out = schedule(kind, batch.clone(), &load, &est);
             let mut replay = Planner::new(&load.as_model(), &est);
             for (k, sj) in out.jobs.iter().enumerate() {
                 let want = replay.commit(&sj.job, sj.est_secs, sj.placement);
-                prop_assert_eq!(sj.est_ct, want, "{} job {}", s.name(), k);
+                prop_assert_eq!(sj.est_ct, want, "{} job {}", kind.label(), k);
             }
         }
     }
@@ -127,7 +125,7 @@ proptest! {
         let est = provider();
         let batch = batch_for(seed, 6.0, SizeBucket::Uniform);
         let load = load_for(0, backlog, 4, 2);
-        let out = GreedyScheduler::new().schedule_batch(batch, &load.as_model(), &est);
+        let out = schedule(SchedulerKind::Greedy, batch, &load, &est);
         // Replay the planner; at each step the chosen side's finish time
         // must be ≤ the other side's.
         let mut planner = Planner::new(&load.as_model(), &est);
@@ -150,8 +148,7 @@ proptest! {
         let est = provider();
         let batch = batch_for(seed, 8.0, SizeBucket::LargeBiased);
         let load = load_for(0, backlog, 4, 2);
-        let out = OrderPreservingScheduler::default()
-            .schedule_batch(batch, &load.as_model(), &est);
+        let out = schedule(SchedulerKind::OrderPreserving, batch, &load, &est);
         let mut planner = Planner::new(&load.as_model(), &est);
         for s in &out.jobs {
             let e = est.exec_secs(&s.job);
@@ -231,9 +228,8 @@ proptest! {
         let est = provider();
         let batch = batch_for(seed, 8.0, SizeBucket::Uniform);
         let load = load_for(0, backlog, 4, 2);
-        let a = SibsScheduler::default().schedule_batch(batch.clone(), &load.as_model(), &est);
-        let b = OrderPreservingScheduler::default()
-            .schedule_batch(batch, &load.as_model(), &est);
+        let a = schedule(SchedulerKind::Sibs, batch.clone(), &load, &est);
+        let b = schedule(SchedulerKind::OrderPreserving, batch, &load, &est);
         let pa: Vec<Placement> = a.jobs.iter().map(|s| s.placement).collect();
         let pb: Vec<Placement> = b.jobs.iter().map(|s| s.placement).collect();
         prop_assert_eq!(pa, pb);

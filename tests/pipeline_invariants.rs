@@ -66,13 +66,7 @@ fn check_invariants(r: &RunReport) {
 
 #[test]
 fn invariants_hold_for_every_scheduler_and_bucket() {
-    for kind in [
-        SchedulerKind::IcOnly,
-        SchedulerKind::Greedy,
-        SchedulerKind::OrderPreserving,
-        SchedulerKind::OrderPreservingNoChunk,
-        SchedulerKind::Sibs,
-    ] {
+    for kind in SchedulerKind::ALL {
         for bucket in SizeBucket::ALL {
             let r = run_experiment(&cfg(kind, bucket, 17));
             check_invariants(&r);
