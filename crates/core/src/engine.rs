@@ -33,8 +33,8 @@ use cloudburst_sched::resched::{
     eq1_slack, pull_back_candidate, push_out_candidate, PullBackCandidate,
 };
 use cloudburst_sched::{
-    schedule_batch, EstimateProvider, FreeTimeIndex, LoadModel, OutstandingSet, Placement,
-    ScheduledJob,
+    schedule_batch, scheduled_len, EstimateProvider, FreeTimeIndex, LoadModel, OutstandingSet,
+    Placement, ScheduledJob,
 };
 use cloudburst_sim::{EventId, FxHashMap, RngFactory, Sim, SimDuration, SimTime};
 use cloudburst_sla::{
@@ -495,6 +495,10 @@ pub struct EngineWorld {
     timelines: Vec<crate::timeline::JobTimeline>,
     /// Jobs per batch with their placements (burst-ratio per batch).
     batch_decisions: Vec<Vec<bool>>,
+    /// A closed run's batches by arrival index, each taken by its arrival
+    /// event; the first arrival counts the rest to size the per-job
+    /// columns once (in `on_batch`). Empty in serving mode.
+    pending: Vec<Option<Vec<Job>>>,
     /// The one pending engine wake: the earliest deadline over every
     /// component (see [`resync`]).
     wake: Option<EventId>,
@@ -688,6 +692,7 @@ impl EngineWorld {
             ticket_promise: Vec::new(),
             timelines: Vec::new(),
             batch_decisions: Vec::new(),
+            pending: Vec::new(),
             wake: None,
             batches_total: cfg.arrivals.n_batches,
             batches_seen: 0,
@@ -1449,6 +1454,28 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     // completion against it, bit for bit.
     #[cfg(any(test, debug_assertions))]
     let mut shadow = gate.is_none().then(|| Planner::new(&load, &w.est));
+    // A closed run sizes every per-job column exactly, once, at its first
+    // batch: this batch's jobs plus the jobs each pending batch will
+    // schedule to (chunks counted), so no push regrows a column and the
+    // run holds no doubling slack. Jobs that commit-or-reject turns away
+    // leave their rows unused. Counted here, not when the harness is
+    // built, where set-up would pay for it; reserved once, not per batch,
+    // because each exact regrowth copies every column.
+    if w.serve.is_none() && w.batches_seen == 0 {
+        let (kind, policy) = (w.cfg.scheduler, &w.cfg.chunk_policy);
+        let rows = admitted.len()
+            + w.pending.iter().flatten().map(|b| scheduled_len(kind, policy, b)).sum::<usize>();
+        w.jobs.reserve_exact(rows);
+        w.est_exec.reserve_exact(rows);
+        w.outstanding.reserve_exact(rows);
+        #[cfg(test)]
+        w.est_completion.reserve_exact(rows);
+        w.ticket_promise.reserve_exact(rows);
+        w.timelines.reserve_exact(rows);
+        if let Some(ch) = &mut w.chaos {
+            ch.attempts.reserve_exact(rows);
+        }
+    }
     let mut decisions = Vec::with_capacity(admitted.len());
     for ScheduledJob { mut job, placement, est_secs, est_ct } in admitted {
         let margin = margins[job.features.job_type.code() as usize];
@@ -2390,6 +2417,9 @@ impl<R> Harness<R> {
             self.world.outstanding.len(),
             self.world.jobs.len()
         );
+        // Nothing reads the drained pool again: free its columns before
+        // the report allocates, so the two are not live together.
+        self.world.outstanding = OutstandingSet::new();
         let end = self.sim.now();
         self.world.accrue_provisioning(end);
         end
@@ -2407,8 +2437,12 @@ impl Harness<RunReport> {
     fn closed(mut world: EngineWorld, batches: Vec<cloudburst_workload::Batch>) -> EngineHarness {
         world.batches_total = batches.len() as u32;
         let mut sim: Sim<EngineWorld> = Sim::new();
-        for b in batches {
-            sim.schedule_at(b.arrival, move |w, sim| on_batch(w, sim, b.jobs));
+        for (i, b) in batches.into_iter().enumerate() {
+            sim.schedule_at(b.arrival, move |w, sim| {
+                let jobs = w.pending[i].take().expect("a batch arrives once");
+                on_batch(w, sim, jobs)
+            });
+            world.pending.push(Some(b.jobs));
         }
         Harness::with_events(world, sim)
     }
@@ -3091,6 +3125,53 @@ mod tests {
                 assert_eq!(ch.attempts.len() as u64, slots);
                 assert!(r.faults.recovery_actions() > 0, "{:?}", r.faults);
             }
+        }
+    }
+
+    /// A closed run sizes each per-job column once, at its first batch,
+    /// for every job of every batch with chunks counted, so no column
+    /// holds doubling slack when the run drains; under chaos the attempt
+    /// counters too. `finish` frees the drained outstanding set.
+    #[test]
+    fn closed_run_columns_are_sized_exactly() {
+        let lossy = cloudburst_chaos::FaultProfile {
+            transfer_loss_prob: 0.1,
+            exec_failure_prob: 0.1,
+            ..cloudburst_chaos::FaultProfile::dormant()
+        };
+        for faults in [None, Some(lossy)] {
+            let armed = faults.is_some();
+            let mut cfg = small_cfg(SchedulerKind::OrderPreserving, 5);
+            cfg.arrivals.n_batches = 4;
+            cfg.arrivals.jobs_per_batch = 25.0;
+            cfg.faults = faults;
+            let batches = BatchArrivals::new(cfg.arrivals.clone())
+                .generate(&RngFactory::new(cfg.seed), &cfg.truth);
+            let mut h = EngineHarness::new(&cfg, batches);
+            h.run();
+            let w = h.world();
+            let rows = w.jobs.len();
+            assert!(w.jobs.iter().any(Job::is_chunk), "the run must chunk");
+            assert_eq!(w.batches_seen, 4);
+            let columns = [
+                ("jobs", w.jobs.len(), w.jobs.capacity()),
+                ("est_exec", w.est_exec.len(), w.est_exec.capacity()),
+                ("est_completion", w.est_completion.len(), w.est_completion.capacity()),
+                ("ticket_promise", w.ticket_promise.len(), w.ticket_promise.capacity()),
+                ("timelines", w.timelines.len(), w.timelines.capacity()),
+            ];
+            for (name, len, capacity) in columns {
+                assert_eq!((len, capacity), (rows, rows), "{name} (len, capacity)");
+            }
+            assert_eq!(w.outstanding.capacities(), [rows; 3], "outstanding set columns");
+            assert_eq!(w.chaos.is_some(), armed);
+            if let Some(ch) = &w.chaos {
+                assert_eq!((ch.attempts.len(), ch.attempts.capacity()), (rows, rows), "attempts");
+            }
+            let (report, w) = h.finish();
+            assert_eq!(report.completion_times.len(), rows);
+            assert_eq!(w.outstanding.capacities(), [0; 3], "the drained set is freed");
+            assert_eq!(w.outstanding_jobs(), 0);
         }
     }
 

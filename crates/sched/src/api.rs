@@ -322,11 +322,6 @@ impl<'a> Planner<'a> {
         self.slack_anchor = Some(self.slack_anchor.map_or(ft, |a| a.max(ft)));
         ft
     }
-
-    /// Current planned upload backlog in seconds.
-    pub fn upload_backlog_secs(&self) -> f64 {
-        self.upload_backlog_secs
-    }
 }
 
 /// The snapshot's upload backlog in seconds at `upload_rate`
@@ -386,9 +381,9 @@ mod tests {
         let (est, jobs) = provider_and_jobs(&[100, 100]);
         let buf = LoadModelBuf::idle(SimTime::ZERO, 1, 2);
         let mut planner = Planner::new(&buf.as_model(), &est);
-        assert_eq!(planner.upload_backlog_secs(), 0.0);
+        assert_eq!(planner.upload_backlog_secs, 0.0);
         planner.commit(&jobs[0], est.exec_secs(&jobs[0]), Placement::External);
-        assert!(planner.upload_backlog_secs() > 0.0);
+        assert!(planner.upload_backlog_secs > 0.0);
         // Second burst sees the first upload ahead of it.
         let est_1 = est.exec_secs(&jobs[1]);
         let ft2 = planner.ft_ec(&jobs[1], est_1);

@@ -52,7 +52,8 @@ pub fn fluid_fill_level(sorted_bases: &[f64], total_secs: f64) -> f64 {
     debug_assert!(!sorted_bases.is_empty(), "water-fill needs a live machine");
     let n = sorted_bases.len();
     let mut prefix = 0.0f64;
-    for k in 0..n {
+    let mut k = 0;
+    loop {
         debug_assert!(k == 0 || sorted_bases[k - 1] <= sorted_bases[k], "bases must be sorted");
         prefix += sorted_bases[k];
         // Level if exactly machines 0..=k fill: valid once it no longer
@@ -61,8 +62,8 @@ pub fn fluid_fill_level(sorted_bases: &[f64], total_secs: f64) -> f64 {
         if k + 1 == n || level <= sorted_bases[k + 1] {
             return level;
         }
+        k += 1;
     }
-    unreachable!("the k + 1 == n arm always returns")
 }
 
 /// Reusable scratch for the fluid prefix fill — persistent on the engine

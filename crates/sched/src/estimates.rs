@@ -195,7 +195,7 @@ pub(crate) mod tests_support {
     use cloudburst_qrsm::Method;
     use cloudburst_sim::RngFactory;
     use cloudburst_workload::arrival::training_corpus;
-    use cloudburst_workload::{DocumentFeatures, GroundTruth, JobId};
+    use cloudburst_workload::{DocumentFeatures, GroundTruth, JobId, ParentId};
 
     /// An estimate provider with an accurate QRSM (trained on noiseless
     /// data) and a 250 KB/s bandwidth prior.
@@ -231,7 +231,7 @@ pub(crate) mod tests_support {
             features: f,
             true_service_secs: GroundTruth::noiseless().mean_secs(&f),
             output_bytes: bytes / 2,
-            parent: None,
+            parent: ParentId::NONE,
         }
     }
 

@@ -185,6 +185,22 @@ impl OutstandingSet {
         &self.vals
     }
 
+    /// Reserves room for exactly `additional` more job ids (and as many
+    /// outstanding slots): a closed run sizes the pool for the whole run at
+    /// its first batch, so it never regrows.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.vals.reserve_exact(additional);
+        self.job_at.reserve_exact(additional);
+        self.pos.reserve_exact(additional);
+    }
+
+    /// The capacity of each column (`vals`, `job_at`, `pos`), for the
+    /// engine's exact-capacity test. A test accessor: nothing else reads it.
+    #[doc(hidden)]
+    pub fn capacities(&self) -> [usize; 3] {
+        [self.vals.capacity(), self.job_at.capacity(), self.pos.capacity()]
+    }
+
     /// Registers job `id`'s completion estimate at admission. A fresh id
     /// must be the next dense one (the engine's FCFS id space); serving
     /// also re-admits the recycled id of a completed job.

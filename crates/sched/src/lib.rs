@@ -42,4 +42,4 @@ pub use drain::{fluid_fill_level, FluidScratch, DRAIN_WINDOW};
 pub use freetime::{FreeTimeIndex, OutstandingSet};
 pub use resched::eq1_slack;
 pub use estimates::{EstimateProvider, ProcTimeModel};
-pub use scheduler::{schedule_batch, SchedulerKind};
+pub use scheduler::{schedule_batch, scheduled_len, SchedulerKind};

@@ -27,7 +27,7 @@
 
 use cloudburst_net::queues::SibsCandidate;
 use cloudburst_net::{sibs_bounds, SibsBounds};
-use cloudburst_workload::chunk::{chunk_batch, ChunkPolicy};
+use cloudburst_workload::chunk::{chunk_batch, chunked_len, ChunkPolicy};
 use cloudburst_workload::Job;
 use serde::{Deserialize, Serialize};
 
@@ -89,10 +89,7 @@ pub fn schedule_batch(
     load: &LoadModel<'_>,
     est: &EstimateProvider,
 ) -> BatchSchedule {
-    let batch = match kind {
-        SchedulerKind::OrderPreserving | SchedulerKind::Sibs => chunk_batch(batch, chunk_policy),
-        _ => batch,
-    };
+    let batch = if chunks(kind) { chunk_batch(batch, chunk_policy) } else { batch };
     let mut planner = Planner::new(load, est);
     let mut jobs = Vec::with_capacity(batch.len());
     for job in batch {
@@ -138,6 +135,21 @@ pub fn schedule_batch(
         _ => None,
     };
     BatchSchedule { jobs, sibs }
+}
+
+/// How many jobs [`schedule_batch`] returns for `batch` under `kind`: the
+/// chunk-expanded length under Op and SIBS, the batch's own otherwise.
+pub fn scheduled_len(kind: SchedulerKind, chunk_policy: &ChunkPolicy, batch: &[Job]) -> usize {
+    if chunks(kind) {
+        chunked_len(batch, chunk_policy)
+    } else {
+        batch.len()
+    }
+}
+
+/// Whether `kind` runs Algorithm 2's chunk pass before planning.
+fn chunks(kind: SchedulerKind) -> bool {
+    matches!(kind, SchedulerKind::OrderPreserving | SchedulerKind::Sibs)
 }
 
 /// Algorithm 3 on the (chunk-expanded) batch: round trips estimated under
@@ -190,11 +202,7 @@ pub(crate) fn schedule_batch_floor_free(
     load: &LoadModel<'_>,
     est: &EstimateProvider,
 ) -> BatchSchedule {
-    let batch = if matches!(kind, SchedulerKind::OrderPreserving | SchedulerKind::Sibs) {
-        chunk_batch(batch, chunk_policy)
-    } else {
-        batch
-    };
+    let batch = if chunks(kind) { chunk_batch(batch, chunk_policy) } else { batch };
     let mut planner = Planner::new(load, est);
     let mut jobs = Vec::new();
     for job in batch {
@@ -364,6 +372,21 @@ mod tests {
         assert!(s.jobs.len() > 4, "the 290 MB job should be chunked");
         let n_chunks = s.jobs.iter().filter(|s| s.job.is_chunk()).count();
         assert_eq!(n_chunks, 4, "ceil(290/80) = 4 chunks");
+    }
+
+    /// The engine sizes a closed run's columns from `scheduled_len`, so it
+    /// must count exactly what `schedule_batch` returns, for every kind.
+    #[test]
+    fn scheduled_len_counts_what_schedule_batch_returns() {
+        let batch =
+            vec![job_with_id(0, 5), job_with_id(1, 290), job_with_id(2, 8), job_with_id(3, 6)];
+        let buf = LoadModelBuf::idle(SimTime::ZERO, 8, 2);
+        let policy = ChunkPolicy::default();
+        for kind in SchedulerKind::ALL {
+            let want = run(kind, batch.clone(), &buf).jobs.len();
+            assert_eq!(scheduled_len(kind, &policy, &batch), want, "{}", kind.label());
+        }
+        assert_eq!(scheduled_len(SchedulerKind::Sibs, &policy, &batch), 7, "4 chunks + 3 whole");
     }
 
     #[test]

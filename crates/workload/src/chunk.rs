@@ -15,7 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::document::DocumentFeatures;
-use crate::job::Job;
+use crate::job::{Job, ParentId};
 use crate::stats;
 
 /// Tunables for Algorithm 2's chunking step.
@@ -148,7 +148,7 @@ fn push_chunks(job: &Job, policy: &ChunkPolicy, n: usize, out: &mut Vec<Job>) {
             features: DocumentFeatures { size_bytes: in_bytes, pages, images, ..job.features },
             true_service_secs: job.true_service_secs * share + policy.per_chunk_overhead_secs,
             output_bytes: out_bytes,
-            parent: Some(job.id),
+            parent: ParentId::some(job.id),
         }
     }));
 }
@@ -166,25 +166,12 @@ fn push_chunks(job: &Job, policy: &ChunkPolicy, n: usize, out: &mut Vec<Job>) {
 /// paper's loop splices chunks into the list and then skips past them, so
 /// every index at or after the cursor is a not-yet-visited original: the
 /// window `σ(i..i+x)` over the growing list is always `σ` over the next
-/// `x` originals. So a counting pre-pass over the originals' sizes decides
-/// every job's chunk count, and a second pass appends each job or its
-/// chunks in place — the same σ values and the same output as the splice
-/// loop (kept as the `#[cfg(test)]` oracle).
+/// `x` originals. So a counting pre-pass over the originals' sizes
+/// ([`chunk_counts`]) decides every job's chunk count, and a second pass
+/// appends each job or its chunks in place — the same σ values and the
+/// same output as the splice loop (kept as the `#[cfg(test)]` oracle).
 pub fn chunk_batch(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
-    let denom = jobs.len().max(1) as f64;
-    let sizes: Vec<f64> = jobs.iter().map(Job::size_mb).collect();
-    // Pre-pass: each original's chunk count (1 = kept whole).
-    let counts: Vec<usize> = (0..jobs.len())
-        .map(|k| {
-            let pos_frac = k as f64 / denom;
-            let sigma = stats::window_stddev(&sizes, k, policy.window);
-            if policy.should_chunk_at(sigma, sizes[k], pos_frac) {
-                policy.n_chunks_at(sizes[k], pos_frac)
-            } else {
-                1
-            }
-        })
-        .collect();
+    let counts: Vec<usize> = chunk_counts(&jobs, policy).collect();
     let mut out = Vec::with_capacity(counts.iter().sum());
     for (job, &n) in jobs.into_iter().zip(&counts) {
         if n > 1 {
@@ -195,6 +182,28 @@ pub fn chunk_batch(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
     }
     debug_assert_eq!(out.len(), out.capacity(), "the pre-pass counts every output job");
     out
+}
+
+/// The length [`chunk_batch`] expands `jobs` to, without building it.
+pub fn chunked_len(jobs: &[Job], policy: &ChunkPolicy) -> usize {
+    chunk_counts(jobs, policy).sum()
+}
+
+/// Each original's chunk count under `policy` (1 = kept whole), in order:
+/// [`chunk_batch`]'s pre-pass. `should_chunk_at` needs more than one
+/// chunk, so the window σ is taken only for a job that would split.
+fn chunk_counts<'a>(jobs: &'a [Job], policy: &'a ChunkPolicy) -> impl Iterator<Item = usize> + 'a {
+    let denom = jobs.len().max(1) as f64;
+    let sizes: Vec<f64> = jobs.iter().map(Job::size_mb).collect();
+    (0..jobs.len()).map(move |k| {
+        let pos_frac = k as f64 / denom;
+        let n = policy.n_chunks_at(sizes[k], pos_frac);
+        if n > 1 && stats::window_stddev(&sizes, k, policy.window) > policy.sigma_threshold_mb {
+            n
+        } else {
+            1
+        }
+    })
 }
 
 #[cfg(test)]
@@ -224,7 +233,7 @@ mod tests {
             },
             true_service_secs: 600.0,
             output_bytes: size_mb * BYTES_PER_MB / 2 + 7,
-            parent: None,
+            parent: ParentId::NONE,
         }
     }
 
@@ -233,7 +242,7 @@ mod tests {
         let j = job(0, 40);
         let out = chunk_job(&j, &ChunkPolicy::default());
         assert_eq!(out.len(), 1);
-        assert!(out[0].parent.is_none());
+        assert_eq!(out[0].parent, ParentId::NONE);
         assert_eq!(out[0].true_service_secs, j.true_service_secs);
     }
 
@@ -247,10 +256,27 @@ mod tests {
         assert_eq!(chunks.iter().map(|c| c.features.pages).sum::<u32>(), j.features.pages);
         assert_eq!(chunks.iter().map(|c| c.features.images).sum::<u32>(), j.features.images);
         for c in &chunks {
-            assert_eq!(c.parent, Some(JobId(3)));
+            assert_eq!(c.parent.get(), Some(JobId(3)));
             assert_eq!(c.arrival, j.arrival);
             assert_eq!(c.batch, j.batch);
         }
+    }
+
+    /// A chunk's JSON is what it was while `parent` was an
+    /// `Option<JobId>`: traces written before the 4-byte `ParentId` read
+    /// back, and new ones read the same.
+    #[test]
+    fn a_chunk_serializes_as_before_the_packed_parent() {
+        let j = Job { batch: 2, arrival: SimTime::from_secs(5), ..job(3, 295) };
+        let chunk = &chunk_job(&j, &ChunkPolicy::default())[1];
+        let text = serde_json::to_string(chunk).unwrap();
+        assert_eq!(
+            text,
+            r#"{"id":3,"batch":2,"arrival":5000000,"features":{"size_bytes":73750000,"pages":24,"images":8,"resolution_dpi":600,"color_fraction":0.5,"coverage":0.5,"text_ratio":0.5,"job_type":"Marketing"},"true_service_secs":158.0,"output_bytes":36875002,"parent":3}"#
+        );
+        assert!(serde_json::to_string(&j).unwrap().ends_with(r#""parent":null}"#));
+        let back: Job = serde_json::from_str(&text).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{chunk:?}"));
     }
 
     #[test]
@@ -294,7 +320,7 @@ mod tests {
         let out = chunk_batch(mixed, &p);
         // Prefix before the split job, then its chunks, then the suffix.
         assert_eq!(out[0].id, JobId(0));
-        assert!(out[1..out.len() - 1].iter().all(|c| c.parent == Some(JobId(1))));
+        assert!(out[1..out.len() - 1].iter().all(|c| c.parent.get() == Some(JobId(1))));
         assert_eq!(out.last().unwrap().id, JobId(2));
     }
 
@@ -364,7 +390,9 @@ mod tests {
     /// their `Debug` round-trip text, which is exact) and an output
     /// allocated at exactly its length.
     fn assert_linear_matches_oracle(jobs: Vec<Job>, policy: &ChunkPolicy) -> usize {
+        let counted = chunked_len(&jobs, policy);
         let lin = chunk_batch(jobs.clone(), policy);
+        assert_eq!(counted, lin.len(), "chunked_len counts what chunk_batch builds");
         let ora = splice_oracle(jobs, policy);
         assert_eq!(lin.len(), ora.len(), "expanded lengths differ");
         assert_eq!(lin.capacity(), lin.len(), "the output is allocated at its exact length");
@@ -389,7 +417,7 @@ mod tests {
                     true_service_secs: truth.sample_secs(&mut rng, &features),
                     output_bytes: truth.sample_output_bytes(&mut rng, &features),
                     features,
-                    parent: None,
+                    parent: ParentId::NONE,
                 }
             })
             .collect()

@@ -27,7 +27,7 @@ use cloudburst_sim::{RngFactory, SimDuration, SimTime};
 use crate::arrival::{ArrivalConfig, Batch};
 use crate::bucket::SizeBucket;
 use crate::document::DocumentFeatures;
-use crate::job::{Job, JobId};
+use crate::job::{Job, JobId, ParentId};
 use crate::stats;
 use crate::truth::GroundTruth;
 
@@ -236,7 +236,7 @@ impl JobSampler {
                 features,
                 true_service_secs,
                 output_bytes,
-                parent: None,
+                parent: ParentId::NONE,
             });
         }
         Batch { index, arrival, jobs }

@@ -81,7 +81,7 @@ proptest! {
         );
         // Chunks point at real parents from the original list.
         for j in &out {
-            if let Some(p) = j.parent {
+            if let Some(p) = j.parent.get() {
                 prop_assert!(jobs.iter().any(|orig| orig.id == p));
             }
         }

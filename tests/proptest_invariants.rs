@@ -8,7 +8,7 @@ use cloudburst_repro::qrsm::{design::QuadraticDesign, fit, Matrix};
 use cloudburst_repro::sim::{Sim, SimDuration, SimTime};
 use cloudburst_repro::sla::{oo_series, CompletionRecord, OoConfig};
 use cloudburst_repro::workload::chunk::{chunk_job, ChunkPolicy};
-use cloudburst_repro::workload::{DocumentFeatures, Job, JobId, JobType};
+use cloudburst_repro::workload::{DocumentFeatures, Job, JobId, JobType, ParentId};
 
 fn job_of(size_bytes: u64, output_bytes: u64, service: f64) -> Job {
     Job {
@@ -27,7 +27,7 @@ fn job_of(size_bytes: u64, output_bytes: u64, service: f64) -> Job {
         },
         true_service_secs: service,
         output_bytes,
-        parent: None,
+        parent: ParentId::NONE,
     }
 }
 
@@ -73,7 +73,7 @@ proptest! {
         prop_assert_eq!(chunks.iter().map(|c| c.output_bytes).sum::<u64>(), output);
         prop_assert_eq!(chunks.iter().map(|c| c.features.pages).sum::<u32>(), job.features.pages);
         if chunks.len() > 1 {
-            prop_assert!(chunks.iter().all(|c| c.parent == Some(job.id)));
+            prop_assert!(chunks.iter().all(|c| c.parent.get() == Some(job.id)));
             // No chunk exceeds the target by more than the rounding slack.
             for c in &chunks {
                 prop_assert!(c.size_mb() <= target + 1.0);
