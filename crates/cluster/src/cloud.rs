@@ -242,6 +242,22 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
         self.queue.len()
     }
 
+    /// Frees the wait queue's storage if the queue is empty (a no-op
+    /// otherwise). An emptied queue keeps the capacity of its deepest
+    /// point; a caller done submitting releases it here.
+    pub fn release_queue(&mut self) {
+        if self.queue.is_empty() {
+            self.queue = VecDeque::new();
+        }
+    }
+
+    /// The wait queue's capacity, for the engine's release test. A test
+    /// accessor: nothing else reads it.
+    #[doc(hidden)]
+    pub fn queue_capacity(&self) -> usize {
+        self.queue.capacity()
+    }
+
     /// Total declared drain cost of the queue, in integer microsecond
     /// ticks — O(1), maintained across submit/dispatch/cancel. Feeds the
     /// engine's fluid-prefix drain (DESIGN.md §7).

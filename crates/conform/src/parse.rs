@@ -8,7 +8,7 @@
 //!   line, and `#[cfg(test)]` scoping (inherited from the lexer's marks);
 //! * call sites inside each body — `recv.method(..)` receiver calls and
 //!   `a::B::c(..)` path calls (turbofish skipped), each with its source
-//!   line;
+//!   line; a `for` loop is recorded as a `next` receiver call;
 //! * macro invocation sites (`name!…`), so `vec![]`, `format!` and the
 //!   panic family are visible to the taint engine;
 //! * `// conform::hot_root` marker comments: the annotation convention for
@@ -397,6 +397,16 @@ impl Parser<'_> {
                     k = self.parse_impl(k, end);
                     continue;
                 }
+                // A `for` loop calls its iterator's `next` once per turn:
+                // record it as a receiver call, so a workspace iterator's
+                // body stays in its caller's cone. `for<'a>` is a bound.
+                "for" if self.text(k + 1) != "<" => {
+                    let (line, in_test) = (self.toks[k].line, self.toks[k].in_test);
+                    let path = vec!["next".to_owned()];
+                    item.calls.push(CallSite { path, method: true, line, in_test });
+                    k += 1;
+                    continue;
+                }
                 _ => {}
             }
             let t = &self.toks[k];
@@ -611,6 +621,15 @@ mod tests {
         let names: Vec<&str> = outer.calls.iter().map(|c| c.name()).collect();
         assert_eq!(names, vec!["inner_call", "outer_call"]);
         assert_eq!(find(&p, "nested").calls[0].name(), "deep_call");
+    }
+
+    #[test]
+    fn for_loops_call_their_iterators_next() {
+        let src = "fn f(s: Stream) {\n  for job in s { admit(job); }\n  let g: Box<dyn for<'a> Tr<'a>> = b;\n}";
+        let p = parse(src);
+        let f = find(&p, "f");
+        let calls: Vec<_> = f.calls.iter().map(|c| (c.name(), c.method, c.line)).collect();
+        assert_eq!(calls, vec![("next", true, 2), ("admit", false, 2)]);
     }
 
     #[test]

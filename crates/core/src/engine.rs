@@ -23,7 +23,7 @@ use cloudburst_chaos::{sample_spot_revocations, EstateShape, FaultPlan, FaultPro
 use cloudburst_cluster::{Cloud, ExecCompletion, MachineId};
 use cloudburst_econ::{AdmissionPolicy, BrokerPolicy, CostMetrics, Money, PenaltySchedule, PriceModel};
 use cloudburst_net::link::{CapacityFault, Completion};
-use cloudburst_net::queues::{SibsQueues, SizeClass};
+use cloudburst_net::queues::{SibsCandidate, SibsQueues, SizeClass};
 use cloudburst_net::{BandwidthModel, Link, SibsBounds, TransferId};
 use cloudburst_sched::api::Planner;
 #[cfg(test)]
@@ -33,8 +33,8 @@ use cloudburst_sched::resched::{
     eq1_slack, pull_back_candidate, push_out_candidate, PullBackCandidate,
 };
 use cloudburst_sched::{
-    schedule_batch, scheduled_len, EstimateProvider, FreeTimeIndex, LoadModel, OutstandingSet,
-    Placement, ScheduledJob,
+    batch_jobs, scheduled_len, BatchPlan, EstimateProvider, FreeTimeIndex, LoadModel,
+    OutstandingSet, Placement, ScheduledJob,
 };
 use cloudburst_sim::{EventId, FxHashMap, RngFactory, Sim, SimDuration, SimTime};
 use cloudburst_sla::{
@@ -537,6 +537,11 @@ pub struct EngineWorld {
     /// slack anchor.
     po_waiting: Vec<JobId>,
     po_slack: Vec<Option<SimTime>>,
+    /// Admission scratch: the plan's per-job Algorithm 3 candidates
+    /// (SIBS only), and the admitted bursts' `(id, input bytes)`, queued
+    /// once the batch's bounds are known.
+    sibs_candidates: Vec<SibsCandidate>,
+    uploads: Vec<(JobId, u64)>,
     /// Fault-injection bookkeeping; `None` ⇔ no fault can ever realize.
     chaos: Option<ChaosState>,
     /// Open-system serving state; `None` ⇔ classic closed-batch mode.
@@ -714,6 +719,8 @@ impl EngineWorld {
             pb_meta: Vec::new(),
             po_waiting: Vec::new(),
             po_slack: Vec::new(),
+            sibs_candidates: Vec::new(),
+            uploads: Vec::new(),
             chaos,
             serve: None,
             econ,
@@ -1363,14 +1370,15 @@ fn submit_for_exec(
     pool.submit_weighted(now, id, svc, drain_cost_ticks(est_exec, id, speed));
 }
 
-/// Applies one batch arrival: snapshot → schedule → re-index → dispatch.
+/// Applies one batch arrival: snapshot, then one pass that plans, gates,
+/// re-indexes and dispatches each job as the chunk pass yields it.
 ///
 /// A batch arrival is an epoch barrier: every component has been advanced
 /// to `now` (completed transfers and executions exchanged) and the QRSM
 /// observations queued during the epoch are refit in exactly once. The
 /// scheduler predicts and plans each job once; admission records the
 /// estimate and the completion it carries.
-fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
+fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
     let now = sim.now();
     // Process anything that completed up to now first.
     on_wake(w, sim);
@@ -1387,57 +1395,11 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         &w.sites[site],
         &w.outstanding,
     );
-    let schedule = schedule_batch(w.cfg.scheduler, &w.cfg.chunk_policy, batch_jobs, &load, &w.est);
-    if let Some(b) = schedule.sibs {
-        w.sites[site].sibs_bounds = Some(b);
-    }
-
-    // Re-index into the global FCFS id space and record the scheduler's
-    // estimates, in two phases.
-    //
-    // Phase 1: chunk ground-truth sampling on the one shared RNG stream
-    // (call order preserved exactly). A chunk leaves the scheduler with a
-    // pro-rata placeholder service time; the engine is the authority on
-    // ground truth, so chunk times are sampled from the truth law on the
-    // chunk's own features (documents are embarrassingly parallel) plus
-    // the split/merge overhead. Without this, chunks would secretly carry
-    // their parent's superlinear cost and every QRSM estimate of a chunk
-    // would be biased low. The carried estimates stay valid: they read
-    // only the features. Global ids materialize in phase 2, after the
-    // admission gate — a rejected job must not consume an id (the spine
-    // slot would leak).
-    let mut admitted = schedule.jobs;
-    let base = w.jobs.len() as u64;
-    let mut fresh = 0u64;
-    for s in admitted.iter_mut() {
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            s.est_secs.to_bits(),
-            w.est.exec_secs(&s.job).to_bits(),
-            "{} carried an estimate the QRSM does not give",
-            w.cfg.scheduler.label()
-        );
-        if s.job.is_chunk() {
-            s.job.true_service_secs =
-                w.cfg.truth.sample_secs(&mut w.rng_chunk_truth, &s.job.features)
-                    + w.cfg.chunk_policy.per_chunk_overhead_secs;
-        }
-    }
-
-    // Phase 2: the admission gate, the per-job columns, dispatch pushes
-    // and ticket quotes, in id order. A job's estimated completion is the
-    // one the scheduler's plan committed (`est_ct`): the scheduler planned
-    // the batch over this snapshot, in this order, so it is the value a
-    // second plan of the admitted jobs would give.
-    //
-    // The ticket quote's k-RMSE confidence margin (also the admission
-    // gate's safety margin), once per job class.
-    let k = w.cfg.ticket_margin_k.max(0.0);
-    let mut margins = [SimDuration::ZERO; JobType::ALL.len()];
-    for t in JobType::ALL {
-        margins[t.code() as usize] =
-            SimDuration::from_secs_f64(k * w.est.qrsm.rmse_for(t.code() as u64));
-    }
+    let kind = w.cfg.scheduler;
+    // The plan, the gate and the shadow copy what they read from the
+    // snapshot, so its borrows end here, before admission mutates the
+    // outstanding set, the pools and the upload queues.
+    let mut plan = BatchPlan::new(kind, &load, &w.est, &mut w.sibs_candidates);
     // Under commit-or-reject the broker either commits to a job's Eq. 1
     // deadline (arrival + turnaround budget) or turns the job away before
     // it consumes an id, a commitment, or a ticket. A rejected job leaves
@@ -1454,6 +1416,16 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     // completion against it, bit for bit.
     #[cfg(any(test, debug_assertions))]
     let mut shadow = gate.is_none().then(|| Planner::new(&load, &w.est));
+    let jobs = batch_jobs(kind, &w.cfg.chunk_policy, batch);
+
+    // The ticket quote's k-RMSE confidence margin (also the admission
+    // gate's safety margin), once per job class.
+    let k = w.cfg.ticket_margin_k.max(0.0);
+    let mut margins = [SimDuration::ZERO; JobType::ALL.len()];
+    for t in JobType::ALL {
+        margins[t.code() as usize] =
+            SimDuration::from_secs_f64(k * w.est.qrsm.rmse_for(t.code() as u64));
+    }
     // A closed run sizes every per-job column exactly, once, at its first
     // batch: this batch's jobs plus the jobs each pending batch will
     // schedule to (chunks counted), so no push regrows a column and the
@@ -1462,8 +1434,8 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
     // built, where set-up would pay for it; reserved once, not per batch,
     // because each exact regrowth copies every column.
     if w.serve.is_none() && w.batches_seen == 0 {
-        let (kind, policy) = (w.cfg.scheduler, &w.cfg.chunk_policy);
-        let rows = admitted.len()
+        let policy = &w.cfg.chunk_policy;
+        let rows = jobs.len()
             + w.pending.iter().flatten().map(|b| scheduled_len(kind, policy, b)).sum::<usize>();
         w.jobs.reserve_exact(rows);
         w.est_exec.reserve_exact(rows);
@@ -1476,8 +1448,43 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
             ch.attempts.reserve_exact(rows);
         }
     }
-    let mut decisions = Vec::with_capacity(admitted.len());
-    for ScheduledJob { mut job, placement, est_secs, est_ct } in admitted {
+    // Closed mode keeps the whole-run per-batch decision log for the
+    // Eq. 11/12 burst ratios; serving folds it into a counter, because an
+    // unbounded stream cannot keep a per-batch vector.
+    let mut decisions = w.serve.is_none().then(|| Vec::with_capacity(jobs.len()));
+
+    // One pass, in queue order: plan the job, sample a chunk's ground
+    // truth, gate it, give it its global FCFS id, write its columns and
+    // dispatch it. A job's estimated completion is the one the plan
+    // committed (`est_ct`): the plan runs over this snapshot, in this
+    // order, so it is the value a second plan of the admitted jobs would
+    // give. Global ids materialize after the admission gate — a rejected
+    // job must not consume an id (the spine slot would leak).
+    let base = w.jobs.len() as u64;
+    let mut fresh = 0u64;
+    for job in jobs {
+        let ScheduledJob { mut job, placement, est_secs, est_ct } = plan.place(job);
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            est_secs.to_bits(),
+            w.est.exec_secs(&job).to_bits(),
+            "{} carried an estimate the QRSM does not give",
+            kind.label()
+        );
+        // Chunk ground truth, on the one shared RNG stream: one draw per
+        // scheduled chunk in queue order, rejected chunks included. A
+        // chunk leaves the chunk pass with a pro-rata placeholder service
+        // time; the engine is the authority on ground truth, so chunk
+        // times are sampled from the truth law on the chunk's own features
+        // (documents are embarrassingly parallel) plus the split/merge
+        // overhead. Without this, chunks would secretly carry their
+        // parent's superlinear cost and every QRSM estimate of a chunk
+        // would be biased low. The plan's estimates stay valid: they read
+        // only the features.
+        if job.is_chunk() {
+            job.true_service_secs = w.cfg.truth.sample_secs(&mut w.rng_chunk_truth, &job.features)
+                + w.cfg.chunk_policy.per_chunk_overhead_secs;
+        }
         let margin = margins[job.features.job_type.code() as usize];
         let est_ct = match (&mut gate, &mut w.econ) {
             (Some((planner, max_turnaround)), Some(econ)) => {
@@ -1502,7 +1509,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
                 shadow.commit(&job, est_secs, placement),
                 est_ct,
                 "{} carried a completion its own plan does not give",
-                w.cfg.scheduler.label()
+                kind.label()
             );
         }
         // Serving recycles the slot of a completed job (LIFO); closed mode
@@ -1518,7 +1525,9 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
         };
         let id = job.id;
         let idx = id.0 as usize;
-        decisions.push(placement == Placement::External);
+        if let Some(decisions) = &mut decisions {
+            decisions.push(placement == Placement::External);
+        }
         // The ticket quote: estimate plus the confidence margin.
         let promise = est_ct + margin;
         let timeline = crate::timeline::JobTimeline::new(id.0, job.arrival, now, placement);
@@ -1552,17 +1561,23 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch_jobs: Vec<Job>) {
                 let svc = job.true_service_secs;
                 submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
             }
-            Placement::External => {
-                let class = w.classify(site, job.input_bytes());
-                w.sites[site].up.queues.push(class, id, job.input_bytes());
-            }
+            // SIBS classifies by the bounds the whole batch derives, so
+            // uploads queue after the pass. Nothing in the pass reads the
+            // upload queues.
+            Placement::External => w.uploads.push((id, job.input_bytes())),
         }
         put(&mut w.jobs, idx, job);
     }
-    if w.serve.is_none() {
-        // Closed mode keeps the whole-run per-batch decision log for the
-        // Eq. 11/12 burst ratios; serving folds it into the counter above,
-        // because an unbounded stream cannot keep a per-batch vector.
+    if let Some(b) = plan.finish() {
+        w.sites[site].sibs_bounds = Some(b);
+    }
+    let mut uploads = std::mem::take(&mut w.uploads);
+    for (id, bytes) in uploads.drain(..) {
+        let class = w.classify(site, bytes);
+        w.sites[site].up.queues.push(class, id, bytes);
+    }
+    w.uploads = uploads;
+    if let Some(decisions) = decisions {
         w.batch_decisions.push(decisions);
     }
     w.batches_seen += 1;
@@ -2417,9 +2432,16 @@ impl<R> Harness<R> {
             self.world.outstanding.len(),
             self.world.jobs.len()
         );
-        // Nothing reads the drained pool again: free its columns before
-        // the report allocates, so the two are not live together.
+        // Nothing reads the drained pool, the empty wait queues or the
+        // admission scratch again: free their storage before the report
+        // allocates, so the two are not live together.
         self.world.outstanding = OutstandingSet::new();
+        self.world.ic.release_queue();
+        for s in &mut self.world.sites {
+            s.cloud.release_queue();
+        }
+        self.world.sibs_candidates = Vec::new();
+        self.world.uploads = Vec::new();
         let end = self.sim.now();
         self.world.accrue_provisioning(end);
         end
@@ -3131,7 +3153,8 @@ mod tests {
     /// A closed run sizes each per-job column once, at its first batch,
     /// for every job of every batch with chunks counted, so no column
     /// holds doubling slack when the run drains; under chaos the attempt
-    /// counters too. `finish` frees the drained outstanding set.
+    /// counters too. `finish` frees the drained outstanding set and wait
+    /// queues.
     #[test]
     fn closed_run_columns_are_sized_exactly() {
         let lossy = cloudburst_chaos::FaultProfile {
@@ -3168,10 +3191,15 @@ mod tests {
             if let Some(ch) = &w.chaos {
                 assert_eq!((ch.attempts.len(), ch.attempts.capacity()), (rows, rows), "attempts");
             }
+            assert!(w.ic.queue_capacity() > 0, "the run must queue on the IC");
             let (report, w) = h.finish();
             assert_eq!(report.completion_times.len(), rows);
             assert_eq!(w.outstanding.capacities(), [0; 3], "the drained set is freed");
             assert_eq!(w.outstanding_jobs(), 0);
+            assert_eq!(w.ic.queue_capacity(), 0, "the drained IC queue is freed");
+            for (i, s) in w.sites.iter().enumerate() {
+                assert_eq!(s.cloud.queue_capacity(), 0, "EC site {i}'s drained queue is freed");
+            }
         }
     }
 

@@ -152,13 +152,6 @@ pub struct BatchSchedule {
     pub sibs: Option<SibsBounds>,
 }
 
-impl BatchSchedule {
-    /// Number of jobs bursted to the EC.
-    pub fn n_bursted(&self) -> usize {
-        self.jobs.iter().filter(|s| s.placement == Placement::External).count()
-    }
-}
-
 /// Incremental finish-time planner behind every scheduler kind.
 ///
 /// Wraps a [`LoadModel`] and *commits* each placement as it is decided, so

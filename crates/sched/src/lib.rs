@@ -9,8 +9,10 @@
 //!
 //! * [`api`] — placement decisions, the [`LoadModel`] snapshot the engine
 //!   hands to the scheduler, and the [`api::Planner`] every kind plans with.
-//! * [`scheduler`] — [`SchedulerKind`] and [`schedule_batch`], the one batch
-//!   planner for all five kinds: Algorithm 1 (Greedy: place each job where
+//! * [`scheduler`] — [`SchedulerKind`] and [`BatchPlan`], the one batch
+//!   planner for all five kinds, fed one job at a time from [`batch_jobs`]
+//!   (the engine admits each job as it is placed; [`schedule_batch`]
+//!   collects the same stream): Algorithm 1 (Greedy: place each job where
 //!   it finishes earliest), Algorithm 2 (Op: chunk for variance reduction,
 //!   then burst only jobs whose EC round trip fits their slack, Eq. 2), Op
 //!   without the chunk pass, Algorithm 3 (SIBS: Op plus size-interval
@@ -42,4 +44,4 @@ pub use drain::{fluid_fill_level, FluidScratch, DRAIN_WINDOW};
 pub use freetime::{FreeTimeIndex, OutstandingSet};
 pub use resched::eq1_slack;
 pub use estimates::{EstimateProvider, ProcTimeModel};
-pub use scheduler::{schedule_batch, scheduled_len, SchedulerKind};
+pub use scheduler::{batch_jobs, schedule_batch, scheduled_len, BatchPlan, SchedulerKind};

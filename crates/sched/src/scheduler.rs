@@ -7,7 +7,7 @@
 //!
 //! * **the chunk pass** (Algorithm 2 lines 3–10): Op and SIBS first split
 //!   the jobs whose sliding size-deviation window `σ(i..i+x)` exceeds the
-//!   threshold ([`chunk_batch`]), splicing the chunks in at the job's
+//!   threshold ([`ChunkStream`]), splicing the chunks in at the job's
 //!   position;
 //! * **the placement test**: IC-only never bursts; Greedy (Algorithm 1)
 //!   places each job where it is expected to finish earliest, ties to the
@@ -27,7 +27,8 @@
 
 use cloudburst_net::queues::SibsCandidate;
 use cloudburst_net::{sibs_bounds, SibsBounds};
-use cloudburst_workload::chunk::{chunk_batch, chunked_len, ChunkPolicy};
+use cloudburst_sim::SimTime;
+use cloudburst_workload::chunk::{chunked_len, ChunkPolicy, ChunkStream};
 use cloudburst_workload::Job;
 use serde::{Deserialize, Serialize};
 
@@ -82,6 +83,9 @@ impl SchedulerKind {
 /// snapshot, and, under SIBS, derives the size-interval bounds. Returns
 /// every input job (or its chunks) exactly once, in queue order, each with
 /// its QRSM estimate and the completion its commit planned.
+///
+/// [`batch_jobs`] through a [`BatchPlan`], collected: the engine admits the
+/// same stream job by job instead.
 pub fn schedule_batch(
     kind: SchedulerKind,
     chunk_policy: &ChunkPolicy,
@@ -89,12 +93,104 @@ pub fn schedule_batch(
     load: &LoadModel<'_>,
     est: &EstimateProvider,
 ) -> BatchSchedule {
-    let batch = if chunks(kind) { chunk_batch(batch, chunk_policy) } else { batch };
-    let mut planner = Planner::new(load, est);
-    let mut jobs = Vec::with_capacity(batch.len());
-    for job in batch {
-        let est_secs = est.exec_secs(&job);
-        let placement = match kind {
+    let mut candidates = Vec::new();
+    let mut plan = BatchPlan::new(kind, load, est, &mut candidates);
+    let jobs = batch_jobs(kind, chunk_policy, batch).map(|job| plan.place(job)).collect();
+    BatchSchedule { jobs, sibs: plan.finish() }
+}
+
+/// The jobs `kind` plans for `batch`, in queue order: the chunk pass's
+/// stream under Op and SIBS, the batch as it arrived otherwise.
+pub fn batch_jobs(kind: SchedulerKind, chunk_policy: &ChunkPolicy, batch: Vec<Job>) -> ChunkStream {
+    ChunkStream::new(batch, chunks(kind).then_some(chunk_policy))
+}
+
+/// How many jobs [`schedule_batch`] returns for `batch` under `kind`: the
+/// chunk-expanded length under Op and SIBS, the batch's own otherwise.
+pub fn scheduled_len(kind: SchedulerKind, chunk_policy: &ChunkPolicy, batch: &[Job]) -> usize {
+    if chunks(kind) {
+        chunked_len(batch, chunk_policy)
+    } else {
+        batch.len()
+    }
+}
+
+/// Whether `kind` runs Algorithm 2's chunk pass before planning.
+fn chunks(kind: SchedulerKind) -> bool {
+    matches!(kind, SchedulerKind::OrderPreserving | SchedulerKind::Sibs)
+}
+
+/// One batch's plan under `kind`, fed a job at a time in queue order:
+/// [`BatchPlan::place`] predicts, tests and commits each job;
+/// [`BatchPlan::finish`] then derives the SIBS bounds.
+///
+/// Construction copies everything the plan reads from the snapshot (the
+/// [`Planner`]'s free-times, speeds, instant, upload rate and backlog;
+/// under SIBS also the backlog seconds, IC initial load, processor count
+/// and queued upload bytes), so the snapshot's borrows end with `new` and
+/// the caller may mutate the state it was taken from while placing.
+#[derive(Debug)]
+pub struct BatchPlan<'a> {
+    kind: SchedulerKind,
+    est: &'a EstimateProvider,
+    planner: Planner<'a>,
+    sibs: Option<SibsPlan<'a>>,
+}
+
+/// Algorithm 3's inputs: round trips estimated under no contention (a
+/// fresh plan's: the snapshot's instant, upload rate and backlog), IC
+/// initial load, processor count and per-class upload backlogs from the
+/// snapshot, and one candidate per placed job.
+#[derive(Debug)]
+struct SibsPlan<'a> {
+    now: SimTime,
+    upload_rate: f64,
+    backlog_secs: f64,
+    ec_speed: f64,
+    ic_speed: f64,
+    ic_initial_load_secs: f64,
+    n_ic: usize,
+    queued_bytes: (u64, u64, u64),
+    candidates: &'a mut Vec<SibsCandidate>,
+}
+
+impl<'a> BatchPlan<'a> {
+    /// A plan over the `load` snapshot. `candidates` is the caller's
+    /// scratch for SIBS's per-job candidates: cleared here, filled by
+    /// [`BatchPlan::place`] under SIBS only.
+    pub fn new(
+        kind: SchedulerKind,
+        load: &LoadModel<'_>,
+        est: &'a EstimateProvider,
+        candidates: &'a mut Vec<SibsCandidate>,
+    ) -> BatchPlan<'a> {
+        candidates.clear();
+        let sibs = (kind == SchedulerKind::Sibs).then(|| {
+            let upload_rate = est.upload_rate(load.now);
+            SibsPlan {
+                now: load.now,
+                upload_rate,
+                backlog_secs: initial_upload_backlog_secs(load, upload_rate),
+                ec_speed: load.ec_speed,
+                ic_speed: load.ic_speed,
+                ic_initial_load_secs: load.ic_initial_load_secs(),
+                n_ic: load.ic_free_secs.len().max(1),
+                queued_bytes: load.upload_queued_bytes,
+                candidates,
+            }
+        });
+        BatchPlan { kind, est, planner: Planner::new(load, est), sibs }
+    }
+
+    /// Places the next job of the batch: predicts it once (QRSM), tests
+    /// its placement against the plan so far, and commits it.
+    // Inlined across the crate boundary: the workspace builds without LTO,
+    // and admission calls this once per job.
+    #[inline]
+    pub fn place(&mut self, job: Job) -> ScheduledJob {
+        let est_secs = self.est.exec_secs(&job);
+        let planner = &mut self.planner;
+        let placement = match self.kind {
             // No decision reads the plan, but admission records the
             // estimate and the commit: one of each per job.
             SchedulerKind::IcOnly => Placement::Internal,
@@ -128,67 +224,33 @@ pub fn schedule_batch(
             },
         };
         let est_ct = planner.commit(&job, est_secs, placement);
-        jobs.push(ScheduledJob { job, placement, est_secs, est_ct });
-    }
-    let sibs = match kind {
-        SchedulerKind::Sibs => size_interval_bounds(&jobs, load, est),
-        _ => None,
-    };
-    BatchSchedule { jobs, sibs }
-}
-
-/// How many jobs [`schedule_batch`] returns for `batch` under `kind`: the
-/// chunk-expanded length under Op and SIBS, the batch's own otherwise.
-pub fn scheduled_len(kind: SchedulerKind, chunk_policy: &ChunkPolicy, batch: &[Job]) -> usize {
-    if chunks(kind) {
-        chunked_len(batch, chunk_policy)
-    } else {
-        batch.len()
-    }
-}
-
-/// Whether `kind` runs Algorithm 2's chunk pass before planning.
-fn chunks(kind: SchedulerKind) -> bool {
-    matches!(kind, SchedulerKind::OrderPreserving | SchedulerKind::Sibs)
-}
-
-/// Algorithm 3 on the (chunk-expanded) batch: round trips estimated under
-/// no contention (a fresh plan's: the snapshot's instant, upload rate and
-/// backlog), IC initial load, processor count and per-class upload
-/// backlogs from the snapshot.
-fn size_interval_bounds(
-    jobs: &[ScheduledJob],
-    load: &LoadModel<'_>,
-    est: &EstimateProvider,
-) -> Option<SibsBounds> {
-    let upload_rate = est.upload_rate(load.now);
-    let backlog_secs = initial_upload_backlog_secs(load, upload_rate);
-    let candidates: Vec<SibsCandidate> = jobs
-        .iter()
-        .map(|s| {
-            let (_wait, up, exec, down) = est.round_trip_parts(
-                load.now,
-                &s.job,
-                s.est_secs,
-                load.ec_speed,
-                backlog_secs,
-                upload_rate,
+        if let Some(s) = &mut self.sibs {
+            let (_wait, up, exec, down) = self.est.round_trip_parts(
+                s.now,
+                &job,
+                est_secs,
+                s.ec_speed,
+                s.backlog_secs,
+                s.upload_rate,
             );
-            SibsCandidate {
-                size: s.job.input_bytes(),
+            s.candidates.push(SibsCandidate {
+                size: job.input_bytes(),
                 t_up: up,
                 e_ec: exec,
                 t_down: down,
-                e_ic: s.est_secs / load.ic_speed,
-            }
-        })
-        .collect();
-    sibs_bounds(
-        &candidates,
-        load.ic_initial_load_secs(),
-        load.ic_free_secs.len().max(1),
-        load.upload_queued_bytes,
-    )
+                e_ic: est_secs / s.ic_speed,
+            });
+        }
+        ScheduledJob { job, placement, est_secs, est_ct }
+    }
+
+    /// Ends the batch: Algorithm 3 over every placed job's candidate under
+    /// SIBS (`None` when no candidate qualifies), `None` for every other
+    /// kind.
+    pub fn finish(self) -> Option<SibsBounds> {
+        let s = self.sibs?;
+        sibs_bounds(s.candidates, s.ic_initial_load_secs, s.n_ic, s.queued_bytes)
+    }
 }
 
 /// [`schedule_batch`]'s placements without the `ec_floor` short cuts:
@@ -202,10 +264,9 @@ pub(crate) fn schedule_batch_floor_free(
     load: &LoadModel<'_>,
     est: &EstimateProvider,
 ) -> BatchSchedule {
-    let batch = if chunks(kind) { chunk_batch(batch, chunk_policy) } else { batch };
     let mut planner = Planner::new(load, est);
     let mut jobs = Vec::new();
-    for job in batch {
+    for job in batch_jobs(kind, chunk_policy, batch) {
         let est_secs = est.exec_secs(&job);
         let placement = match (kind, planner.slack()) {
             (SchedulerKind::IcOnly, _) => Placement::Internal,
@@ -241,6 +302,11 @@ mod tests {
         s.jobs.iter().map(|s| s.placement).collect()
     }
 
+    /// Number of jobs bursted to the EC.
+    fn n_bursted(s: &BatchSchedule) -> usize {
+        s.jobs.iter().filter(|s| s.placement == Placement::External).count()
+    }
+
     #[test]
     fn labels_are_stable() {
         let labels: Vec<&str> = SchedulerKind::ALL.iter().map(|k| k.label()).collect();
@@ -264,7 +330,7 @@ mod tests {
         let mut buf = LoadModelBuf::idle(SimTime::ZERO, 1, 8);
         buf.ic_free_secs = vec![1e9];
         let s = run(SchedulerKind::IcOnly, batch, &buf);
-        assert_eq!(s.n_bursted(), 0);
+        assert_eq!(n_bursted(&s), 0);
         assert_eq!(s.jobs.len(), 10);
         assert!(s.sibs.is_none());
     }
@@ -276,7 +342,7 @@ mod tests {
         let batch: Vec<_> = (0..4).map(|i| job_with_id(i, 60)).collect();
         let buf = LoadModelBuf::idle(SimTime::ZERO, 8, 2);
         let s = run(SchedulerKind::Greedy, batch, &buf);
-        assert_eq!(s.n_bursted(), 0);
+        assert_eq!(n_bursted(&s), 0);
         assert_eq!(s.jobs.len(), 4);
     }
 
@@ -288,7 +354,7 @@ mod tests {
         let mut buf = LoadModelBuf::idle(SimTime::ZERO, 1, 2);
         buf.ic_free_secs = vec![20_000.0];
         let s = run(SchedulerKind::Greedy, batch, &buf);
-        assert_eq!(s.n_bursted(), 6, "everything beats a 20k-second backlog");
+        assert_eq!(n_bursted(&s), 6, "everything beats a 20k-second backlog");
     }
 
     #[test]
@@ -301,7 +367,7 @@ mod tests {
         buf.ic_free_secs = vec![1_500.0, 1_500.0];
         let s = run(SchedulerKind::Greedy, batch, &buf);
         let placements = placements(&s);
-        let n_ec = s.n_bursted();
+        let n_ec = n_bursted(&s);
         assert!(n_ec > 0, "some jobs should burst: {placements:?}");
         assert!(n_ec < 10, "not all jobs should burst: {placements:?}");
     }
@@ -323,7 +389,7 @@ mod tests {
         let batch: Vec<_> = (0..4).map(|i| job_with_id(i, 40)).collect();
         let buf = LoadModelBuf::idle(SimTime::ZERO, 8, 2);
         let s = run(SchedulerKind::OrderPreserving, batch, &buf);
-        assert_eq!(s.n_bursted(), 0);
+        assert_eq!(n_bursted(&s), 0);
     }
 
     #[test]
@@ -335,7 +401,7 @@ mod tests {
         buf.ic_free_secs = vec![4_000.0, 4_000.0];
         buf.outstanding_est_completions = vec![SimTime::from_secs(4_000)];
         let s = run(SchedulerKind::OrderPreserving, batch, &buf);
-        assert!(s.n_bursted() > 0, "deep backlog should trigger bursting");
+        assert!(n_bursted(&s) > 0, "deep backlog should trigger bursting");
     }
 
     #[test]

@@ -112,77 +112,171 @@ pub fn chunk_job_at(job: &Job, policy: &ChunkPolicy, pos_frac: f64) -> Vec<Job> 
     if n <= 1 {
         return vec![job.clone()];
     }
-    let mut out = Vec::with_capacity(n);
-    push_chunks(job, policy, n, &mut out);
-    out
+    let split = Split::new(job.clone(), n);
+    (0..n).map(|k| split.chunk(k, policy.per_chunk_overhead_secs)).collect()
 }
 
-/// Appends the `n ≥ 2` chunks of `job` to `out`.
+/// One parent's split into `n ≥ 2` chunks: the per-chunk quotients and
+/// remainders of its input bytes, output bytes, pages and images, taken
+/// once per parent and read by every chunk.
 ///
 /// A chunk's service time is its pro-rata share of the parent's plus the
 /// fixed split/merge overhead. It is a placeholder: the engine is the
 /// authority on ground truth and re-samples every admitted chunk's time
 /// from the truth law on the chunk's own features.
-fn push_chunks(job: &Job, policy: &ChunkPolicy, n: usize, out: &mut Vec<Job>) {
-    let n64 = n as u64;
-    let in_base = job.features.size_bytes / n64;
-    let in_rem = job.features.size_bytes % n64;
-    let out_base = job.output_bytes / n64;
-    let out_rem = job.output_bytes % n64;
-    let pages_base = job.features.pages / n as u32;
-    let pages_rem = job.features.pages % n as u32;
-    let images_base = job.features.images / n as u32;
-    let images_rem = job.features.images % n as u32;
+#[derive(Clone, Debug)]
+struct Split {
+    parent: Job,
+    n: usize,
+    in_base: u64,
+    in_rem: u64,
+    out_base: u64,
+    out_rem: u64,
+    pages_base: u32,
+    pages_rem: u32,
+    images_base: u32,
+    images_rem: u32,
+}
 
-    out.extend((0..n).map(|k| {
-        let k64 = k as u64;
-        let in_bytes = in_base + u64::from(k64 < in_rem);
-        let out_bytes = out_base + u64::from(k64 < out_rem);
-        let pages = pages_base + u32::from((k as u32) < pages_rem);
-        let images = images_base + u32::from((k as u32) < images_rem);
+impl Split {
+    fn new(parent: Job, n: usize) -> Split {
+        let (n64, n32) = (n as u64, n as u32);
+        Split {
+            n,
+            in_base: parent.features.size_bytes / n64,
+            in_rem: parent.features.size_bytes % n64,
+            out_base: parent.output_bytes / n64,
+            out_rem: parent.output_bytes % n64,
+            pages_base: parent.features.pages / n32,
+            pages_rem: parent.features.pages % n32,
+            images_base: parent.features.images / n32,
+            images_rem: parent.features.images % n32,
+            parent,
+        }
+    }
+
+    /// Chunk `k < n`: the first remainder-many chunks take one unit more.
+    fn chunk(&self, k: usize, per_chunk_overhead_secs: f64) -> Job {
+        let (k64, k32) = (k as u64, k as u32);
+        let job = &self.parent;
+        let in_bytes = self.in_base + u64::from(k64 < self.in_rem);
+        let out_bytes = self.out_base + u64::from(k64 < self.out_rem);
+        let pages = self.pages_base + u32::from(k32 < self.pages_rem);
+        let images = self.images_base + u32::from(k32 < self.images_rem);
         let share = in_bytes as f64 / job.features.size_bytes as f64;
         Job {
             id: job.id, // provisional; the engine re-indexes on insert
             batch: job.batch,
             arrival: job.arrival,
             features: DocumentFeatures { size_bytes: in_bytes, pages, images, ..job.features },
-            true_service_secs: job.true_service_secs * share + policy.per_chunk_overhead_secs,
+            true_service_secs: job.true_service_secs * share + per_chunk_overhead_secs,
             output_bytes: out_bytes,
             parent: ParentId::some(job.id),
         }
-    }));
+    }
 }
 
 /// Applies Algorithm 2 lines 3–10 to a whole batch: walks the job list with
 /// the sliding σ-window and replaces each triggering job with its chunks.
 /// Returns the expanded list (provisional ids preserved; callers re-index).
+/// [`ChunkStream`] collected, allocated once at its exact length.
+pub fn chunk_batch(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
+    let stream = ChunkStream::new(jobs, Some(policy));
+    // `collect` would round a short batch's first allocation up to four.
+    let mut out = Vec::with_capacity(stream.len());
+    out.extend(stream);
+    out
+}
+
+/// Algorithm 2 lines 3–10 over a batch, one job at a time: yields each
+/// original job, or in its place its chunks, in queue order. Without a
+/// policy every job passes through whole.
 ///
 /// Position-aware: the job that is the `k`-th original of an `n`-job batch
 /// chunks at queue-position fraction `k / n` (see
 /// [`ChunkPolicy::position_gamma`]) — measured against the *original*
 /// batch, so inserted chunks never shift a later job's position.
 ///
-/// Linear, with the output allocated once at its exact length. The
-/// paper's loop splices chunks into the list and then skips past them, so
-/// every index at or after the cursor is a not-yet-visited original: the
-/// window `σ(i..i+x)` over the growing list is always `σ` over the next
-/// `x` originals. So a counting pre-pass over the originals' sizes
-/// ([`chunk_counts`]) decides every job's chunk count, and a second pass
-/// appends each job or its chunks in place — the same σ values and the
-/// same output as the splice loop (kept as the `#[cfg(test)]` oracle).
-pub fn chunk_batch(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
-    let counts: Vec<usize> = chunk_counts(&jobs, policy).collect();
-    let mut out = Vec::with_capacity(counts.iter().sum());
-    for (job, &n) in jobs.into_iter().zip(&counts) {
-        if n > 1 {
-            push_chunks(&job, policy, n, &mut out);
-        } else {
-            out.push(job);
+/// Linear. The paper's loop splices chunks into the list and then skips
+/// past them, so every index at or after the cursor is a not-yet-visited
+/// original: the window `σ(i..i+x)` over the growing list is always `σ`
+/// over the next `x` originals. So a counting pre-pass over the originals'
+/// sizes ([`chunk_counts`], run once in [`ChunkStream::new`]) decides every
+/// job's chunk count, and the stream then emits each job or its chunks —
+/// the same σ values and the same jobs as the splice loop (kept as the
+/// `#[cfg(test)]` oracle). The counts make the length exact
+/// ([`ExactSizeIterator`]), and the stream holds only the batch and one
+/// count per original: a consumer that admits each job as it is yielded
+/// never holds the expanded batch.
+#[derive(Debug)]
+pub struct ChunkStream {
+    jobs: std::vec::IntoIter<Job>,
+    /// Each original's chunk count, in order; empty without a policy.
+    counts: std::vec::IntoIter<usize>,
+    /// The parent being split and the index of its next chunk.
+    split: Option<(Split, usize)>,
+    per_chunk_overhead_secs: f64,
+    /// Jobs still to yield.
+    remaining: usize,
+}
+
+impl ChunkStream {
+    /// Streams `jobs` through `policy`'s chunk pass, or unchanged when
+    /// `policy` is `None`.
+    pub fn new(jobs: Vec<Job>, policy: Option<&ChunkPolicy>) -> ChunkStream {
+        let (counts, remaining, per_chunk_overhead_secs) = match policy {
+            Some(p) => {
+                let counts: Vec<usize> = chunk_counts(&jobs, p).collect();
+                let len = counts.iter().sum();
+                (counts, len, p.per_chunk_overhead_secs)
+            }
+            None => (Vec::new(), jobs.len(), 0.0),
+        };
+        ChunkStream {
+            jobs: jobs.into_iter(),
+            counts: counts.into_iter(),
+            split: None,
+            per_chunk_overhead_secs,
+            remaining,
         }
     }
-    debug_assert_eq!(out.len(), out.capacity(), "the pre-pass counts every output job");
-    out
 }
+
+impl Iterator for ChunkStream {
+    type Item = Job;
+
+    // Inlined across the crate boundary: the workspace builds without LTO,
+    // and admission calls this once per job.
+    #[inline]
+    fn next(&mut self) -> Option<Job> {
+        if let Some((split, k)) = &mut self.split {
+            let chunk = split.chunk(*k, self.per_chunk_overhead_secs);
+            *k += 1;
+            if *k == split.n {
+                self.split = None;
+            }
+            self.remaining -= 1;
+            return Some(chunk);
+        }
+        let job = self.jobs.next()?;
+        self.remaining -= 1;
+        match self.counts.next() {
+            Some(n) if n > 1 => {
+                let split = Split::new(job, n);
+                let chunk = split.chunk(0, self.per_chunk_overhead_secs);
+                self.split = Some((split, 1));
+                Some(chunk)
+            }
+            _ => Some(job),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for ChunkStream {}
 
 /// The length [`chunk_batch`] expands `jobs` to, without building it.
 pub fn chunked_len(jobs: &[Job], policy: &ChunkPolicy) -> usize {
@@ -190,7 +284,7 @@ pub fn chunked_len(jobs: &[Job], policy: &ChunkPolicy) -> usize {
 }
 
 /// Each original's chunk count under `policy` (1 = kept whole), in order:
-/// [`chunk_batch`]'s pre-pass. `should_chunk_at` needs more than one
+/// [`ChunkStream`]'s pre-pass. `should_chunk_at` needs more than one
 /// chunk, so the window σ is taken only for a job that would split.
 fn chunk_counts<'a>(jobs: &'a [Job], policy: &'a ChunkPolicy) -> impl Iterator<Item = usize> + 'a {
     let denom = jobs.len().max(1) as f64;
@@ -386,19 +480,42 @@ mod tests {
         list
     }
 
-    /// Runs both passes and asserts identical output (every field, f64s by
-    /// their `Debug` round-trip text, which is exact) and an output
-    /// allocated at exactly its length.
+    /// Drains `stream`, checking at every step that `len()` counts the
+    /// jobs still to come.
+    fn drain_exact(mut stream: ChunkStream) -> Vec<Job> {
+        let mut out = Vec::new();
+        loop {
+            let left = stream.len();
+            let Some(job) = stream.next() else {
+                assert_eq!(left, 0, "len() promised {left} more jobs");
+                return out;
+            };
+            out.push(job);
+            assert_eq!(stream.len(), left - 1, "len() did not count the yield");
+        }
+    }
+
+    /// Asserts two job lists equal in every field (f64s by their `Debug`
+    /// round-trip text, which is exact).
+    fn assert_same_jobs(got: &[Job], want: &[Job]) {
+        assert_eq!(got.len(), want.len(), "lengths differ");
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "job {k} differs");
+        }
+    }
+
+    /// Runs both passes and asserts identical output, an output allocated
+    /// at exactly its length, and a stream whose `len()` is exact at every
+    /// step — with the policy, and without one, where it passes the batch
+    /// through unchanged.
     fn assert_linear_matches_oracle(jobs: Vec<Job>, policy: &ChunkPolicy) -> usize {
         let counted = chunked_len(&jobs, policy);
         let lin = chunk_batch(jobs.clone(), policy);
         assert_eq!(counted, lin.len(), "chunked_len counts what chunk_batch builds");
-        let ora = splice_oracle(jobs, policy);
-        assert_eq!(lin.len(), ora.len(), "expanded lengths differ");
         assert_eq!(lin.capacity(), lin.len(), "the output is allocated at its exact length");
-        for (k, (a, b)) in lin.iter().zip(&ora).enumerate() {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "job {k} differs");
-        }
+        assert_same_jobs(&lin, &splice_oracle(jobs.clone(), policy));
+        assert_same_jobs(&drain_exact(ChunkStream::new(jobs.clone(), Some(policy))), &lin);
+        assert_same_jobs(&drain_exact(ChunkStream::new(jobs.clone(), None)), &jobs);
         lin.len()
     }
 

@@ -43,7 +43,7 @@ pub use arrival::{ArrivalConfig, Batch, BatchArrivals};
 pub use open::{BurstModel, OpenArrivalConfig, OpenArrivals, RateEnvelope};
 pub use bucket::SizeBucket;
 pub use trace::WorkloadTrace;
-pub use chunk::{chunk_job, chunked_len, ChunkPolicy};
+pub use chunk::{chunk_job, chunked_len, ChunkPolicy, ChunkStream};
 pub use document::{DocumentFeatures, JobType};
 pub use job::{Job, JobId, ParentId};
 pub use truth::GroundTruth;
