@@ -42,12 +42,12 @@ trap 'rm -rf "$PERF_TMP"' EXIT
 # (baseline.json, seed 1); the benchmark exits non-zero on a mismatch.
 # Each must also stay under a pinned peak-heap ceiling: 1.05 x the
 # workload's peak_heap_mb when the ceiling was pinned (51.206621,
-# 1.376086, 33.830289 and 0.187391 MB, identical over reruns). The
+# 0.875094, 33.830289 and 0.187391 MB, identical over reruns). The
 # metric is the counting allocator's high-water mark, a pure function of
 # the code and the seed, so it reads the same on every host.
 echo "== benchmark pinned digests and peak-heap ceilings: all four workloads at seed 1"
 declare -A HEAP_CEILING_MB=(
-  [closed-op]=53.767 [serve-diurnal]=1.4449 [chaos-econ]=35.522 [paper-sweep]=0.1968
+  [closed-op]=53.767 [serve-diurnal]=0.9189 [chaos-econ]=35.522 [paper-sweep]=0.1968
 )
 for w in closed-op serve-diurnal chaos-econ paper-sweep; do
   line="$(cargo run --release -p cloudburst-bench --bin benchmark -- --workload "$w" --seed 1 --seconds 0 | tail -n 1)"

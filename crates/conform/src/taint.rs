@@ -3,7 +3,8 @@
 //!
 //! * `hotpath/alloc-reachable` — no function reachable from a
 //!   `// conform::hot_root` decision entry point may hit an allocating
-//!   call: `.push(..)`, `.collect(..)`, `.to_vec(..)`, `Vec::new`,
+//!   call: `.push(..)`, `.collect(..)`, `.to_vec(..)`, `.reserve(..)`,
+//!   `.reserve_exact(..)`, `Vec::new`,
 //!   `*::with_capacity`, `Box::new`, `String::from`, `vec![]`,
 //!   `format!`. Sink matching is *syntactic* (flagged whether or not the
 //!   name also resolves to a workspace function), so a `Vec::push` can
@@ -43,7 +44,7 @@ use crate::graph::Graph;
 use crate::rules::{Finding, DETERMINISTIC_CRATES};
 
 /// Receiver-call names that allocate.
-const ALLOC_METHODS: &[&str] = &["collect", "push", "to_vec"];
+const ALLOC_METHODS: &[&str] = &["collect", "push", "to_vec", "reserve", "reserve_exact"];
 
 /// `Type::fn` path calls that allocate.
 const ALLOC_TYPED: &[(&str, &str)] = &[("Box", "new"), ("String", "from"), ("Vec", "new")];
@@ -292,6 +293,21 @@ mod tests {
                 "deep (crates/core/src/engine.rs:4)",
             ],
             "witness names the full root→sink chain"
+        );
+    }
+
+    /// A reservation allocates as a push does, so it is a sink too.
+    #[test]
+    fn reservations_are_allocating_calls() {
+        let cfg = Config::default();
+        let src = "// conform::hot_root\npub fn sweep(v: &mut Vec<u8>, n: usize) {\n\
+                   v.reserve(n);\nv.reserve_exact(n);\nv.len();\n}";
+        let f = analyze_files(&[("core", "crates/core/src/engine.rs", src)], &cfg);
+        let lines: Vec<(&str, u32)> = f.iter().map(|x| (x.rule, x.line)).collect();
+        assert_eq!(
+            lines,
+            vec![("hotpath/alloc-reachable", 3), ("hotpath/alloc-reachable", 4)],
+            "{f:?}"
         );
     }
 

@@ -44,7 +44,7 @@ use cloudburst_sla::{
 use cloudburst_workload::{BatchArrivals, Job, JobId, JobType, OpenArrivals};
 
 use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind};
-use crate::timeline::Stamp;
+use crate::timeline::{JobTimeline, Stamp};
 
 /// Size of the autonomic probe transfers (Sec. III-A-2: "periodic test
 /// uploads/downloads of size 1MB").
@@ -438,11 +438,15 @@ struct EconState {
 /// existed.
 ///
 /// The memory contract: completed jobs return their id (= slot in every
-/// per-job column) to `free_ids`, the next admission pops it and
+/// per-job column) to the free list, the next admission pops it and
 /// *overwrites* the slot instead of pushing (see [`put`]), and the
 /// whole-run accumulators (`batch_decisions`, per-window aggregates) are
 /// replaced by the streaming [`WindowSeries`] — so the columns plateau at
 /// the live-job high-water mark no matter how many jobs stream through.
+/// Each epoch that can raise that mark grows the columns by exactly the
+/// slots it may take, and serving keeps no per-job timeline, so a slot
+/// holds only what serving reads: the job, its estimate, its ticket
+/// promise, its arrival sequence and its outstanding estimate.
 struct ServeState {
     /// Lazy arrival generator; one epoch event is pending at any time.
     arrivals: OpenArrivals,
@@ -450,12 +454,14 @@ struct ServeState {
     horizon: SimTime,
     /// Streaming windowed aggregates (the `RunReport` replacement).
     windows: WindowSeries,
-    /// Recycled job ids (= slots), LIFO. Completion order is
-    /// deterministic, so recycling is too.
-    free_ids: Vec<u64>,
+    /// Head of the recycled job ids (= slots), LIFO; [`NO_SLOT`] when
+    /// every slot is live. Completion order is deterministic, so recycling
+    /// is too.
+    free_head: u64,
     /// Dense, never-recycled arrival sequence per live slot — the ordered
     /// consumption order the OO frontier runs on (job ids recycle; the
-    /// sequence does not).
+    /// sequence does not). A free slot's entry links the next free id
+    /// instead, so the free list needs no column of its own.
     seq_of: Vec<u64>,
     /// Jobs placed externally at admission (closed mode's
     /// `batch_decisions`, collapsed to the counter serving actually needs).
@@ -467,6 +473,28 @@ struct ServeState {
     live_high_water: u64,
     /// The generator reached the horizon; the pipeline is draining.
     arrivals_done: bool,
+}
+
+/// End of serving's free-slot list.
+const NO_SLOT: u64 = u64::MAX;
+
+impl ServeState {
+    /// Takes the most recently freed slot, if any.
+    fn pop_free(&mut self) -> Option<u64> {
+        let id = self.free_head;
+        if id == NO_SLOT {
+            return None;
+        }
+        self.free_head = self.seq_of[id as usize];
+        Some(id)
+    }
+
+    /// Frees a completed job's slot; its arrival sequence must already be
+    /// read, because the link overwrites it.
+    fn push_free(&mut self, id: u64) {
+        self.seq_of[id as usize] = self.free_head;
+        self.free_head = id;
+    }
 }
 
 /// The whole simulated system.
@@ -491,8 +519,10 @@ pub struct EngineWorld {
     /// Completion promise quoted at admission (estimate + margin).
     ticket_promise: Vec<SimTime>,
     /// Per-job lifecycle stamps, including the current placement `d_i`
-    /// and the completion instant (result in the result queue).
-    timelines: Vec<crate::timeline::JobTimeline>,
+    /// and the completion instant (result in the result queue). Closed
+    /// runs only: the report, `--timelines` and the goldens read them, and
+    /// serving, which folds completions into windows, keeps none.
+    timelines: Vec<JobTimeline>,
     /// Jobs per batch with their placements (burst-ratio per batch).
     batch_decisions: Vec<Vec<bool>>,
     /// A closed run's batches by arrival index, each taken by its arrival
@@ -743,9 +773,25 @@ impl EngineWorld {
         self.ec_provisioned_machine_secs
     }
 
-    /// Per-job lifecycle timelines, indexed by job id.
-    pub fn timelines(&self) -> &[crate::timeline::JobTimeline] {
+    /// Per-job lifecycle timelines, indexed by job id. Empty in serving,
+    /// which keeps none.
+    pub fn timelines(&self) -> &[JobTimeline] {
         &self.timelines
+    }
+
+    /// Job slots held: every job of a closed run, serving's live
+    /// high-water. A test accessor: nothing else reads it.
+    #[doc(hidden)]
+    pub fn job_slots(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Job `id`'s lifecycle stamps, for every stamp and placement write: a
+    /// closed run's row, `None` in serving.
+    fn timeline_mut(&mut self, id: JobId) -> Option<&mut JobTimeline> {
+        let row = self.timelines.get_mut(id.0 as usize);
+        debug_assert!(row.is_some() || self.serve.is_some(), "closed run without a row for {id}");
+        row
     }
 
     /// The internal-cloud pool (probe API — lets external probes replay
@@ -792,11 +838,18 @@ impl EngineWorld {
     /// both modes.
     fn all_done(&self) -> bool {
         #[cfg(test)]
-        assert_eq!(
-            self.outstanding.is_empty(),
-            self.timelines.iter().all(|t| t.completed.get().is_some()),
-            "outstanding pool diverged from the timelines' completion stamps"
-        );
+        match &self.serve {
+            None => assert_eq!(
+                self.outstanding.is_empty(),
+                self.timelines.iter().all(|t| t.completed.get().is_some()),
+                "outstanding pool diverged from the timelines' completion stamps"
+            ),
+            Some(serve) => assert_eq!(
+                self.outstanding.len() as u64,
+                serve.windows.live(),
+                "outstanding pool diverged from the windows' live count"
+            ),
+        }
         self.arrivals_done() && self.outstanding.is_empty()
     }
 
@@ -1149,8 +1202,11 @@ impl EngineWorld {
 
     /// Delivered output bytes recorded for job `id` (0 until delivery).
     /// Used by the closed-vs-open equivalence oracle to replay the closed
-    /// run's byte stream through a fresh [`WindowSeries`].
+    /// run's byte stream through a fresh [`WindowSeries`]. Closed runs
+    /// only: serving recycles ids, so an id names no one job there, and
+    /// keeps no completion stamps; panics in serving.
     pub fn job_output_bytes(&self, id: u64) -> u64 {
+        assert!(self.serve.is_none(), "job_output_bytes reads a closed run's per-job ledger");
         let delivered = self.timelines[id as usize].completed.get().is_some();
         if delivered {
             self.jobs[id as usize].output_bytes
@@ -1429,21 +1485,32 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
     // A closed run sizes every per-job column exactly, once, at its first
     // batch: this batch's jobs plus the jobs each pending batch will
     // schedule to (chunks counted), so no push regrows a column and the
-    // run holds no doubling slack. Jobs that commit-or-reject turns away
-    // leave their rows unused. Counted here, not when the harness is
+    // run holds no doubling slack. Counted here, not when the harness is
     // built, where set-up would pay for it; reserved once, not per batch,
-    // because each exact regrowth copies every column.
-    if w.serve.is_none() && w.batches_seen == 0 {
-        let policy = &w.cfg.chunk_policy;
-        let rows = jobs.len()
-            + w.pending.iter().flatten().map(|b| scheduled_len(kind, policy, b)).sum::<usize>();
+    // because each exact regrowth copies every column. Serving sizes them
+    // to its live high-water instead: an epoch with more jobs than free
+    // slots grows each column by exactly the fresh slots it may take.
+    // Jobs that commit-or-reject turns away leave their rows unused.
+    let rows = match &w.serve {
+        None if w.batches_seen == 0 => {
+            let policy = &w.cfg.chunk_policy;
+            jobs.len()
+                + w.pending.iter().flatten().map(|b| scheduled_len(kind, policy, b)).sum::<usize>()
+        }
+        None => 0,
+        Some(serve) => jobs.len().saturating_sub(w.jobs.len() - serve.windows.live() as usize),
+    };
+    if rows > 0 {
         w.jobs.reserve_exact(rows);
         w.est_exec.reserve_exact(rows);
         w.outstanding.reserve_exact(rows);
         #[cfg(test)]
         w.est_completion.reserve_exact(rows);
         w.ticket_promise.reserve_exact(rows);
-        w.timelines.reserve_exact(rows);
+        match &mut w.serve {
+            None => w.timelines.reserve_exact(rows),
+            Some(serve) => serve.seq_of.reserve_exact(rows),
+        }
         if let Some(ch) = &mut w.chaos {
             ch.attempts.reserve_exact(rows);
         }
@@ -1515,7 +1582,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
         // Serving recycles the slot of a completed job (LIFO); closed mode
         // has no free list, so every id is fresh — `base + k` exactly as
         // before the serving mode existed.
-        job.id = match w.serve.as_mut().and_then(|s| s.free_ids.pop()) {
+        job.id = match w.serve.as_mut().and_then(ServeState::pop_free) {
             Some(id) => JobId(id),
             None => {
                 let id = JobId(base + fresh);
@@ -1530,7 +1597,6 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
         }
         // The ticket quote: estimate plus the confidence margin.
         let promise = est_ct + margin;
-        let timeline = crate::timeline::JobTimeline::new(id.0, job.arrival, now, placement);
 
         // One row per job: a fresh slot pushes, a recycled one (serving
         // only) is overwritten in place, so every column stays at the
@@ -1541,7 +1607,6 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
         #[cfg(test)]
         put(&mut w.est_completion, idx, Some(est_ct));
         put(&mut w.ticket_promise, idx, promise);
-        put(&mut w.timelines, idx, timeline);
         if let Some(ch) = &mut w.chaos {
             put(&mut ch.attempts, idx, Attempts::default());
         }
@@ -1555,6 +1620,9 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
                 serve.bursted_jobs += 1;
             }
             serve.live_high_water = serve.live_high_water.max(serve.windows.live());
+        } else {
+            // Closed mode has no free list: every id is fresh.
+            w.timelines.push(JobTimeline::new(id.0, job.arrival, now, placement));
         }
         match placement {
             Placement::Internal => {
@@ -1634,8 +1702,8 @@ fn pump(w: &mut W, site: usize, upload: bool, now: SimTime) {
         let tuner = if upload { &mut w.est.up_tuner } else { &mut w.est.down_tuner };
         let threads = tuner.threads_for(now);
         let tid = w.fresh_tid();
-        if upload {
-            w.timelines[id.0 as usize].upload_started = Stamp::some(now);
+        if let Some(t) = w.timeline_mut(id).filter(|_| upload) {
+            t.upload_started = Stamp::some(now);
         }
         // Chaos: arm the recovery timeout; a stalled transfer occupies its
         // slot but never reaches the link — only the timeout frees it.
@@ -1685,12 +1753,16 @@ fn on_transfer_done(w: &mut W, site: usize, upload: bool, c: Completion) {
     }
     let idx = id.0 as usize;
     if upload {
-        w.timelines[idx].upload_done = Stamp::some(c.at);
+        if let Some(t) = w.timeline_mut(id) {
+            t.upload_done = Stamp::some(c.at);
+        }
         let svc = w.jobs[idx].true_service_secs;
         let s = &mut w.sites[site];
         submit_for_exec(&mut s.cloud, &w.est_exec, s.speed, id, svc, c.at);
     } else {
-        w.timelines[idx].download_done = Stamp::some(c.at);
+        if let Some(t) = w.timeline_mut(id) {
+            t.download_done = Stamp::some(c.at);
+        }
         record_completion(w, id, c.at);
     }
 }
@@ -1751,8 +1823,10 @@ fn pool_mut<'a>(
 fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, pool: Pool) {
     // Completions only come from pools in range.
     let Some((_, speed)) = pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) else { return };
-    w.timelines[id.0 as usize].exec_started = Stamp::some(started);
-    w.timelines[id.0 as usize].exec_done = Stamp::some(at);
+    if let Some(t) = w.timeline_mut(id) {
+        t.exec_started = Stamp::some(started);
+        t.exec_done = Stamp::some(at);
+    }
     if w.qrsm_sealed() {
         return;
     }
@@ -1766,7 +1840,7 @@ fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, pool: Pool) 
 /// A job's result entered the result queue.
 fn record_completion(w: &mut W, id: JobId, at: SimTime) {
     let idx = id.0 as usize;
-    debug_assert!(w.timelines[idx].completed.get().is_none(), "job completed twice: {id}");
+    debug_assert!(w.outstanding.contains(id.0), "job completed twice: {id}");
     if w.econ.is_some() {
         econ_settle_completion(w, idx, at);
     }
@@ -1775,7 +1849,9 @@ fn record_completion(w: &mut W, id: JobId, at: SimTime) {
     {
         w.est_completion[idx] = None;
     }
-    w.timelines[idx].completed = Stamp::some(at);
+    if let Some(t) = w.timeline_mut(id) {
+        t.completed = Stamp::some(at);
+    }
     if let Some(serve) = &mut w.serve {
         // Serving: fold the completion into the windowed aggregates and
         // recycle the slot. Everything per-job dies here; only the window
@@ -1785,7 +1861,7 @@ fn record_completion(w: &mut W, id: JobId, at: SimTime) {
         let met = at <= w.ticket_promise[idx];
         serve.windows.on_complete(serve.seq_of[idx], at, out, turnaround_secs, Some(met));
         serve.output_bytes_total += out;
-        serve.free_ids.push(id.0);
+        serve.push_free(id.0);
     }
 }
 
@@ -1909,9 +1985,10 @@ fn retry_or_redispatch(w: &mut W, site: usize, id: JobId, at: SimTime, upload: b
 /// re-enters the normal scheduling path rather than a special case. The
 /// outstanding estimate is revised so Eq. 1 slack keeps governing.
 fn redispatch_to_ic(w: &mut W, id: JobId, now: SimTime) {
-    let idx = id.0 as usize;
-    w.timelines[idx].placement = Placement::Internal;
-    let svc = w.jobs[idx].true_service_secs;
+    if let Some(t) = w.timeline_mut(id) {
+        t.placement = Placement::Internal;
+    }
+    let svc = w.jobs[id.0 as usize].true_service_secs;
     submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
     reinstate_estimate(w, id, now, w.cfg.ic_speed);
     let ch = w.chaos.as_mut().expect("re-dispatch implies chaos state");
@@ -2073,7 +2150,9 @@ fn try_pull_back(w: &mut W, now: SimTime) {
             .pop_front_class(class)
             .expect("candidate still at the head");
         debug_assert_eq!(got, id);
-        w.timelines[id.0 as usize].placement = Placement::Internal;
+        if let Some(t) = w.timeline_mut(id) {
+            t.placement = Placement::Internal;
+        }
         let svc = w.jobs[id.0 as usize].true_service_secs;
         submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
         w.n_pull_backs += 1;
@@ -2160,7 +2239,9 @@ fn try_push_out(w: &mut W, now: SimTime) {
     }
     let bytes = w.jobs[id.0 as usize].input_bytes();
     let class = w.classify(site, bytes);
-    w.timelines[id.0 as usize].placement = Placement::External;
+    if let Some(t) = w.timeline_mut(id) {
+        t.placement = Placement::External;
+    }
     w.sites[site].up.queues.push(class, id, bytes);
     w.n_push_outs += 1;
     pump(w, site, true, now);
@@ -2498,7 +2579,7 @@ impl Harness<ServeReport> {
             arrivals,
             horizon,
             windows: WindowSeries::new(serve_cfg.window),
-            free_ids: Vec::new(),
+            free_head: NO_SLOT,
             seq_of: Vec::new(),
             bursted_jobs: 0,
             output_bytes_total: 0,
@@ -3131,7 +3212,7 @@ mod tests {
             let mut cfg = serve_cfg(44);
             cfg.faults = faults;
             let (r, world) = serve_experiment_detailed(&cfg);
-            let slots = world.jobs.len() as u64;
+            let slots = world.job_slots() as u64;
             assert_eq!(slots, r.live_high_water, "slab high-water == live high-water");
             assert!(
                 slots < r.jobs_admitted / 2,
@@ -3139,7 +3220,7 @@ mod tests {
                 slots,
                 r.jobs_admitted
             );
-            assert_eq!(world.timelines.len() as u64, slots);
+            assert!(world.timelines.is_empty(), "serving keeps no timelines");
             assert_eq!(world.est_exec.len() as u64, slots);
             assert_eq!(world.ticket_promise.len() as u64, slots);
             assert_eq!(world.chaos.is_some(), armed);
@@ -3203,6 +3284,47 @@ mod tests {
         }
     }
 
+    /// Serving grows each per-job column by exactly the fresh slots an
+    /// epoch may take, so every column ends at the live high-water with no
+    /// doubling slack, under chaos the attempt counters too; it keeps no
+    /// timelines.
+    #[test]
+    fn serve_run_columns_are_sized_to_the_live_high_water() {
+        let lossy = cloudburst_chaos::FaultProfile {
+            transfer_loss_prob: 0.1,
+            exec_failure_prob: 0.1,
+            ..cloudburst_chaos::FaultProfile::dormant()
+        };
+        for faults in [None, Some(lossy)] {
+            let armed = faults.is_some();
+            let mut cfg = serve_cfg(44);
+            cfg.faults = faults;
+            let mut h = ServeHarness::new(&cfg);
+            h.run();
+            let w = h.world();
+            let serve = w.serve.as_ref().expect("serve state");
+            let rows = serve.live_high_water as usize;
+            assert!(rows > 1, "the stream must hold several jobs live");
+            assert!(serve.windows.total_admitted() > 2 * rows as u64, "the stream must recycle");
+            let columns = [
+                ("jobs", w.jobs.len(), w.jobs.capacity()),
+                ("est_exec", w.est_exec.len(), w.est_exec.capacity()),
+                ("est_completion", w.est_completion.len(), w.est_completion.capacity()),
+                ("ticket_promise", w.ticket_promise.len(), w.ticket_promise.capacity()),
+                ("seq_of", serve.seq_of.len(), serve.seq_of.capacity()),
+            ];
+            for (name, len, capacity) in columns {
+                assert_eq!((len, capacity), (rows, rows), "{name} (len, capacity)");
+            }
+            assert_eq!(w.outstanding.capacities(), [rows; 3], "outstanding set columns");
+            assert_eq!((w.timelines.len(), w.timelines.capacity()), (0, 0), "timelines");
+            assert_eq!(w.chaos.is_some(), armed);
+            if let Some(ch) = &w.chaos {
+                assert_eq!((ch.attempts.len(), ch.attempts.capacity()), (rows, rows), "attempts");
+            }
+        }
+    }
+
     #[test]
     fn job_output_bytes_reads_zero_until_delivery() {
         let mut cfg = small_cfg(SchedulerKind::Greedy, 14);
@@ -3225,6 +3347,13 @@ mod tests {
             assert!(job.output_bytes > 0);
             assert_eq!(world.job_output_bytes(i as u64), job.output_bytes);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "job_output_bytes reads a closed run's per-job ledger")]
+    fn job_output_bytes_is_closed_only() {
+        let (_, world) = serve_experiment_detailed(&serve_cfg(41));
+        world.job_output_bytes(0);
     }
 
     #[test]

@@ -185,12 +185,15 @@ impl OutstandingSet {
         &self.vals
     }
 
-    /// Reserves room for exactly `additional` more job ids (and as many
-    /// outstanding slots): a closed run sizes the pool for the whole run at
-    /// its first batch, so it never regrows.
+    /// Reserves room for exactly `additional` more job ids, and every
+    /// column for as many outstanding jobs as there are ids then: a closed
+    /// run sizes the pool for the whole run at its first batch, and
+    /// serving for each rise of its live high-water, so neither regrows by
+    /// doubling.
     pub fn reserve_exact(&mut self, additional: usize) {
-        self.vals.reserve_exact(additional);
-        self.job_at.reserve_exact(additional);
+        let ids = self.pos.len() + additional;
+        self.vals.reserve_exact(ids - self.vals.len());
+        self.job_at.reserve_exact(ids - self.job_at.len());
         self.pos.reserve_exact(additional);
     }
 
@@ -237,6 +240,11 @@ impl OutstandingSet {
         self.pos[id as usize] = self.vals.len() as u32;
         self.vals.push(est_completion);
         self.job_at.push(id as u32);
+    }
+
+    /// True while job `id` is outstanding: admitted, result not landed.
+    pub fn contains(&self, id: u64) -> bool {
+        self.pos.get(id as usize).is_some_and(|&slot| slot != GONE)
     }
 
     /// Removes job `id` when its result lands. No-op if already removed.
@@ -326,8 +334,10 @@ mod tests {
         s.insert(1, t(30));
         s.insert(2, t(20));
         assert_eq!(s.len(), 3);
+        assert!(s.contains(1) && !s.contains(3));
         assert_eq!(s.values().iter().copied().max(), Some(t(30)));
         s.remove(1);
+        assert!(!s.contains(1));
         assert_eq!(s.values().iter().copied().max(), Some(t(20)));
         s.remove(1); // idempotent
         s.remove(0);
@@ -378,6 +388,26 @@ mod tests {
         // Normal completion still removes it.
         s.remove(1);
         assert_eq!(s.values(), &[t(50)]);
+    }
+
+    /// A reservation sizes every column for every id, outstanding or not:
+    /// the set can then hold all of them without regrowing.
+    #[test]
+    fn reserve_sizes_every_column_to_the_ids() {
+        let t = SimTime::from_secs;
+        let mut s = OutstandingSet::new();
+        s.reserve_exact(4);
+        assert_eq!(s.capacities(), [4; 3]);
+        for id in 0..4 {
+            s.insert(id, t(id));
+        }
+        s.remove(2);
+        s.reserve_exact(2);
+        assert_eq!(s.capacities(), [6; 3], "3 outstanding of 4 ids, room for 2 more");
+        for id in [2, 4, 5] {
+            s.insert(id, t(id));
+        }
+        assert_eq!((s.len(), s.capacities()), (6, [6; 3]));
     }
 
     #[test]

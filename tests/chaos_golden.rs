@@ -286,7 +286,7 @@ fn golden_econ_commit_serve_report_is_byte_stable() {
     assert!(econ.jobs_rejected > 0, "the budget never rejected a job: {econ:?}");
     assert!(econ.penalty > Money::ZERO, "no committed job finished late: {econ:?}");
     assert!(econ.commitment_violations > 0, "{econ:?}");
-    let slots = world.timelines().len() as u64;
+    let slots = world.job_slots() as u64;
     assert!(slots < report.jobs_admitted, "{slots} slots for {} jobs", report.jobs_admitted);
     assert_eq!(report.jobs_completed, report.jobs_admitted, "the stream must drain");
     let fresh = serde_json::to_string(&report).expect("report serializes");
