@@ -139,7 +139,7 @@ fn main() {
                 None => println!("{json}"),
             }
             if let Some(path) = arg_value(&args, "--timelines") {
-                let tj = serde_json::to_string_pretty(world.timelines())
+                let tj = serde_json::to_string_pretty(&world.timelines())
                     .expect("serialize timelines");
                 fs::write(&path, tj).unwrap_or_else(|e| {
                     eprintln!("cannot write {path}: {e}");

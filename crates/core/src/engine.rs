@@ -44,7 +44,11 @@ use cloudburst_sla::{
 use cloudburst_workload::{BatchArrivals, Job, JobId, JobType, OpenArrivals};
 
 use crate::config::{EcSiteConfig, ExperimentConfig, SchedulerKind};
-use crate::timeline::{JobTimeline, Stamp};
+#[cfg(test)]
+use crate::timeline::Stamp;
+use crate::timeline::{
+    JobTimeline, Stage, TimelineRow, TimelineStore, Timelines, TransferStamps, NO_TRANSFER,
+};
 
 /// Size of the autonomic probe transfers (Sec. III-A-2: "periodic test
 /// uploads/downloads of size 1MB").
@@ -522,7 +526,12 @@ pub struct EngineWorld {
     /// and the completion instant (result in the result queue). Closed
     /// runs only: the report, `--timelines` and the goldens read them, and
     /// serving, which folds completions into windows, keeps none.
-    timelines: Vec<JobTimeline>,
+    timelines: TimelineStore,
+    /// Exactness oracle for `timelines`: the dense per-job rows the store
+    /// replaced, stamped at the same sites; `finish` asserts the store
+    /// rebuilds them exactly.
+    #[cfg(test)]
+    timeline_shadow: Vec<JobTimeline>,
     /// Jobs per batch with their placements (burst-ratio per batch).
     batch_decisions: Vec<Vec<bool>>,
     /// A closed run's batches by arrival index, each taken by its arrival
@@ -579,6 +588,54 @@ pub struct EngineWorld {
     /// Economics state; `None` ⇔ no price, penalty, admission commitment
     /// or broker policy can ever affect this run.
     econ: Option<EconState>,
+}
+
+/// The timeline store's growing writes, kept with the engine's other
+/// per-job pushes: rows and batch pairs land in capacity a closed run
+/// reserves once, at its first batch; the transfer table grows by one
+/// entry per job at its first External placement (admission or push-out).
+impl TimelineStore {
+    /// Sizes the rows and batch pairs of a closed run, once.
+    fn reserve_exact(&mut self, rows: usize, batches: usize) {
+        self.rows.reserve_exact(rows);
+        self.batches.reserve_exact(batches);
+    }
+
+    /// Opens a batch admitted at `at`, whose first admitted job (if any)
+    /// takes id `first`.
+    fn open_batch(&mut self, first: u64, at: SimTime) {
+        self.batches.push((first, at));
+    }
+
+    /// Job `id`'s row at admission, with its transfer entry if it bursts.
+    fn admit(&mut self, id: usize, placement: Placement) {
+        debug_assert_eq!(id, self.rows.len(), "closed-run ids are dense");
+        self.rows.push(TimelineRow::new(placement));
+        self.move_to(id, placement);
+    }
+
+    /// Moves job `id` to `placement`. Its first External placement opens
+    /// its transfer entry, which it keeps: a pulled-back or re-dispatched
+    /// job keeps the stamps its transfer attempts left.
+    fn move_to(&mut self, id: usize, placement: Placement) {
+        let row = &mut self.rows[id];
+        row.placement = placement;
+        if placement == Placement::External && row.transfer == NO_TRANSFER {
+            // At most one entry per job, and job ids fit a u32.
+            row.transfer = self.transfers.len() as u32;
+            self.transfers.push(TransferStamps::NONE);
+        }
+    }
+}
+
+impl Timelines<'_> {
+    /// The dense copy, row for row what the run stamped. It sits with the
+    /// engine's allocating writes because the conformance linter resolves
+    /// method calls by name, and the QRSM solver's slice `.to_vec()` puts
+    /// every workspace `fn to_vec` on the decision cone.
+    pub fn to_vec(&self) -> Vec<JobTimeline> {
+        self.iter().collect()
+    }
 }
 
 impl std::fmt::Debug for EngineWorld {
@@ -725,7 +782,9 @@ impl EngineWorld {
             #[cfg(test)]
             est_completion: Vec::new(),
             ticket_promise: Vec::new(),
-            timelines: Vec::new(),
+            timelines: TimelineStore::default(),
+            #[cfg(test)]
+            timeline_shadow: Vec::new(),
             batch_decisions: Vec::new(),
             pending: Vec::new(),
             wake: None,
@@ -773,10 +832,11 @@ impl EngineWorld {
         self.ec_provisioned_machine_secs
     }
 
-    /// Per-job lifecycle timelines, indexed by job id. Empty in serving,
+    /// Per-job lifecycle timelines, indexed by job id: a view that
+    /// rebuilds each row on read and allocates nothing. Empty in serving,
     /// which keeps none.
-    pub fn timelines(&self) -> &[JobTimeline] {
-        &self.timelines
+    pub fn timelines(&self) -> Timelines<'_> {
+        self.timelines.view(&self.jobs)
     }
 
     /// Job slots held: every job of a closed run, serving's live
@@ -786,12 +846,30 @@ impl EngineWorld {
         self.jobs.len()
     }
 
-    /// Job `id`'s lifecycle stamps, for every stamp and placement write: a
-    /// closed run's row, `None` in serving.
-    fn timeline_mut(&mut self, id: JobId) -> Option<&mut JobTimeline> {
-        let row = self.timelines.get_mut(id.0 as usize);
-        debug_assert!(row.is_some() || self.serve.is_some(), "closed run without a row for {id}");
-        row
+    /// Stamps `stage` of job `id` at `at` in a closed run's timelines (and
+    /// their test-build shadow); serving keeps none.
+    fn stamp(&mut self, id: JobId, stage: Stage, at: SimTime) {
+        if self.serve.is_some() {
+            return;
+        }
+        self.timelines.stamp(id.0 as usize, stage, at);
+        #[cfg(test)]
+        {
+            *self.timeline_shadow[id.0 as usize].stage_mut(stage) = Stamp::some(at);
+        }
+    }
+
+    /// Records job `id`'s new placement in a closed run's timelines (and
+    /// their test-build shadow); serving keeps none.
+    fn move_job(&mut self, id: JobId, placement: Placement) {
+        if self.serve.is_some() {
+            return;
+        }
+        self.timelines.move_to(id.0 as usize, placement);
+        #[cfg(test)]
+        {
+            self.timeline_shadow[id.0 as usize].placement = placement;
+        }
     }
 
     /// The internal-cloud pool (probe API — lets external probes replay
@@ -841,7 +919,7 @@ impl EngineWorld {
         match &self.serve {
             None => assert_eq!(
                 self.outstanding.is_empty(),
-                self.timelines.iter().all(|t| t.completed.get().is_some()),
+                self.timelines.completions().all(|c| c.is_some()),
                 "outstanding pool diverged from the timelines' completion stamps"
             ),
             Some(serve) => assert_eq!(
@@ -1083,7 +1161,7 @@ impl EngineWorld {
 
     fn report(&self, end: SimTime) -> RunReport {
         let completion_times: Vec<SimTime> =
-            self.timelines.iter().map(|t| t.completed.get().expect("run finished")).collect();
+            self.timelines.completions().map(|c| c.expect("run finished")).collect();
         let arrival = SimTime::ZERO;
         let makespan_secs = metrics::makespan(&completion_times, arrival);
         // Eq. 11/12 use the *decision-time* placements per batch; the
@@ -1207,7 +1285,7 @@ impl EngineWorld {
     /// keeps no completion stamps; panics in serving.
     pub fn job_output_bytes(&self, id: u64) -> u64 {
         assert!(self.serve.is_none(), "job_output_bytes reads a closed run's per-job ledger");
-        let delivered = self.timelines[id as usize].completed.get().is_some();
+        let delivered = self.timelines.completed(id as usize).is_some();
         if delivered {
             self.jobs[id as usize].output_bytes
         } else {
@@ -1508,7 +1586,7 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
         w.est_completion.reserve_exact(rows);
         w.ticket_promise.reserve_exact(rows);
         match &mut w.serve {
-            None => w.timelines.reserve_exact(rows),
+            None => w.timelines.reserve_exact(rows, w.batches_total as usize),
             Some(serve) => serve.seq_of.reserve_exact(rows),
         }
         if let Some(ch) = &mut w.chaos {
@@ -1529,6 +1607,9 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
     // job must not consume an id (the spine slot would leak).
     let base = w.jobs.len() as u64;
     let mut fresh = 0u64;
+    if w.serve.is_none() {
+        w.timelines.open_batch(base, now);
+    }
     for job in jobs {
         let ScheduledJob { mut job, placement, est_secs, est_ct } = plan.place(job);
         #[cfg(any(test, debug_assertions))]
@@ -1622,7 +1703,9 @@ fn on_batch(w: &mut W, sim: &mut Sim<W>, batch: Vec<Job>) {
             serve.live_high_water = serve.live_high_water.max(serve.windows.live());
         } else {
             // Closed mode has no free list: every id is fresh.
-            w.timelines.push(JobTimeline::new(id.0, job.arrival, now, placement));
+            w.timelines.admit(idx, placement);
+            #[cfg(test)]
+            w.timeline_shadow.push(JobTimeline::new(id.0, job.arrival, now, placement));
         }
         match placement {
             Placement::Internal => {
@@ -1702,8 +1785,8 @@ fn pump(w: &mut W, site: usize, upload: bool, now: SimTime) {
         let tuner = if upload { &mut w.est.up_tuner } else { &mut w.est.down_tuner };
         let threads = tuner.threads_for(now);
         let tid = w.fresh_tid();
-        if let Some(t) = w.timeline_mut(id).filter(|_| upload) {
-            t.upload_started = Stamp::some(now);
+        if upload {
+            w.stamp(id, Stage::UploadStarted, now);
         }
         // Chaos: arm the recovery timeout; a stalled transfer occupies its
         // slot but never reaches the link — only the timeout frees it.
@@ -1753,16 +1836,12 @@ fn on_transfer_done(w: &mut W, site: usize, upload: bool, c: Completion) {
     }
     let idx = id.0 as usize;
     if upload {
-        if let Some(t) = w.timeline_mut(id) {
-            t.upload_done = Stamp::some(c.at);
-        }
+        w.stamp(id, Stage::UploadDone, c.at);
         let svc = w.jobs[idx].true_service_secs;
         let s = &mut w.sites[site];
         submit_for_exec(&mut s.cloud, &w.est_exec, s.speed, id, svc, c.at);
     } else {
-        if let Some(t) = w.timeline_mut(id) {
-            t.download_done = Stamp::some(c.at);
-        }
+        w.stamp(id, Stage::DownloadDone, c.at);
         record_completion(w, id, c.at);
     }
 }
@@ -1823,10 +1902,8 @@ fn pool_mut<'a>(
 fn finish_exec(w: &mut W, id: JobId, at: SimTime, started: SimTime, pool: Pool) {
     // Completions only come from pools in range.
     let Some((_, speed)) = pool_mut(&mut w.ic, &mut w.sites, &w.cfg, pool) else { return };
-    if let Some(t) = w.timeline_mut(id) {
-        t.exec_started = Stamp::some(started);
-        t.exec_done = Stamp::some(at);
-    }
+    w.stamp(id, Stage::ExecStarted, started);
+    w.stamp(id, Stage::ExecDone, at);
     if w.qrsm_sealed() {
         return;
     }
@@ -1849,9 +1926,7 @@ fn record_completion(w: &mut W, id: JobId, at: SimTime) {
     {
         w.est_completion[idx] = None;
     }
-    if let Some(t) = w.timeline_mut(id) {
-        t.completed = Stamp::some(at);
-    }
+    w.stamp(id, Stage::Completed, at);
     if let Some(serve) = &mut w.serve {
         // Serving: fold the completion into the windowed aggregates and
         // recycle the slot. Everything per-job dies here; only the window
@@ -1985,9 +2060,7 @@ fn retry_or_redispatch(w: &mut W, site: usize, id: JobId, at: SimTime, upload: b
 /// re-enters the normal scheduling path rather than a special case. The
 /// outstanding estimate is revised so Eq. 1 slack keeps governing.
 fn redispatch_to_ic(w: &mut W, id: JobId, now: SimTime) {
-    if let Some(t) = w.timeline_mut(id) {
-        t.placement = Placement::Internal;
-    }
+    w.move_job(id, Placement::Internal);
     let svc = w.jobs[id.0 as usize].true_service_secs;
     submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
     reinstate_estimate(w, id, now, w.cfg.ic_speed);
@@ -2150,9 +2223,7 @@ fn try_pull_back(w: &mut W, now: SimTime) {
             .pop_front_class(class)
             .expect("candidate still at the head");
         debug_assert_eq!(got, id);
-        if let Some(t) = w.timeline_mut(id) {
-            t.placement = Placement::Internal;
-        }
+        w.move_job(id, Placement::Internal);
         let svc = w.jobs[id.0 as usize].true_service_secs;
         submit_for_exec(&mut w.ic, &w.est_exec, w.cfg.ic_speed, id, svc, now);
         w.n_pull_backs += 1;
@@ -2239,9 +2310,7 @@ fn try_push_out(w: &mut W, now: SimTime) {
     }
     let bytes = w.jobs[id.0 as usize].input_bytes();
     let class = w.classify(site, bytes);
-    if let Some(t) = w.timeline_mut(id) {
-        t.placement = Placement::External;
-    }
+    w.move_job(id, Placement::External);
     w.sites[site].up.queues.push(class, id, bytes);
     w.n_push_outs += 1;
     pump(w, site, true, now);
@@ -2553,6 +2622,11 @@ impl Harness<RunReport> {
     /// Asserts the run completed and produces the SLA report.
     pub fn finish(mut self) -> (RunReport, EngineWorld) {
         let end = self.drain();
+        #[cfg(test)]
+        assert!(
+            self.world.timelines().to_vec() == self.world.timeline_shadow,
+            "the timeline store diverged from its dense shadow"
+        );
         let report = self.world.report(end);
         (report, self.world)
     }
@@ -2749,7 +2823,7 @@ mod tests {
 
     /// Executions stamped done so far.
     fn execs_done(w: &EngineWorld) -> usize {
-        w.timelines.iter().filter(|t| t.exec_done.get().is_some()).count()
+        w.timelines().iter().filter(|t| t.exec_done.get().is_some()).count()
     }
 
     #[test]
@@ -2835,7 +2909,7 @@ mod tests {
         let tls = world.timelines();
         assert_eq!(tls.len(), r.n_jobs);
         let mut saw_external = false;
-        for tl in tls {
+        for tl in tls.iter() {
             tl.check_ordering().unwrap_or_else(|(a, b)| {
                 panic!("job {} stage {} precedes {}", tl.id, b, a);
             });
@@ -3034,14 +3108,14 @@ mod tests {
         }
         let now = h.now();
         let w = h.world_mut();
-        let bursts = w.timelines.iter().filter(|t| t.placement == Placement::External).count();
+        let bursts = w.timelines().iter().filter(|t| t.placement == Placement::External).count();
         assert!(bursts >= 2, "{bursts} bursts");
         assert_eq!(w.sites[1].up.link.in_flight(), 1, "the batch went to the fast site");
 
         // Planned onto it: the batch's first burst meets an idle site with
         // nothing ahead of its upload, so its committed completion is
         // `now + up + est / 4.0 + down`.
-        let first = w.timelines.iter().position(|t| t.placement == Placement::External);
+        let first = w.timelines().iter().position(|t| t.placement == Placement::External);
         let first = first.expect("a burst");
         let job = &w.jobs[first];
         let est = w.est_exec[first];
@@ -3220,7 +3294,7 @@ mod tests {
                 slots,
                 r.jobs_admitted
             );
-            assert!(world.timelines.is_empty(), "serving keeps no timelines");
+            assert!(world.timelines().is_empty(), "serving keeps no timelines");
             assert_eq!(world.est_exec.len() as u64, slots);
             assert_eq!(world.ticket_promise.len() as u64, slots);
             assert_eq!(world.chaos.is_some(), armed);
@@ -3262,11 +3336,18 @@ mod tests {
                 ("est_exec", w.est_exec.len(), w.est_exec.capacity()),
                 ("est_completion", w.est_completion.len(), w.est_completion.capacity()),
                 ("ticket_promise", w.ticket_promise.len(), w.ticket_promise.capacity()),
-                ("timelines", w.timelines.len(), w.timelines.capacity()),
+                ("timeline rows", w.timelines.rows.len(), w.timelines.rows.capacity()),
             ];
             for (name, len, capacity) in columns {
                 assert_eq!((len, capacity), (rows, rows), "{name} (len, capacity)");
             }
+            let batch_pairs = &w.timelines.batches;
+            assert_eq!((batch_pairs.len(), batch_pairs.capacity()), (4, 4), "timeline batch pairs");
+            // One transfer entry per job ever placed External, no more.
+            let bursted = w.timelines.rows.iter().filter(|r| r.transfer != NO_TRANSFER).count();
+            assert!(bursted > 0, "the run must burst");
+            assert!(bursted < rows, "the run must keep jobs local");
+            assert_eq!(w.timelines.transfers.len(), bursted, "timeline transfer entries");
             assert_eq!(w.outstanding.capacities(), [rows; 3], "outstanding set columns");
             assert_eq!(w.chaos.is_some(), armed);
             if let Some(ch) = &w.chaos {
@@ -3317,7 +3398,9 @@ mod tests {
                 assert_eq!((len, capacity), (rows, rows), "{name} (len, capacity)");
             }
             assert_eq!(w.outstanding.capacities(), [rows; 3], "outstanding set columns");
-            assert_eq!((w.timelines.len(), w.timelines.capacity()), (0, 0), "timelines");
+            let t = &w.timelines;
+            let capacities = (t.rows.capacity(), t.transfers.capacity(), t.batches.capacity());
+            assert_eq!(capacities, (0, 0, 0), "timelines");
             assert_eq!(w.chaos.is_some(), armed);
             if let Some(ch) = &w.chaos {
                 assert_eq!((ch.attempts.len(), ch.attempts.capacity()), (rows, rows), "attempts");
@@ -3336,7 +3419,7 @@ mod tests {
         let pending = loop {
             assert!(h.step(), "every job delivered before one was seen pending");
             let w = h.world();
-            if let Some(t) = w.timelines.iter().find(|t| t.completed.get().is_none()) {
+            if let Some(t) = w.timelines().iter().find(|t| t.completed.get().is_none()) {
                 break t.id;
             }
         };

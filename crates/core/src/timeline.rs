@@ -7,14 +7,19 @@
 //! completion-delay and OO analyses and for the stage-ordering invariants
 //! in the test suite.
 //!
-//! One row is kept per admitted job, so the row is part of the engine's
-//! per-job spine: each stage stamp is a [`Stamp`] (8 bytes) rather than an
-//! `Option<SimTime>` (16), which makes the row 80 bytes instead of 128.
+//! A closed run keeps one row per admitted job until it drains, so the
+//! store is part of the engine's per-job spine and keeps only what it
+//! cannot derive (`TimelineStore`): a 32-byte `TimelineRow` per job,
+//! the three transfer stamps in a side table for the jobs ever placed
+//! External, and one admission instant per batch. The public
+//! [`JobTimeline`] (80 bytes: six 8-byte [`Stamp`]s rather than
+//! `Option<SimTime>`s) is rebuilt on each read by the [`Timelines`] view.
 
 use std::fmt;
 
 use cloudburst_sched::Placement;
 use cloudburst_sim::SimTime;
+use cloudburst_workload::Job;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// A stage stamp: an optional [`SimTime`] packed into 8 bytes, with
@@ -160,6 +165,206 @@ impl JobTimeline {
     }
 }
 
+/// A stage stamped after admission.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Stage {
+    UploadStarted,
+    UploadDone,
+    ExecStarted,
+    ExecDone,
+    DownloadDone,
+    Completed,
+}
+
+impl JobTimeline {
+    /// The stamp `stage` writes (the engine's test-build dense shadow
+    /// stamps through it).
+    #[cfg(test)]
+    pub(crate) fn stage_mut(&mut self, stage: Stage) -> &mut Stamp {
+        match stage {
+            Stage::UploadStarted => &mut self.upload_started,
+            Stage::UploadDone => &mut self.upload_done,
+            Stage::ExecStarted => &mut self.exec_started,
+            Stage::ExecDone => &mut self.exec_done,
+            Stage::DownloadDone => &mut self.download_done,
+            Stage::Completed => &mut self.completed,
+        }
+    }
+}
+
+/// A job's index into [`TimelineStore::transfers`]: none yet.
+pub(crate) const NO_TRANSFER: u32 = u32::MAX;
+
+/// One job's row in a closed run's store: the stamps every job takes, its
+/// current placement and its transfer-table entry ([`NO_TRANSFER`] until
+/// it is first placed External). 32 bytes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TimelineRow {
+    exec_started: Stamp,
+    exec_done: Stamp,
+    completed: Stamp,
+    pub(crate) transfer: u32,
+    pub(crate) placement: Placement,
+}
+
+impl TimelineRow {
+    /// A row at admission: placed, nothing stamped, no transfer entry.
+    pub(crate) fn new(placement: Placement) -> TimelineRow {
+        TimelineRow {
+            exec_started: Stamp::NONE,
+            exec_done: Stamp::NONE,
+            completed: Stamp::NONE,
+            transfer: NO_TRANSFER,
+            placement,
+        }
+    }
+}
+
+/// The stamps only a job that was placed External can take. 24 bytes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct TransferStamps {
+    upload_started: Stamp,
+    upload_done: Stamp,
+    download_done: Stamp,
+}
+
+impl TransferStamps {
+    /// No transfer stage entered.
+    pub(crate) const NONE: TransferStamps = TransferStamps {
+        upload_started: Stamp::NONE,
+        upload_done: Stamp::NONE,
+        download_done: Stamp::NONE,
+    };
+}
+
+/// A closed run's timelines, stored by what the engine does not already
+/// hold. A [`JobTimeline`]'s `id` is its row index, its `arrival` is the
+/// job's, and its `scheduled` is its batch's admission instant, so none
+/// is stored; transfer stamps exist only for the jobs ever placed
+/// External (a minority at paper scale). Serving keeps an empty store.
+///
+/// The engine writes the growing columns (rows at admission, transfer
+/// entries at the first External placement, one batch pair per batch)
+/// with its other per-job columns; stamps go through [`Self::stamp`].
+#[derive(Debug, Default)]
+pub(crate) struct TimelineStore {
+    /// One row per admitted job, indexed by job id.
+    pub(crate) rows: Vec<TimelineRow>,
+    /// The transfer table, in order of first External placement.
+    pub(crate) transfers: Vec<TransferStamps>,
+    /// `(first job id, admission instant)` per admitted batch, ascending
+    /// in id; a batch that admitted nothing shares its first id with the
+    /// next one, which owns the rows.
+    pub(crate) batches: Vec<(u64, SimTime)>,
+}
+
+impl TimelineStore {
+    /// Stamps `stage` of job `id` at `at`. Transfer stages need the job's
+    /// transfer entry, which its External placement opened.
+    pub(crate) fn stamp(&mut self, id: usize, stage: Stage, at: SimTime) {
+        let row = &mut self.rows[id];
+        let at = Stamp::some(at);
+        match stage {
+            Stage::ExecStarted => row.exec_started = at,
+            Stage::ExecDone => row.exec_done = at,
+            Stage::Completed => row.completed = at,
+            Stage::UploadStarted | Stage::UploadDone | Stage::DownloadDone => {
+                debug_assert_ne!(row.transfer, NO_TRANSFER, "job {id} has no transfer entry");
+                let t = &mut self.transfers[row.transfer as usize];
+                match stage {
+                    Stage::UploadStarted => t.upload_started = at,
+                    Stage::UploadDone => t.upload_done = at,
+                    _ => t.download_done = at,
+                }
+            }
+        }
+    }
+
+    /// When job `id`'s result entered the result queue, if it has.
+    pub(crate) fn completed(&self, id: usize) -> Option<SimTime> {
+        self.rows[id].completed.get()
+    }
+
+    /// Every job's completion instant, in id order.
+    pub(crate) fn completions(&self) -> impl ExactSizeIterator<Item = Option<SimTime>> + '_ {
+        self.rows.iter().map(|r| r.completed.get())
+    }
+
+    /// The read view; `jobs` is the engine's job column, which holds each
+    /// row's arrival.
+    pub(crate) fn view<'a>(&'a self, jobs: &'a [Job]) -> Timelines<'a> {
+        debug_assert!(jobs.len() >= self.rows.len(), "a timeline row without its job");
+        Timelines { store: self, jobs }
+    }
+}
+
+/// A closed run's per-job timelines in id order, rebuilt from the store
+/// row by row: reading allocates nothing, and [`Timelines::to_vec`] or
+/// serialization gives exactly the dense `Vec<JobTimeline>` the run
+/// stamped. Empty in serving.
+#[derive(Clone, Copy)]
+pub struct Timelines<'a> {
+    store: &'a TimelineStore,
+    jobs: &'a [Job],
+}
+
+impl<'a> Timelines<'a> {
+    /// Admitted jobs.
+    pub fn len(&self) -> usize {
+        self.store.rows.len()
+    }
+
+    /// No job was admitted (always so in serving).
+    pub fn is_empty(&self) -> bool {
+        self.store.rows.is_empty()
+    }
+
+    /// Job `id`'s timeline, if it was admitted.
+    pub fn get(&self, id: usize) -> Option<JobTimeline> {
+        (id < self.len()).then(|| self.at(id))
+    }
+
+    /// Every timeline, in id order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = JobTimeline> + 'a {
+        let view = *self;
+        (0..self.len()).map(move |id| view.at(id))
+    }
+
+    /// Row `id` rebuilt: `id` must be in range.
+    fn at(&self, id: usize) -> JobTimeline {
+        let row = &self.store.rows[id];
+        let batches = &self.store.batches;
+        let batch = batches.partition_point(|&(first, _)| first <= id as u64);
+        let transfers = &self.store.transfers;
+        let transfer = transfers.get(row.transfer as usize).unwrap_or(&TransferStamps::NONE);
+        JobTimeline {
+            id: id as u64,
+            arrival: self.jobs[id].arrival,
+            scheduled: batches[batch - 1].1,
+            placement: row.placement,
+            upload_started: transfer.upload_started,
+            upload_done: transfer.upload_done,
+            exec_started: row.exec_started,
+            exec_done: row.exec_done,
+            download_done: transfer.download_done,
+            completed: row.completed,
+        }
+    }
+}
+
+impl fmt::Debug for Timelines<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Serializes exactly as the `Vec<JobTimeline>` it stands for.
+impl Serialize for Timelines<'_> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(|t| t.to_value()).collect())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,11 +419,15 @@ mod tests {
         assert_eq!(unfinished.queueing_secs(), None);
     }
 
-    /// The row is part of the engine's per-job spine (one per admitted
-    /// job, ~205k in a closed-op run): a regrown row shows up here first.
+    /// The store row is part of the engine's per-job spine (one per
+    /// admitted job, ~205k in a closed-op run): a regrown row shows up
+    /// here first. The transfer entry is per bursted job; the public
+    /// `JobTimeline` it rebuilds keeps its 80 bytes.
     #[test]
-    fn row_is_eighty_bytes() {
+    fn a_timeline_row_is_32_bytes() {
         assert_eq!(std::mem::size_of::<Stamp>(), 8);
+        assert_eq!(std::mem::size_of::<TimelineRow>(), 32);
+        assert_eq!(std::mem::size_of::<TransferStamps>(), 24);
         assert_eq!(std::mem::size_of::<JobTimeline>(), 80);
     }
 

@@ -76,7 +76,7 @@ fn open_stream_replays_the_closed_run() {
         // need a service time landing on an exact epoch multiple, which the
         // continuous noise law makes a measure-zero event.
         let mut events: Vec<(SimTime, u8, u64)> = Vec::new();
-        for tl in tls {
+        for tl in tls.iter() {
             events.push((tl.arrival, 0, tl.id));
             events.push((tl.completed.get().expect("closed run drains"), 1, tl.id));
         }
@@ -88,7 +88,7 @@ fn open_stream_replays_the_closed_run() {
             match kind {
                 0 => oracle.on_admit(id, t),
                 _ => {
-                    let tl = &closed_world.timelines()[id as usize];
+                    let tl = tls.get(id as usize).expect("admitted job");
                     let turnaround = (t - tl.arrival).as_secs_f64();
                     let met = t <= closed.tickets[id as usize].promised;
                     oracle.on_complete(id, t, closed_world.job_output_bytes(id), turnaround, Some(met));

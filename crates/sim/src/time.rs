@@ -93,11 +93,6 @@ impl SimDuration {
         SimDuration(m * 60 * MICROS_PER_SEC)
     }
 
-    /// Builds a span from whole hours.
-    pub const fn from_hours(h: u64) -> Self {
-        SimDuration(h * 3_600 * MICROS_PER_SEC)
-    }
-
     /// Builds a span from fractional seconds, rounding to the nearest
     /// microsecond. Negative or non-finite input saturates to zero.
     #[inline]
@@ -123,12 +118,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// Multiplies the span by a non-negative scalar, rounding to the nearest
-    /// microsecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration(secs_to_micros(self.as_secs_f64() * k))
     }
 }
 
@@ -298,7 +287,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(3) - SimTime::from_secs(10), SimDuration::ZERO);
         assert_eq!(d * 3, SimDuration::from_secs(12));
         assert_eq!(d / 2, SimDuration::from_secs(2));
-        assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(2));
     }
 
     #[test]
@@ -422,7 +410,6 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(SimDuration::from_mins(2), SimDuration::from_secs(120));
-        assert_eq!(SimDuration::from_hours(1), SimDuration::from_secs(3600));
         assert_eq!(SimDuration::from_millis(1500).as_micros(), 1_500_000);
         assert!(SimDuration::ZERO.is_zero());
         assert!(!SimDuration::from_micros(1).is_zero());

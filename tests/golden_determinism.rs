@@ -41,7 +41,7 @@ fn paper_timelines_match_the_golden_byte_for_byte() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/op_uniform_seed1.timelines.json");
     let cfg = ExperimentConfig::paper(SchedulerKind::OrderPreserving, SizeBucket::Uniform, 1);
     let (_, world) = run_experiment_detailed(&cfg);
-    let fresh = serde_json::to_string_pretty(world.timelines()).expect("timelines serialize");
+    let fresh = serde_json::to_string_pretty(&world.timelines()).expect("timelines serialize");
     if std::env::var_os("TIMELINE_GOLDEN_BLESS").is_some() {
         std::fs::write(path, &fresh).expect("write golden fixture");
         return;
@@ -49,5 +49,5 @@ fn paper_timelines_match_the_golden_byte_for_byte() {
     let golden = std::fs::read_to_string(path).expect("golden fixture exists (bless to create)");
     assert!(fresh == golden, "timelines drifted from {path}; if intentional, re-bless");
     let rows: Vec<JobTimeline> = serde_json::from_str(&golden).expect("golden parses");
-    assert_eq!(rows, world.timelines());
+    assert_eq!(rows, world.timelines().to_vec());
 }
