@@ -102,6 +102,12 @@ cmp "$PERF_TMP/repro.serial.txt" "$PERF_TMP/repro.pooled.txt"
 echo "== lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Deleting a function leaves any `[`link`]` to it dangling, and a link to a
+# private or test-only item is as broken for a reader: rustdoc checks every
+# intra-doc link of the workspace (the vendored stand-ins included).
+echo "== lint: RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== conformance: cargo run --release -p cloudburst-conform"
 cargo run --release -p cloudburst-conform
 

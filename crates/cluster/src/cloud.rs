@@ -32,7 +32,7 @@ pub struct PoolBoundary {
     pub queued_cost_ticks: u64,
 }
 
-/// A job execution that finished, reported by [`Cloud::advance`].
+/// A job execution that finished, reported by [`Cloud::advance_into`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExecCompletion<K> {
     /// The caller's job key.
@@ -69,7 +69,7 @@ struct Queued<K> {
 /// A simulated cloud: `n` machines, FCFS queue, deterministic service.
 ///
 /// Passive API in the style of `cloudburst_net::Link`: the engine submits
-/// work, then alternates [`Cloud::next_wake`] / [`Cloud::advance`].
+/// work, then alternates [`Cloud::next_wake`] / [`Cloud::advance_into`].
 #[derive(Clone, Debug)]
 pub struct Cloud<K> {
     name: String,
@@ -440,7 +440,7 @@ impl<K: Copy + PartialEq + std::fmt::Debug> Cloud<K> {
     /// machine)` over every busy machine.
     #[cfg(test)]
     fn scan_earliest(&self) -> Option<(SimTime, usize)> {
-        self.machines.iter().filter_map(|m| m.busy_until().map(|f| (f, m.id().0))).min()
+        self.machines.iter().enumerate().filter_map(|(i, m)| m.busy_until().map(|f| (f, i))).min()
     }
 
     /// Average utilization over the pool up to `now` (Eq. 9).

@@ -8,7 +8,7 @@
 //! observe. See DESIGN.md §2 for the substitution argument.
 //!
 //! The cloud is a passive component in the same style as
-//! `cloudburst_net::Link`: the engine calls [`Cloud::advance`] to collect
+//! `cloudburst_net::Link`: the engine calls [`Cloud::advance_into`] to collect
 //! completions up to the current instant and [`Cloud::next_wake`] to learn
 //! when the next machine frees up.
 

@@ -29,16 +29,6 @@ impl Machine {
         Machine { id, speed, busy_until: None, busy_total: SimDuration::ZERO, started: None, completed: 0 }
     }
 
-    /// This machine's id.
-    pub fn id(&self) -> MachineId {
-        self.id
-    }
-
-    /// Speed factor relative to a standard machine.
-    pub fn speed(&self) -> f64 {
-        self.speed
-    }
-
     /// True iff a job is running.
     pub fn is_busy(&self) -> bool {
         self.busy_until.is_some()

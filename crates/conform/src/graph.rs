@@ -14,8 +14,13 @@
 //!   a function is never missing from the reachable set, it can only be
 //!   conservatively included;
 //! * `path::to::helper(..)` / bare `helper(..)` resolve to free functions
-//!   named `helper`; a `cloudburst_<crate>` or `crate::` segment narrows
-//!   the candidate set to that crate.
+//!   named `helper` in any crate: crate and module segments are ignored,
+//!   so a call through a re-export (`cloudburst_repro::sla::helper`)
+//!   resolves like a direct one;
+//! * an alias (`type A = B<..>;`, `use …::b as a;`) resolves like its target;
+//! * a reference ([`FnItem::refs`]) resolves the same way into a *value*
+//!   edge, which only the dead-code analysis follows. Roots (bins, tests,
+//!   initializers) are callers, never targets.
 //!
 //! Calls that resolve to nothing are std/vendored calls — invisible as
 //! edges, but still visible to the taint engine's *syntactic* sink
@@ -26,7 +31,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::parse::{CallSite, FnItem};
+use crate::parse::{CallSite, FnItem, ParsedFile};
 
 /// One resolved call edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +42,8 @@ pub struct Edge {
     pub line: u32,
     /// True when the call site itself is inside test-only code.
     pub in_test: bool,
+    /// True for a reference site ([`FnItem::refs`]), not a release call.
+    pub value: bool,
 }
 
 /// The workspace call graph.
@@ -55,12 +62,12 @@ impl Graph {
     }
 
     /// Incoming edges: for each function, the `(caller, line)` pairs that
-    /// call it (test-only call sites excluded).
+    /// call it (test-only call sites and value edges excluded).
     pub fn reverse_edges(&self) -> Vec<Vec<(usize, u32)>> {
         let mut rev: Vec<Vec<(usize, u32)>> = vec![Vec::new(); self.fns.len()];
         for (caller, out) in self.edges.iter().enumerate() {
             for e in out {
-                if !e.in_test {
+                if !e.in_test && !e.value {
                     rev[e.callee].push((caller, e.line));
                 }
             }
@@ -69,8 +76,14 @@ impl Graph {
     }
 }
 
-/// Builds the graph from every parsed function in the analysis corpus.
-pub fn build(mut fns: Vec<FnItem>) -> Graph {
+/// Builds the graph from every parsed file in the analysis corpus.
+pub fn build(files: Vec<ParsedFile>) -> Graph {
+    let mut fns = Vec::new();
+    let mut aliases = Vec::new();
+    for file in files {
+        fns.extend(file.fns);
+        aliases.extend(file.aliases);
+    }
     fns.sort_by(|a, b| (&a.rel_path, a.line, &a.name).cmp(&(&b.rel_path, b.line, &b.name)));
 
     // Symbol index. BTreeMaps keep candidate lists in deterministic order.
@@ -78,8 +91,8 @@ pub fn build(mut fns: Vec<FnItem>) -> Graph {
     let mut methods: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut free: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     for (i, f) in fns.iter().enumerate() {
-        if f.in_test {
-            continue; // test fns are never call targets of production code
+        if f.in_test || f.root {
+            continue; // test fns and roots are never call targets
         }
         match &f.self_ty {
             Some(ty) => {
@@ -89,17 +102,37 @@ pub fn build(mut fns: Vec<FnItem>) -> Graph {
             None => free.entry(f.name.as_str()).or_default().push(i),
         }
     }
+    // An alias resolves like its target: `A::f` as `B::f`, `a(..)` as `b(..)`.
+    for (alias, target) in &aliases {
+        let via: Vec<((&str, &str), Vec<usize>)> = typed
+            .range((target.as_str(), "")..)
+            .take_while(|((ty, _), _)| ty == target)
+            .map(|(&(_, name), v)| ((alias.as_str(), name), v.clone()))
+            .collect();
+        for (key, v) in via {
+            typed.entry(key).or_default().extend(v);
+        }
+        if let Some(v) = free.get(target.as_str()).cloned() {
+            free.entry(alias.as_str()).or_default().extend(v);
+        }
+    }
 
     let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fns.len()];
     for (i, f) in fns.iter().enumerate() {
         let mut out: Vec<Edge> = Vec::new();
-        for call in &f.calls {
+        let sites = f.calls.iter().map(|c| (c, false)).chain(f.refs.iter().map(|c| (c, true)));
+        for (call, value) in sites {
             for &callee in resolve(call, f, &typed, &methods, &free) {
                 if callee == i {
                     continue; // self-recursion adds nothing to reachability
                 }
-                if !out.iter().any(|e| e.callee == callee) {
-                    out.push(Edge { callee, line: call.line, in_test: call.in_test });
+                // One edge per callee, of the strongest kind seen first:
+                // release call, then reference, then test-only.
+                let edge = Edge { callee, line: call.line, in_test: call.in_test, value };
+                match out.iter_mut().find(|e| e.callee == callee) {
+                    None => out.push(edge),
+                    Some(e) if (edge.in_test, edge.value) < (e.in_test, e.value) => *e = edge,
+                    Some(_) => {}
                 }
             }
         }
@@ -144,11 +177,7 @@ mod tests {
     use crate::parse::parse_file;
 
     fn graph_of(files: &[(&str, &str, &str)]) -> Graph {
-        let mut fns = Vec::new();
-        for (key, path, src) in files {
-            fns.extend(parse_file(key, path, src).fns);
-        }
-        build(fns)
+        build(files.iter().map(|(key, path, src)| parse_file(key, path, src)).collect())
     }
 
     fn idx(g: &Graph, name: &str) -> usize {

@@ -18,11 +18,13 @@
 //!   dependency-free by policy) producing line-tagged tokens with
 //!   comments/literals stripped and `#[cfg(test)]` items marked;
 //! * [`parse`] — item parser over the token stream: `fn`/`impl`/`mod`
-//!   items, call and macro sites, `// conform::hot_root` marker binding;
+//!   items, call, reference and macro sites, item-level root code and
+//!   aliases, `// conform::hot_root` marker binding;
 //! * [`graph`] — the cross-crate call graph (name-shaped resolution);
 //! * [`taint`] — transitive analyses over the graph: alloc-reachable,
 //!   panic-reachable, determinism taint — each finding carries a witness
-//!   path root → … → sink;
+//!   path root → … → sink — and unreached fns, the library code no bin,
+//!   example, bench, integration test or other crate's test reaches;
 //! * [`rules`] — the token-level determinism, hot-path and
 //!   conformance-header rules;
 //! * [`config`] — the `conform.toml` waiver/budget file, where every
@@ -91,10 +93,11 @@ pub fn scan_str(
     }
     // Library fixtures also get the graph analyses, so a single file can
     // exercise alloc-reachable / panic-reachable / determinism-taint.
+    // dead/unreached-fn needs a workspace's roots: `scan_workspace` only.
     if context == FileContext::Lib {
         let parsed = parse::parse_file(crate_key, rel_path, src);
         findings.extend(scan::dangling_marker_findings(&parsed));
-        findings.extend(taint::analyze(&graph::build(parsed.fns), cfg));
+        findings.extend(taint::analyze(&graph::build(vec![parsed]), cfg));
     }
     for f in &mut findings {
         if let Some(w) =

@@ -9,6 +9,11 @@
 //! * call sites inside each body — `recv.method(..)` receiver calls and
 //!   `a::B::c(..)` path calls (turbofish skipped), each with its source
 //!   line; a `for` loop is recorded as a `next` receiver call;
+//! * references that name a fn without a release call (a fn passed as a
+//!   value, a call inside `debug_assert!`), kept apart from the calls;
+//! * item-level code (`const`/`static` initializers, item macros such as
+//!   `thread_local!`) as root items, and `type`/`use … as` renames as
+//!   aliases;
 //! * macro invocation sites (`name!…`), so `vec![]`, `format!` and the
 //!   panic family are visible to the taint engine;
 //! * `// conform::hot_root` marker comments: the annotation convention for
@@ -17,7 +22,7 @@
 //!   visibility may sit between), and an unbound marker is reported by the
 //!   caller as a finding — a dangling annotation is a lie in the source.
 //!
-//! `debug_assert*` macro arguments are skipped entirely: they are compiled
+//! `debug_assert*` macro arguments yield references only: they are compiled
 //! out of release builds, so nothing inside them can put work or panics on
 //! the shipped hot path.
 
@@ -68,7 +73,7 @@ pub struct MacroSite {
 }
 
 /// One `fn` item with everything the graph builder needs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FnItem {
     /// Function name.
     pub name: String,
@@ -84,8 +89,15 @@ pub struct FnItem {
     pub in_test: bool,
     /// True when a `// conform::hot_root` marker binds to this item.
     pub hot_root: bool,
+    /// True inside a trait impl or a trait: dispatch reaches it unnamed.
+    pub trait_impl: bool,
+    /// True for a bin, example, bench or test fn or an item-level root: a
+    /// caller for dead-code reachability, never a call target.
+    pub root: bool,
     /// Call sites in the body, in source order.
     pub calls: Vec<CallSite>,
+    /// Fns the body names without a release call (values, `debug_assert!`).
+    pub refs: Vec<CallSite>,
     /// Macro invocation sites in the body, in source order.
     pub macros: Vec<MacroSite>,
 }
@@ -110,6 +122,8 @@ pub struct ParsedFile {
     pub fns: Vec<FnItem>,
     /// Lines of `conform::hot_root` markers no `fn` claimed.
     pub unbound_markers: Vec<u32>,
+    /// `(alias, target)` renames from `type A = B<..>;` and `use b as a;`.
+    pub aliases: Vec<(String, String)>,
 }
 
 /// Keywords that look like calls when followed by `(` but are not.
@@ -131,9 +145,10 @@ pub fn parse_file(crate_key: &str, rel_path: &str, src: &str) -> ParsedFile {
         markers,
         marker_used: Vec::new(),
         fns: Vec::new(),
+        aliases: Vec::new(),
     };
     p.marker_used = vec![false; p.markers.len()];
-    p.parse_items(0, toks.len(), None);
+    p.parse_items(0, toks.len(), None, false);
     let unbound = p
         .markers
         .iter()
@@ -141,7 +156,7 @@ pub fn parse_file(crate_key: &str, rel_path: &str, src: &str) -> ParsedFile {
         .filter(|(_, used)| !**used)
         .map(|(l, _)| *l)
         .collect();
-    ParsedFile { rel_path: rel_path.to_owned(), fns: p.fns, unbound_markers: unbound }
+    ParsedFile { rel_path: rel_path.to_owned(), fns: p.fns, unbound_markers: unbound, aliases: p.aliases }
 }
 
 /// 1-based lines of `// conform::hot_root` marker comments. The marker
@@ -166,6 +181,7 @@ struct Parser<'a> {
     markers: Vec<u32>,
     marker_used: Vec<bool>,
     fns: Vec<FnItem>,
+    aliases: Vec<(String, String)>,
 }
 
 impl Parser<'_> {
@@ -178,18 +194,19 @@ impl Parser<'_> {
     }
 
     /// Walks items in `[start, end)`, descending into `mod`/`impl`/`trait`
-    /// bodies; `self_ty` is the enclosing impl/trait type, if any.
-    fn parse_items(&mut self, start: usize, end: usize, self_ty: Option<&str>) {
+    /// bodies; `self_ty` is the enclosing impl/trait type, if any, and
+    /// `trait_fns` is true inside a trait impl or a trait definition.
+    fn parse_items(&mut self, start: usize, end: usize, self_ty: Option<&str>, trait_fns: bool) {
         let mut i = start;
         while i < end {
             match self.text(i) {
-                "fn" if self.is_ident(i + 1) => i = self.parse_fn(i, end, self_ty),
+                "fn" if self.is_ident(i + 1) => i = self.parse_fn(i, end, self_ty, trait_fns),
                 "impl" => i = self.parse_impl(i, end),
                 "trait" if self.is_ident(i + 1) => {
                     let name = self.text(i + 1).to_owned();
                     match self.find_body(i + 2, end) {
                         Some((open, close)) => {
-                            self.parse_items(open + 1, close, Some(&name));
+                            self.parse_items(open + 1, close, Some(&name), true);
                             i = close + 1;
                         }
                         None => i = end,
@@ -199,7 +216,7 @@ impl Parser<'_> {
                     if self.text(i + 2) == "{" {
                         match self.match_brace(i + 2, end) {
                             Some(close) => {
-                                self.parse_items(i + 3, close, self_ty);
+                                self.parse_items(i + 3, close, self_ty, trait_fns);
                                 i = close + 1;
                             }
                             None => i = end,
@@ -208,14 +225,94 @@ impl Parser<'_> {
                         i += 2; // `mod name;`
                     }
                 }
+                // `const N: T = init;` (not a `const` generic): a root.
+                "const" | "static"
+                    if !matches!(self.text(i.wrapping_sub(1)), "<" | ",")
+                        && (self.text(i + 2) == ":" || self.text(i + 3) == ":") =>
+                {
+                    let semi = self.statement_end(i, end);
+                    if let Some(eq) = (i..semi).find(|&j| self.text(j) == "=") {
+                        let name = if self.text(i + 2) == ":" { i + 1 } else { i + 2 };
+                        self.parse_root(name, eq + 1, semi, self_ty);
+                    }
+                    i = semi + 1;
+                }
+                "type" if self_ty.is_none() && self.is_ident(i + 1) => {
+                    let semi = self.statement_end(i, end);
+                    if let Some(eq) = (i..semi).find(|&j| self.text(j) == "=") {
+                        if let (Some(target), _) = self.parse_type_path(eq + 1, semi) {
+                            self.aliases.push((self.text(i + 1).to_owned(), target));
+                        }
+                    }
+                    i = semi + 1;
+                }
+                "use" => {
+                    let semi = self.statement_end(i, end);
+                    for j in i + 1..semi {
+                        if self.text(j) == "as" && self.is_ident(j - 1) && self.is_ident(j + 1) && self.text(j + 1) != "_" {
+                            self.aliases.push((self.text(j + 1).to_owned(), self.text(j - 1).to_owned()));
+                        }
+                    }
+                    i = semi + 1;
+                }
+                // An item macro (`thread_local!`, `macro_rules! m`): a root.
+                _ if self.is_ident(i) && self.text(i + 1) == "!" => {
+                    let open = if self.is_ident(i + 2) { i + 3 } else { i + 2 };
+                    let past = self.skip_macro_args(open, end);
+                    if past > open {
+                        self.parse_root(i, open + 1, past - 1, self_ty);
+                    }
+                    i = past.max(i + 2);
+                }
                 "{" => match self.match_brace(i, end) {
-                    // A stray block at item level (const initializer etc.):
-                    // skip it whole so its braces cannot desync the walk.
+                    // A stray block at item level: skip it whole so its
+                    // braces cannot desync the walk.
                     Some(close) => i = close + 1,
                     None => i = end,
                 },
                 _ => i += 1,
             }
+        }
+    }
+
+    /// Index of the `;` ending the statement that starts at `from` (the
+    /// first `;` outside any bracket group), or `end`.
+    fn statement_end(&self, from: usize, end: usize) -> usize {
+        let mut depth = 0i32;
+        let mut j = from;
+        while j < end {
+            match self.text(j) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                ";" if depth == 0 => return j,
+                _ => {}
+            }
+            j += 1;
+        }
+        end
+    }
+
+    /// Adds a root item named by the token at `name` whose body is the
+    /// item-level code in `[start, end)`.
+    fn parse_root(&mut self, name: usize, start: usize, end: usize, self_ty: Option<&str>) {
+        let mut item = self.item(name, self_ty, false);
+        item.root = !item.in_test;
+        self.parse_body(start, end, &mut item);
+        self.fns.push(item);
+    }
+
+    /// A call-free item named by the token at `name`.
+    fn item(&self, name: usize, self_ty: Option<&str>, trait_impl: bool) -> FnItem {
+        let t = &self.toks[name];
+        FnItem {
+            name: t.text.clone(),
+            self_ty: self_ty.map(str::to_owned),
+            crate_key: self.crate_key.to_owned(),
+            rel_path: self.rel_path.to_owned(),
+            line: t.line,
+            in_test: t.in_test,
+            trait_impl,
+            ..FnItem::default()
         }
     }
 
@@ -225,12 +322,14 @@ impl Parser<'_> {
         let mut j = i + 1;
         j = self.skip_angles(j, end);
         let (mut ty, mut j) = self.parse_type_path(j, end);
+        let mut trait_impl = false;
         // Scan to the body `{`, re-resolving after `for` (trait impls) and
         // skipping `where` clauses (brace-free by grammar).
         while j < end && self.text(j) != "{" {
             if self.text(j) == "for" {
                 let (t2, j2) = self.parse_type_path(j + 1, end);
                 ty = t2.or(ty);
+                trait_impl = true;
                 j = j2;
                 continue;
             }
@@ -243,7 +342,8 @@ impl Parser<'_> {
         match self.match_brace(j, end) {
             Some(close) => {
                 let ty = ty.unwrap_or_default();
-                self.parse_items(j + 1, close, if ty.is_empty() { None } else { Some(&ty) });
+                let self_ty = if ty.is_empty() { None } else { Some(ty.as_str()) };
+                self.parse_items(j + 1, close, self_ty, trait_impl);
                 close + 1
             }
             None => end,
@@ -343,10 +443,8 @@ impl Parser<'_> {
 
     /// Parses the `fn` item starting at token `i` (the `fn` keyword) and
     /// returns the index just past it.
-    fn parse_fn(&mut self, i: usize, end: usize, self_ty: Option<&str>) -> usize {
-        let name = self.text(i + 1).to_owned();
-        let fn_line = self.toks[i].line;
-        let hot_root = self.claim_marker(fn_line);
+    fn parse_fn(&mut self, i: usize, end: usize, self_ty: Option<&str>, trait_fn: bool) -> usize {
+        let hot_root = self.claim_marker(self.toks[i].line);
         let Some((open, close)) = self.find_body(i + 2, end) else {
             // Declaration only (trait method signature): skip past it.
             let mut j = i + 2;
@@ -355,17 +453,7 @@ impl Parser<'_> {
             }
             return j + 1;
         };
-        let mut item = FnItem {
-            name,
-            self_ty: self_ty.map(str::to_owned),
-            crate_key: self.crate_key.to_owned(),
-            rel_path: self.rel_path.to_owned(),
-            line: fn_line,
-            in_test: self.toks[i].in_test,
-            hot_root,
-            calls: Vec::new(),
-            macros: Vec::new(),
-        };
+        let mut item = FnItem { hot_root, ..self.item(i + 1, self_ty, trait_fn) };
         self.parse_body(open + 1, close, &mut item);
         self.fns.push(item);
         close + 1
@@ -390,7 +478,7 @@ impl Parser<'_> {
             match self.text(k) {
                 "fn" if self.is_ident(k + 1) => {
                     let ty = item.self_ty.clone();
-                    k = self.parse_fn(k, end, ty.as_deref());
+                    k = self.parse_fn(k, end, ty.as_deref(), false);
                     continue;
                 }
                 "impl" => {
@@ -419,10 +507,14 @@ impl Parser<'_> {
                 let name = t.text.clone();
                 let in_test = t.in_test;
                 let line = t.line;
-                // `debug_assert*` bodies vanish from release builds; skip
-                // their argument tokens so nothing inside them taints.
+                // `debug_assert*` bodies vanish from release builds: what
+                // they call is a reference, so nothing inside them taints.
                 if name.starts_with("debug_assert") {
-                    k = self.skip_macro_args(k + 2, end);
+                    let past = self.skip_macro_args(k + 2, end);
+                    let mut args = self.item(k, None, false);
+                    self.parse_body(k + 2, past, &mut args);
+                    item.refs.extend(args.calls.into_iter().chain(args.refs));
+                    k = past;
                 } else {
                     item.macros.push(MacroSite { name, line, in_test });
                     k += 2;
@@ -431,9 +523,20 @@ impl Parser<'_> {
             }
             // Call site: ident (turbofish?) `(`.
             let after = self.after_turbofish(k + 1, end);
-            if self.text(after) == "(" && !NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
+            let keyword = NON_CALL_KEYWORDS.contains(&t.text.as_str());
+            if self.text(after) == "(" && !keyword {
                 let (path, head, method) = self.call_path(k);
                 item.calls.push(CallSite { path, method, line: self.toks[head].line, in_test: t.in_test });
+            } else if !keyword
+                && t.text.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
+                && !matches!(self.text(after), "::" | ":")
+            {
+                // A snake_case name, not called, not a path prefix or a
+                // field (`.name` parses as a receiver path): maybe a fn value.
+                let (path, head, method) = self.call_path(k);
+                if !method {
+                    item.refs.push(CallSite { path, method, line: self.toks[head].line, in_test: t.in_test });
+                }
             }
             k += 1;
         }
@@ -630,6 +733,23 @@ mod tests {
         let f = find(&p, "f");
         let calls: Vec<_> = f.calls.iter().map(|c| (c.name(), c.method, c.line)).collect();
         assert_eq!(calls, vec![("next", true, 2), ("admit", false, 2)]);
+    }
+
+    #[test]
+    fn values_initializers_aliases_and_trait_impls() {
+        let src = "use a::b as c;\ntype Alias = Real<u8>;\nconst N: u64 = seed(2);\n\
+                   fn f(s: &Sim) {\n  s.schedule_at(0, on_tick);\n  debug_assert!(check(s.now));\n  x.map(Self::g);\n}\n\
+                   impl Default for W { fn default() -> W { W } }\nimpl W { fn h() {} }";
+        let p = parse(src);
+        assert_eq!(p.aliases, vec![("c".to_owned(), "b".to_owned()), ("Alias".to_owned(), "Real".to_owned())]);
+        let n = find(&p, "N");
+        assert!(n.root && n.calls[0].name() == "seed", "the initializer is a root item");
+        let f = find(&p, "f");
+        let calls: Vec<&str> = f.calls.iter().map(|c| c.name()).collect();
+        assert_eq!(calls, vec!["schedule_at", "map"], "references are not calls");
+        let refs: Vec<&str> = f.refs.iter().map(|c| c.name()).collect();
+        assert_eq!(refs, vec!["s", "on_tick", "check", "s", "x", "g"], "fields (`.now`) are not references");
+        assert!(find(&p, "default").trait_impl && !find(&p, "h").trait_impl);
     }
 
     #[test]

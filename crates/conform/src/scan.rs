@@ -65,10 +65,10 @@ pub fn scan_workspace(root: &Path, cfg: &Config) -> Result<Report, ScanError> {
     let mut findings: Vec<Finding> = Vec::new();
     // (crate key, sites) accumulated across the crate's library files.
     let mut unwrap_by_crate: Vec<(String, Vec<UnwrapSite>)> = Vec::new();
-    // The graph corpus: every parsed fn from library files. Bins, tests
-    // and examples stay out so reachability starts and ends in the code
-    // the paper's invariants are about.
-    let mut corpus_fns = Vec::new();
+    // The graph corpus: every parsed file. Fns of bins, tests, benches and
+    // examples are roots, never call targets, so the hot-path analyses
+    // start and end in library code.
+    let mut corpus = Vec::new();
     for (abs, info) in &files {
         let src = fs::read_to_string(abs).map_err(|e| ScanError::Io(abs.clone(), e))?;
         let toks = lex(&src);
@@ -81,15 +81,20 @@ pub fn scan_workspace(root: &Path, cfg: &Config) -> Result<Report, ScanError> {
                 None => unwrap_by_crate.push((info.crate_key.clone(), scan.unwrap_sites)),
             }
         }
+        let mut parsed = parse_file(&info.crate_key, &info.rel_path, &src);
         if info.context == FileContext::Lib {
-            let parsed = parse_file(&info.crate_key, &info.rel_path, &src);
             findings.extend(dangling_marker_findings(&parsed));
-            corpus_fns.extend(parsed.fns);
+        } else {
+            parsed.fns.iter_mut().for_each(|f| f.root = true);
         }
+        corpus.push(parsed);
     }
 
-    // Graph analyses: alloc-reachable, panic-reachable, determinism taint.
-    findings.extend(taint::analyze(&graph::build(corpus_fns), cfg));
+    // Graph analyses: alloc-reachable, panic-reachable, determinism taint,
+    // unreached fns.
+    let graph = graph::build(corpus);
+    findings.extend(taint::analyze(&graph, cfg));
+    findings.extend(taint::unreached_findings(&graph));
 
     // Budget check: a crate over its unwrap budget reports every site, so
     // the diff pinpoints each candidate for conversion.

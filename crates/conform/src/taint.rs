@@ -1,5 +1,5 @@
 //! Transitive analyses over the call graph: the static half of the
-//! repo's three headline invariants.
+//! repo's three headline invariants, and which library code is live.
 //!
 //! * `hotpath/alloc-reachable` — no function reachable from a
 //!   `// conform::hot_root` decision entry point may hit an allocating
@@ -18,7 +18,7 @@
 //!   `todo!`/`unimplemented!` or `.unwrap()`/`.expect(..)` outside
 //!   `#[cfg(test)]`; `expect("<invariant>")` survives only at graph
 //!   leaves named in a waiver. (`debug_assert*` is release-dead and
-//!   exempt by construction — the parser drops its argument tokens.)
+//!   exempt by construction — its arguments parse as references.)
 //! * `determinism/taint` — spawning functions in a nondeterministic source
 //!   file (one carrying a `determinism/thread-spawn` waiver; today there
 //!   is none, so the analysis finds nothing) taint every deterministic-crate
@@ -33,14 +33,17 @@
 //!   simulated path lights up every hop back to the first justified
 //!   boundary.
 //!
-//! Every finding carries a witness path — `root → … → sink`, one
-//! `name (file:line)` hop at a time — so a violation is a checkable
-//! claim, not a verdict.
+//! * `dead/unreached-fn` — each library fn that no bin, example, bench,
+//!   integration test or other crate's test reaches ([`unreached_findings`]).
+//!
+//! Every hot-path and taint finding carries a witness path — `root → … →
+//! sink`, one `name (file:line)` hop at a time — so a violation is a
+//! checkable claim, not a verdict.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::config::Config;
-use crate::graph::Graph;
+use crate::graph::{Edge, Graph};
 use crate::rules::{Finding, DETERMINISTIC_CRATES};
 
 /// Receiver-call names that allocate.
@@ -59,8 +62,8 @@ const PANIC_MACROS: &[&str] =
 /// Receiver-call names that panic on their failure arm.
 const PANIC_METHODS: &[&str] = &["expect", "unwrap"];
 
-/// Runs all three graph analyses; findings are unsorted and unwaived
-/// (the caller sorts and applies waivers).
+/// Runs the hot-path and taint analyses; findings are unsorted and
+/// unwaived (the caller sorts and applies waivers).
 pub fn analyze(graph: &Graph, cfg: &Config) -> Vec<Finding> {
     let mut findings = Vec::new();
     hot_path_findings(graph, &mut findings);
@@ -68,22 +71,25 @@ pub fn analyze(graph: &Graph, cfg: &Config) -> Vec<Finding> {
     findings
 }
 
-/// BFS parents from the hot roots: `parent[i] = (caller, call line)` on a
-/// shortest witness path, roots have no parent. Deterministic because the
-/// graph's functions and edge lists are `(path, line)`-ordered.
-fn reach_parents(graph: &Graph) -> Vec<Option<Option<(usize, u32)>>> {
+/// BFS parents from `roots` over the edges `follow(caller, edge)` admits:
+/// `parent[i] = (caller, call line)` on a shortest witness path, roots
+/// have no parent. Deterministic because the graph's functions and edge
+/// lists are `(path, line)`-ordered.
+fn reach_parents(
+    graph: &Graph,
+    roots: impl IntoIterator<Item = usize>,
+    follow: impl Fn(usize, &Edge) -> bool,
+) -> Vec<Option<Option<(usize, u32)>>> {
     // Outer Option: reached at all. Inner: parent edge (None for roots).
     let mut parent: Vec<Option<Option<(usize, u32)>>> = vec![None; graph.fns.len()];
     let mut queue: VecDeque<usize> = VecDeque::new();
-    for r in graph.hot_roots() {
-        if !graph.fns[r].in_test {
-            parent[r] = Some(None);
-            queue.push_back(r);
-        }
+    for r in roots {
+        parent[r] = Some(None);
+        queue.push_back(r);
     }
     while let Some(i) = queue.pop_front() {
         for e in &graph.edges[i] {
-            if e.in_test || parent[e.callee].is_some() {
+            if !follow(i, e) || parent[e.callee].is_some() {
                 continue;
             }
             parent[e.callee] = Some(Some((i, e.line)));
@@ -109,9 +115,11 @@ fn witness_to(graph: &Graph, parent: &[Option<Option<(usize, u32)>>], i: usize) 
     rev
 }
 
-/// The two hot-path analyses share one reachability pass.
+/// The two hot-path analyses share one reachability pass, over release
+/// calls only.
 fn hot_path_findings(graph: &Graph, findings: &mut Vec<Finding>) {
-    let parent = reach_parents(graph);
+    let roots = graph.hot_roots().into_iter().filter(|&r| !graph.fns[r].in_test);
+    let parent = reach_parents(graph, roots, |_, e| !e.in_test && !e.value);
     let mut seen: BTreeSet<(String, u32, String)> = BTreeSet::new();
     for i in 0..graph.fns.len() {
         if parent[i].is_none() {
@@ -173,6 +181,37 @@ fn hot_path_findings(graph: &Graph, findings: &mut Vec<Finding>) {
     }
 }
 
+/// `dead/unreached-fn`: a non-test library fn no root reaches. Roots are
+/// the fns of bins, examples, benches and integration tests, item-level
+/// code, trait-impl methods (called unnamed, so exempt) and *another*
+/// crate's `#[cfg(test)]` code; value edges count. A fn only its own
+/// crate's unit tests call is flagged: it belongs under `#[cfg(test)]`.
+/// Resolution only adds edges, so every finding is truly uncalled.
+pub fn unreached_findings(graph: &Graph) -> Vec<Finding> {
+    let fns = &graph.fns;
+    let roots = (0..fns.len()).filter(|&i| fns[i].root || fns[i].in_test || fns[i].trait_impl);
+    // A library test's call reaches only into other crates.
+    let parent = reach_parents(graph, roots, |caller, e| {
+        let from = &fns[caller];
+        !e.in_test || from.root || from.crate_key != fns[e.callee].crate_key
+    });
+    fns.iter()
+        .zip(&parent)
+        .filter(|(_, p)| p.is_none())
+        .map(|(f, _)| Finding {
+            rule: "dead/unreached-fn",
+            path: f.rel_path.clone(),
+            line: f.line,
+            message: format!(
+                "`{}` is reached from no bin, example, bench, integration test or other crate's test code — delete it, or move it under `#[cfg(test)]` if its own unit tests need it",
+                f.qualified_name()
+            ),
+            witness: Vec::new(),
+            waived: None,
+        })
+        .collect()
+}
+
 /// True when the fn's body fans work out to real threads.
 fn spawns(f: &crate::parse::FnItem) -> bool {
     f.calls.iter().any(|c| {
@@ -211,6 +250,7 @@ fn determinism_taint_findings(graph: &Graph, cfg: &Config, findings: &mut Vec<Fi
         for &(caller, line) in &rev[t] {
             let f = &graph.fns[caller];
             if f.in_test
+                || f.root
                 || tainted[caller]
                 || reported[caller]
                 || source_files.contains(f.rel_path.as_str())
@@ -265,11 +305,8 @@ mod tests {
     use crate::parse::parse_file;
 
     fn analyze_files(files: &[(&str, &str, &str)], cfg: &Config) -> Vec<Finding> {
-        let mut fns = Vec::new();
-        for (key, path, src) in files {
-            fns.extend(parse_file(key, path, src).fns);
-        }
-        let mut out = analyze(&build(fns), cfg);
+        let parsed = files.iter().map(|(key, path, src)| parse_file(key, path, src)).collect();
+        let mut out = analyze(&build(parsed), cfg);
         out.sort_by(|a, b| (a.rule, &a.path, a.line).cmp(&(b.rule, &b.path, b.line)));
         out
     }

@@ -197,6 +197,28 @@ fn determinism_taint_workspace_pair() {
     );
 }
 
+/// `dead/unreached-fn` over the `dead_ws` mini-workspace, one library fn
+/// per case. Violating: a helper only its own crate's `#[test]` calls is
+/// flagged. Clean: a fn called only from a bin, another crate's
+/// `#[cfg(test)]` code, an integration test, a `const` initializer,
+/// `debug_assert!`, a re-export, a `use … as` rename or a type alias, a fn
+/// passed by name as a value or a macro argument, and a trait-impl method
+/// and its helper all stay silent.
+#[test]
+fn unreached_fn_fixture_pair() {
+    let root = fixture_dir().join("dead_ws");
+    let report = scan_workspace(&root, &Config::default()).expect("dead_ws scans");
+    let found: Vec<(&str, &str, u32)> =
+        report.findings.iter().map(|f| (f.rule, f.path.as_str(), f.line)).collect();
+    assert_eq!(
+        found,
+        vec![("dead/unreached-fn", "crates/sim/src/cases.rs", 2)],
+        "only the own-test helper is unreached, got:\n{}",
+        report.render()
+    );
+    assert!(report.findings[0].message.contains("`only_own_test`"), "{}", report.findings[0].message);
+}
+
 /// Line-anchored waiver hygiene: an anchor on the exact finding line
 /// waives it; the same waiver one line off does not.
 #[test]

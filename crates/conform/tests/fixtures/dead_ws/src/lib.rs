@@ -1,0 +1,5 @@
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
+#![deny(missing_debug_implementations)]
+
+pub use cloudburst_sim as sim;

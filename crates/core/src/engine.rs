@@ -1258,6 +1258,7 @@ impl EngineWorld {
     }
 
     /// Realized economics ledger (`None` when no econ layer is armed).
+    #[cfg(test)]
     pub fn econ_metrics(&self) -> Option<&CostMetrics> {
         self.econ.as_ref().map(|e| &e.metrics)
     }

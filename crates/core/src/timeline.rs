@@ -98,6 +98,9 @@ pub struct JobTimeline {
     pub completed: Stamp,
 }
 
+/// Test oracles: the engine's test-build dense shadow builds and checks
+/// timelines through these.
+#[cfg(test)]
 impl JobTimeline {
     /// Creates a fresh timeline at scheduling time.
     pub fn new(id: u64, arrival: SimTime, scheduled: SimTime, placement: Placement) -> Self {
@@ -118,27 +121,6 @@ impl JobTimeline {
     /// Seconds from arrival to result (`None` while incomplete).
     pub fn turnaround_secs(&self) -> Option<f64> {
         self.completed.get().map(|c| (c - self.arrival).as_secs_f64())
-    }
-
-    /// Seconds spent waiting in queues (turnaround minus transfer and
-    /// execution spans).
-    pub fn queueing_secs(&self) -> Option<f64> {
-        let total = self.turnaround_secs()?;
-        let exec = match (self.exec_started.get(), self.exec_done.get()) {
-            (Some(s), Some(e)) => (e - s).as_secs_f64(),
-            _ => 0.0,
-        };
-        let upload = match (self.upload_started.get(), self.upload_done.get()) {
-            (Some(s), Some(e)) => (e - s).as_secs_f64(),
-            _ => 0.0,
-        };
-        let download = match (self.exec_done.get(), self.download_done.get()) {
-            // Download queueing is folded in here; the pure transfer span
-            // is not separately stamped.
-            (Some(s), Some(e)) => (e - s).as_secs_f64(),
-            _ => 0.0,
-        };
-        Some((total - exec - upload - download).max(0.0))
     }
 
     /// Checks internal stage ordering; returns the violated pair if any.
@@ -163,6 +145,18 @@ impl JobTimeline {
         }
         Ok(())
     }
+
+    /// The stamp `stage` writes.
+    pub(crate) fn stage_mut(&mut self, stage: Stage) -> &mut Stamp {
+        match stage {
+            Stage::UploadStarted => &mut self.upload_started,
+            Stage::UploadDone => &mut self.upload_done,
+            Stage::ExecStarted => &mut self.exec_started,
+            Stage::ExecDone => &mut self.exec_done,
+            Stage::DownloadDone => &mut self.download_done,
+            Stage::Completed => &mut self.completed,
+        }
+    }
 }
 
 /// A stage stamped after admission.
@@ -174,22 +168,6 @@ pub(crate) enum Stage {
     ExecDone,
     DownloadDone,
     Completed,
-}
-
-impl JobTimeline {
-    /// The stamp `stage` writes (the engine's test-build dense shadow
-    /// stamps through it).
-    #[cfg(test)]
-    pub(crate) fn stage_mut(&mut self, stage: Stage) -> &mut Stamp {
-        match stage {
-            Stage::UploadStarted => &mut self.upload_started,
-            Stage::UploadDone => &mut self.upload_done,
-            Stage::ExecStarted => &mut self.exec_started,
-            Stage::ExecDone => &mut self.exec_done,
-            Stage::DownloadDone => &mut self.download_done,
-            Stage::Completed => &mut self.completed,
-        }
-    }
 }
 
 /// A job's index into [`TimelineStore::transfers`]: none yet.
@@ -409,14 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn turnaround_and_queueing() {
+    fn turnaround_is_arrival_to_result() {
         let tl = bursted();
         assert_eq!(tl.turnaround_secs(), Some(450.0));
-        // exec 290 s + upload 100 s + post-exec 50 s → 10 s of queueing.
-        assert_eq!(tl.queueing_secs(), Some(10.0));
         let unfinished = JobTimeline::new(0, t(0), t(1), Placement::Internal);
         assert_eq!(unfinished.turnaround_secs(), None);
-        assert_eq!(unfinished.queueing_secs(), None);
     }
 
     /// The store row is part of the engine's per-job spine (one per

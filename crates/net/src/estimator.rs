@@ -100,11 +100,6 @@ impl BandwidthEstimator {
     pub fn observations(&self) -> u64 {
         self.n_obs
     }
-
-    /// Snapshot of the per-slot predictions (for Fig. 4(a)-style output).
-    pub fn slot_table(&self) -> Vec<Option<f64>> {
-        self.slots.clone()
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! behaviour the paper's thread tuner exploits (Fig. 4(b)).
 //!
 //! The link is a passive component: the owning engine calls
-//! [`Link::advance`] to integrate progress up to the current instant and
+//! [`Link::advance_into`] to integrate progress up to the current instant and
 //! [`Link::next_wake`] to learn when the next interesting thing happens (a
 //! completion under the current rate, or a rate-revaluation slot boundary).
 //! Capacity is held constant within a revaluation slot, which makes
@@ -80,7 +80,7 @@ pub struct PipeBoundary {
     pub active_threads: u32,
 }
 
-/// A completed transfer, reported by [`Link::advance`].
+/// A completed transfer, reported by [`Link::advance_into`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Completion {
     /// Which transfer finished.
@@ -163,21 +163,11 @@ impl Link {
         }
     }
 
-    /// A link with default κ and a 30-second revaluation slot.
-    pub fn with_model(model: BandwidthModel) -> Link {
-        Link::new(model, DEFAULT_KAPPA, SimDuration::from_secs(30))
-    }
-
     /// Sets the last-hop/setup latency each transfer pays before its bytes
     /// flow. Penalizes small transfers (and probes) disproportionately.
     pub fn with_latency(mut self, latency: SimDuration) -> Link {
         self.latency = latency;
         self
-    }
-
-    /// The configured last-hop latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
     }
 
     /// Installs the chaos-injected capacity-fault schedule. Windows whose
@@ -204,11 +194,6 @@ impl Link {
             }
         }
         f
-    }
-
-    /// The ground-truth capacity model.
-    pub fn model(&self) -> &BandwidthModel {
-        &self.model
     }
 
     /// Number of in-flight transfers.
@@ -350,7 +335,7 @@ impl Link {
         }
     }
 
-    /// When should the engine next call [`Link::advance`]? Returns the
+    /// When should the engine next call [`Link::advance_into`]? Returns the
     /// earliest of the next completion (under the current instantaneous
     /// rate) and the next rate-revaluation boundary; `None` when idle.
     /// The piece behind the answer is kept for the next `advance_into`.
@@ -703,7 +688,7 @@ mod tests {
         }
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].at, SimTime::from_secs(15));
-        assert_eq!(l.latency(), SimDuration::from_secs(5));
+        assert_eq!(l.latency, SimDuration::from_secs(5));
     }
 
     #[test]

@@ -121,11 +121,6 @@ impl ThreadTuner {
             }
         }
     }
-
-    /// Snapshot of the per-slot best thread counts (Fig. 4(b)-style output).
-    pub fn slot_table(&self) -> Vec<u32> {
-        self.best.clone()
-    }
 }
 
 /// The analytically optimal thread count for raw capacity `b_bps` under the
@@ -209,9 +204,8 @@ mod tests {
             tuner.report(night, k, Link::effective_rate(30_000.0, k, 1.5));
         }
         assert!(tuner.current_best(morning) > tuner.current_best(night));
-        let table = tuner.slot_table();
-        assert_eq!(table.len(), 24);
-        assert_eq!(table[8], tuner.current_best(morning));
+        assert_eq!(tuner.best.len(), 24);
+        assert_eq!(tuner.best[8], tuner.current_best(morning));
     }
 
     #[test]

@@ -28,6 +28,8 @@ pub type ClassedSample = (u64, Vec<f64>, f64);
 pub struct ClassedModel {
     pooled: QrsModel,
     per_class: BTreeMap<u64, QrsModel>,
+    /// The per-class threshold in effect; only `same_bits` reads it.
+    #[cfg_attr(not(any(test, debug_assertions)), allow(dead_code))]
     min_samples: usize,
 }
 
@@ -136,16 +138,6 @@ impl ClassedModel {
         c
     }
 
-    /// The pooled fallback model.
-    pub fn pooled(&self) -> &QrsModel {
-        &self.pooled
-    }
-
-    /// The per-class sample threshold in effect.
-    pub fn min_samples(&self) -> usize {
-        self.min_samples
-    }
-
     fn model_for(&self, class: u64) -> &QrsModel {
         self.per_class.get(&class).unwrap_or(&self.pooled)
     }
@@ -207,7 +199,7 @@ mod tests {
         let m = ClassedModel::fit(&samples, Method::Ols, 8)
             .expect("two-regime corpus is full rank");
         assert!(!m.specialized_classes().contains(&7));
-        assert_eq!(m.predict(7, &[5.0]), m.pooled().predict(&[5.0]));
+        assert_eq!(m.predict(7, &[5.0]), m.pooled.predict(&[5.0]));
     }
 
     #[test]
@@ -216,7 +208,7 @@ mod tests {
         let m = ClassedModel::fit(&samples, Method::Ols, 0)
             .expect("two-regime corpus is full rank");
         // 1 raw feature → 3 basis terms → floor 6.
-        assert_eq!(m.min_samples(), 6);
+        assert_eq!(m.min_samples, 6);
     }
 
     #[test]

@@ -143,11 +143,6 @@ impl Cholesky {
         Cholesky::solve_in_place(&self.l, &mut x)?;
         Ok(x)
     }
-
-    /// The lower-triangular factor.
-    pub fn l(&self) -> &Matrix {
-        &self.l
-    }
 }
 
 /// Householder QR of a tall matrix `A (m×n, m ≥ n)`, stored compactly and
@@ -438,9 +433,9 @@ mod tests {
         // A = [[4,2],[2,3]] has L = [[2,0],[1,sqrt(2)]]
         let a = Matrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
         let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.l()[(0, 0)] - 2.0).abs() < 1e-12);
-        assert!((ch.l()[(1, 0)] - 1.0).abs() < 1e-12);
-        assert!((ch.l()[(1, 1)] - 2.0_f64.sqrt()).abs() < 1e-12);
+        assert!((ch.l[(0, 0)] - 2.0).abs() < 1e-12);
+        assert!((ch.l[(1, 0)] - 1.0).abs() < 1e-12);
+        assert!((ch.l[(1, 1)] - 2.0_f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl QuadraticDesign {
         1 + 2 * n + n * (n - 1) / 2
     }
 
-    /// Number of raw input features.
-    pub fn n_features(&self) -> usize {
-        self.n_features
-    }
-
     /// Number of basis terms (model coefficients).
     pub fn n_terms(&self) -> usize {
         self.terms.len()

@@ -39,15 +39,6 @@ impl Matrix {
         Matrix { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Matrix {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from row slices. Panics if rows are ragged.
     pub fn from_rows(rows: &[Vec<f64>]) -> Matrix {
         let r = rows.len();
@@ -170,11 +161,6 @@ impl Matrix {
         }
         Ok(out)
     }
-
-    /// Max absolute element (∞-norm of the flattened data).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, &x| m.max(x.abs()))
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -216,9 +202,6 @@ mod tests {
         assert_eq!(m.cols(), 2);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        let i = Matrix::identity(3);
-        assert_eq!(i[(1, 1)], 1.0);
-        assert_eq!(i[(0, 1)], 0.0);
     }
 
     #[test]
@@ -282,11 +265,5 @@ mod tests {
     #[should_panic(expected = "ragged")]
     fn ragged_rows_panic() {
         Matrix::from_rows(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn max_abs() {
-        let m = Matrix::from_rows(&[vec![-7.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.max_abs(), 7.0);
     }
 }

@@ -56,27 +56,6 @@ const SHRINK_FLOOR: usize = 1024;
 /// to nothing.
 const SHRINK_CHECK_MASK: u64 = 0xFFF;
 
-/// Snapshot of the kernel's storage footprint, for RSS attribution by the
-/// memory probes: how much of the process's heap is event machinery versus
-/// world state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CapacityStats {
-    /// Live (scheduled, not cancelled) events.
-    pub pending: usize,
-    /// Heap triples currently stored, including stale cancelled entries
-    /// below the head.
-    pub heap_len: usize,
-    /// Allocated heap capacity in triples.
-    pub heap_capacity: usize,
-    /// Slab slots currently addressable (occupied + free-listed).
-    pub slab_len: usize,
-    /// Allocated slab capacity in slots.
-    pub slab_capacity: usize,
-    /// Trough-triggered shrinks performed so far (heap and slab count
-    /// separately).
-    pub shrinks: u64,
-}
-
 /// What the heap orders: a `Copy` triple, closure stored out-of-line in the
 /// slab so sift-up/down moves 24 bytes and never touches an allocator.
 #[derive(Clone, Copy)]
@@ -167,18 +146,6 @@ impl<W> Sim<W> {
     /// simultaneously pending events, not the total scheduled (diagnostics).
     pub fn slot_capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Storage-footprint snapshot for RSS attribution (see [`CapacityStats`]).
-    pub fn capacity_stats(&self) -> CapacityStats {
-        CapacityStats {
-            pending: self.live,
-            heap_len: self.queue.len(),
-            heap_capacity: self.queue.capacity(),
-            slab_len: self.slots.len(),
-            slab_capacity: self.slots.capacity(),
-            shrinks: self.shrinks,
-        }
     }
 
     /// Trough-triggered capacity release. After a burst, the heap and slab
@@ -560,8 +527,7 @@ mod tests {
         }
         let mut w = 0u64;
         sim.run(&mut w);
-        let at_peak = sim.capacity_stats();
-        assert!(at_peak.slab_len >= burst as usize);
+        assert!(sim.slots.len() >= burst as usize);
 
         // Self-rescheduling chain: one live event, many fired events.
         fn tick(w: &mut u64, sim: &mut Sim<u64>) {
@@ -573,15 +539,12 @@ mod tests {
         let mut w = 0u64;
         sim.schedule_now(tick);
         sim.run(&mut w);
-        let after = sim.capacity_stats();
-        assert!(after.shrinks > 0, "trough must trigger a shrink: {after:?}");
+        assert!(sim.shrinks > 0, "trough must trigger a shrink");
+        assert!(sim.slots.len() <= SHRINK_FLOOR, "slab must shrink to the floor: {}", sim.slots.len());
         assert!(
-            after.slab_len <= SHRINK_FLOOR,
-            "slab must shrink to the floor: {after:?}"
-        );
-        assert!(
-            after.heap_capacity <= SHRINK_FLOOR,
-            "heap must shrink to the floor: {after:?}"
+            sim.queue.capacity() <= SHRINK_FLOOR,
+            "heap must shrink to the floor: {}",
+            sim.queue.capacity()
         );
     }
 
@@ -604,7 +567,7 @@ mod tests {
         let mut w = 0u64;
         sim.schedule_now(tick);
         sim.run(&mut w);
-        assert!(sim.capacity_stats().slab_len < ids.len(), "premise: slab shrank");
+        assert!(sim.slots.len() < ids.len(), "premise: slab shrank");
         for id in ids {
             assert!(!sim.cancel(id), "fired-then-truncated id must stay inert");
         }
@@ -636,7 +599,7 @@ mod tests {
         let mut w = Vec::new();
         sim.run(&mut w);
         assert_eq!(w, vec![0, 1, 2]);
-        assert!(sim.capacity_stats().shrinks > 0);
+        assert!(sim.shrinks > 0);
     }
 
     #[test]

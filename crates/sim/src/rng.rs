@@ -26,11 +26,6 @@ impl RngFactory {
         RngFactory { seed }
     }
 
-    /// The master seed this factory was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Returns the RNG stream for a component label, e.g. `"arrivals"` or
     /// `"bandwidth/jitter"`. The same `(seed, label)` pair always yields the
     /// same stream.

@@ -7,7 +7,7 @@
 //! model code that naturally works in seconds (bandwidth, service rates).
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 use serde::{Deserialize, Serialize};
 
@@ -59,11 +59,6 @@ impl SimTime {
     /// actually later than `self`.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 }
 
@@ -213,23 +208,10 @@ impl Sub for SimDuration {
     }
 }
 
-impl SubAssign for SimDuration {
-    fn sub_assign(&mut self, other: SimDuration) {
-        *self = *self - other;
-    }
-}
-
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
-    }
-}
-
-impl Div<u64> for SimDuration {
-    type Output = SimDuration;
-    fn div(self, k: u64) -> SimDuration {
-        SimDuration(self.0 / k)
     }
 }
 
@@ -286,7 +268,6 @@ mod tests {
         // saturating: an "earlier minus later" span clamps to zero
         assert_eq!(SimTime::from_secs(3) - SimTime::from_secs(10), SimDuration::ZERO);
         assert_eq!(d * 3, SimDuration::from_secs(12));
-        assert_eq!(d / 2, SimDuration::from_secs(2));
     }
 
     #[test]

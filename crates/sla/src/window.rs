@@ -130,11 +130,6 @@ impl OrderedFrontier {
             self.pending.pop();
         }
     }
-
-    /// Out-of-order backlog size (diagnostics / memory attribution).
-    fn backlog(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Open-window accumulator.
@@ -300,11 +295,6 @@ impl WindowSeries {
         self.advance_to(t);
     }
 
-    /// Closed windows currently buffered (drained rows excluded).
-    pub fn closed(&self) -> &[WindowStats] {
-        &self.closed
-    }
-
     /// Takes the buffered closed windows, leaving the series running — the
     /// long-run probes use this to keep the buffer O(1).
     pub fn drain_closed(&mut self) -> Vec<WindowStats> {
@@ -325,11 +315,6 @@ impl WindowSeries {
     /// Live jobs right now.
     pub fn live(&self) -> u64 {
         self.live
-    }
-
-    /// Out-of-order completion backlog held by the frontier (diagnostics).
-    pub fn oo_backlog(&self) -> usize {
-        self.frontier.backlog()
     }
 }
 
@@ -438,7 +423,7 @@ mod tests {
         ws.on_complete(1, mins(20), 200, 1080.0, Some(false));
         ws.finish(mins(30), &FaultMetrics::default());
 
-        let rows = ws.closed();
+        let rows = &ws.closed;
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].arrivals, 2);
         assert_eq!(rows[0].completions, 1);
@@ -472,10 +457,10 @@ mod tests {
         ws.on_admit(0, mins(0));
         ws.on_complete(0, mins(5), 10, 300.0, None);
         ws.finish(mins(6), &FaultMetrics::default());
-        assert_eq!(ws.closed().len(), 6);
-        assert!(ws.closed()[1..5].iter().all(|w| w.arrivals == 0 && w.completions == 0));
+        assert_eq!(ws.closed.len(), 6);
+        assert!(ws.closed[1..5].iter().all(|w| w.arrivals == 0 && w.completions == 0));
         assert!(
-            ws.closed()[1..5].iter().all(|w| w.live_at_close == 1 && w.live_high_water == 1),
+            ws.closed[1..5].iter().all(|w| w.live_at_close == 1 && w.live_high_water == 1),
             "live gauge persists through idle windows"
         );
     }
@@ -491,7 +476,7 @@ mod tests {
         ws.heartbeat(mins(1), &snap(2)); // closes w0 with latest-before = 0? No: heartbeat at boundary closes w0 first, then records 2.
         ws.heartbeat(mins(2), &snap(5));
         ws.finish(mins(3), &snap(5));
-        let rows = ws.closed();
+        let rows = &ws.closed;
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].faults.exec_failures, 0, "snapshot 2 arrives after w0 closes");
         assert_eq!(rows[1].faults.exec_failures, 2);
@@ -517,7 +502,7 @@ mod tests {
         ws.observe_econ(mins(1), snap(2, 1));
         ws.observe_econ(mins(2), snap(5, 1));
         ws.finish(mins(3), &FaultMetrics::default());
-        let rows = ws.closed();
+        let rows = &ws.closed;
         assert_eq!(rows.len(), 3);
         assert!(rows[0].econ.is_none(), "no econ observed while window 0 was open");
         let w1 = rows[1].econ.expect("window 1 carries the first snapshot");
@@ -540,7 +525,7 @@ mod tests {
         }
         let first = ws.drain_closed();
         assert_eq!(first.len(), 9);
-        assert!(ws.closed().is_empty());
+        assert!(ws.closed.is_empty());
         ws.finish(mins(11), &FaultMetrics::default());
         let rest = ws.drain_closed();
         assert_eq!(rest.len(), 2);
@@ -557,8 +542,8 @@ mod tests {
         for i in (1..5u64).rev() {
             ws.on_complete(i, mins(1), 1, 60.0, None);
         }
-        assert_eq!(ws.oo_backlog(), 4, "everything waits on seq 0");
+        assert_eq!(ws.frontier.pending.len(), 4, "everything waits on seq 0");
         ws.on_complete(0, mins(2), 1, 120.0, None);
-        assert_eq!(ws.oo_backlog(), 0, "straggler unlocks the whole prefix");
+        assert_eq!(ws.frontier.pending.len(), 0, "straggler unlocks the whole prefix");
     }
 }

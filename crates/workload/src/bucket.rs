@@ -67,8 +67,9 @@ impl SizeBucket {
         ((mb * BYTES_PER_MB as f64) as u64).clamp(MIN_JOB_BYTES, MAX_JOB_BYTES)
     }
 
-    /// Expected mean size in MB (exact for the mixture), used by capacity
-    /// planning helpers and tests.
+    /// Expected mean size in MB (exact for the mixture): the tests' oracle
+    /// for the sampler.
+    #[cfg(test)]
     pub fn mean_mb(self) -> f64 {
         let (ws, wm, wl) = self.weights();
         ws * 25.5 + wm * 100.0 + wl * 225.0

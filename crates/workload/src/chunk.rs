@@ -65,12 +65,7 @@ impl ChunkPolicy {
     }
 
     /// Number of chunks this policy splits a job of `size_mb` into (≥ 1),
-    /// for a job at the queue head.
-    pub fn n_chunks(&self, size_mb: f64) -> usize {
-        self.n_chunks_at(size_mb, 0.0)
-    }
-
-    /// As [`ChunkPolicy::n_chunks`], at queue-position fraction `pos_frac`.
+    /// for a job at queue-position fraction `pos_frac`.
     pub fn n_chunks_at(&self, size_mb: f64, pos_frac: f64) -> usize {
         let n = (size_mb / self.target_at(pos_frac)).ceil() as usize;
         n.max(1)
@@ -78,13 +73,9 @@ impl ChunkPolicy {
 
     /// Whether the window deviation triggers chunking for the job at the
     /// window head (Algorithm 2 line 5), i.e. `σ > th` *and* splitting would
-    /// actually produce more than one chunk.
-    pub fn should_chunk(&self, window_sigma_mb: f64, size_mb: f64) -> bool {
-        self.should_chunk_at(window_sigma_mb, size_mb, 0.0)
-    }
-
-    /// As [`ChunkPolicy::should_chunk`], at queue-position fraction
-    /// `pos_frac`.
+    /// actually produce more than one chunk, at queue-position fraction
+    /// `pos_frac`: the splice oracle's predicate.
+    #[cfg(test)]
     pub fn should_chunk_at(&self, window_sigma_mb: f64, size_mb: f64, pos_frac: f64) -> bool {
         window_sigma_mb > self.sigma_threshold_mb && self.n_chunks_at(size_mb, pos_frac) > 1
     }
@@ -201,7 +192,7 @@ pub fn chunk_batch(jobs: Vec<Job>, policy: &ChunkPolicy) -> Vec<Job> {
 /// past them, so every index at or after the cursor is a not-yet-visited
 /// original: the window `σ(i..i+x)` over the growing list is always `σ`
 /// over the next `x` originals. So a counting pre-pass over the originals'
-/// sizes ([`chunk_counts`], run once in [`ChunkStream::new`]) decides every
+/// sizes (`chunk_counts`, run once in [`ChunkStream::new`]) decides every
 /// job's chunk count, and the stream then emits each job or its chunks —
 /// the same σ values and the same jobs as the splice loop (kept as the
 /// `#[cfg(test)]` oracle). The counts make the length exact
@@ -386,9 +377,9 @@ mod tests {
     #[test]
     fn should_chunk_requires_both_conditions() {
         let p = ChunkPolicy::default();
-        assert!(p.should_chunk(100.0, 200.0));
-        assert!(!p.should_chunk(10.0, 200.0), "low variance: no chunking");
-        assert!(!p.should_chunk(100.0, 20.0), "small job: nothing to split");
+        assert!(p.should_chunk_at(100.0, 200.0, 0.0));
+        assert!(!p.should_chunk_at(10.0, 200.0, 0.0), "low variance: no chunking");
+        assert!(!p.should_chunk_at(100.0, 20.0, 0.0), "small job: nothing to split");
     }
 
     #[test]
@@ -448,10 +439,10 @@ mod tests {
     #[test]
     fn n_chunks_monotone_in_size() {
         let p = ChunkPolicy::default();
-        assert_eq!(p.n_chunks(10.0), 1);
-        assert_eq!(p.n_chunks(80.0), 1);
-        assert_eq!(p.n_chunks(81.0), 2);
-        assert_eq!(p.n_chunks(300.0), 4);
+        assert_eq!(p.n_chunks_at(10.0, 0.0), 1);
+        assert_eq!(p.n_chunks_at(80.0, 0.0), 1);
+        assert_eq!(p.n_chunks_at(81.0, 0.0), 2);
+        assert_eq!(p.n_chunks_at(300.0, 0.0), 4);
     }
 
     /// The paper's loop as first written: rebuild the size list of the

@@ -21,8 +21,8 @@
 //!   diurnal rate envelope and flash-crowd bursts.
 //! * [`chunk`] — `pdfchunk` splitting used by the Order-Preserving scheduler
 //!   (Algorithm 2, lines 3–10).
-//! * [`stats`] — dependency-free samplers (normal, lognormal, Poisson,
-//!   exponential) and descriptive statistics (mean, CoV, percentiles).
+//! * [`stats`] — dependency-free samplers (normal, lognormal, Poisson) and
+//!   the sliding-window σ of Algorithm 2.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -273,12 +273,6 @@ impl OpenArrivals {
         &self.config
     }
 
-    /// Epochs generated so far; the next batch arrives at
-    /// `epochs_generated() * epoch`.
-    pub fn epochs_generated(&self) -> u64 {
-        self.next_epoch
-    }
-
     /// Jobs generated so far.
     pub fn jobs_generated(&self) -> u64 {
         self.jobs_generated
@@ -383,7 +377,7 @@ mod tests {
                 assert_eq!(p.true_service_secs, q.true_service_secs);
             }
         }
-        assert_eq!(a.epochs_generated(), 50);
+        assert_eq!(a.next_epoch, 50);
         assert_eq!(a.jobs_generated(), b.jobs_generated());
     }
 

@@ -1,9 +1,8 @@
-//! Dependency-free samplers and descriptive statistics.
+//! Dependency-free samplers and the sliding-window σ of Algorithm 2.
 //!
 //! `rand` 0.8 only ships uniform sampling in its core crate; the normal,
-//! lognormal, Poisson and exponential variates the workload models need are
-//! implemented here directly (Box–Muller, inverse-CDF, Knuth) to avoid extra
-//! dependencies.
+//! lognormal and Poisson variates the workload models need are implemented
+//! here directly (Box–Muller, Knuth) to avoid extra dependencies.
 
 use rand::Rng;
 
@@ -67,14 +66,9 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     }
 }
 
-/// Samples `Exp(rate)` (mean `1/rate`) by inverse CDF.
-pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
-    assert!(rate > 0.0, "exponential rate must be positive");
-    let u: f64 = 1.0 - rng.gen::<f64>();
-    -u.ln() / rate
-}
-
-/// Descriptive statistics of a sample.
+/// Descriptive statistics of a sample: the tests' oracle for the samplers
+/// and for [`window_stddev`].
+#[cfg(test)]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
     /// Number of observations.
@@ -89,6 +83,7 @@ pub struct Summary {
     pub max: f64,
 }
 
+#[cfg(test)]
 impl Summary {
     /// Computes the summary of `xs`.
     pub fn of(xs: &[f64]) -> Summary {
@@ -110,24 +105,6 @@ impl Summary {
         } else {
             self.sd / self.mean
         }
-    }
-}
-
-/// The `p`-th percentile (0 ≤ p ≤ 100) by linear interpolation between order
-/// statistics. Panics on an empty slice.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    assert!(!xs.is_empty(), "percentile of empty sample");
-    assert!((0.0..=100.0).contains(&p), "percentile out of range");
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let rank = p / 100.0 * (v.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        v[lo]
-    } else {
-        let frac = rank - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
     }
 }
 
@@ -206,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean() {
-        let mut r = rng();
-        let xs: Vec<f64> = (0..20_000).map(|_| exponential(&mut r, 0.5)).collect();
-        let s = Summary::of(&xs);
-        assert!((s.mean - 2.0).abs() < 0.08, "mean={}", s.mean);
-        assert!(s.min >= 0.0);
-    }
-
-    #[test]
     fn lognormal_median() {
         let mut r = rng();
         let mut xs: Vec<f64> = (0..20_001).map(|_| noise_factor(&mut r, 0.3)).collect();
@@ -254,16 +222,6 @@ mod tests {
                 assert_eq!(window_stddev(&sizes, start, width).to_bits(), want.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn percentiles() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 5.0);
-        assert_eq!(percentile(&xs, 50.0), 3.0);
-        assert_eq!(percentile(&xs, 25.0), 2.0);
-        assert!((percentile(&xs, 10.0) - 1.4).abs() < 1e-12);
     }
 
     #[test]
